@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on parse or
-usage errors.  All output goes to stdout unless --out is given.
+usage errors and on input nested too deeply to process.  All output goes
+to stdout unless --out is given.
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ def run(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w") as fh:

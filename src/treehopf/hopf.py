@@ -1,7 +1,8 @@
 """The Hopf algebra of rooted trees over exact rationals.
 
 Elements are finite rational linear combinations of forests (LinComb) or
-of forest pairs (Tensor2).  The coproduct sums over admissible cuts, the
+of forest pairs (Tensor2).  Coefficients are exact: an `int` when whole
+and a `Fraction` otherwise.  The coproduct sums over admissible cuts, the
 antipode uses the recursive proper-cut formula with a per-tree memo, and
 natural growth N_t grafts a copy of t onto every vertex of its argument.
 
@@ -13,7 +14,6 @@ N = d/ds on the Butcher side.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,7 +43,23 @@ __all__ = [
     "parse_lincomb",
 ]
 
-Rational = Fraction
+
+def _norm(c):
+    """An exact rational as an int when it is whole, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _acc(out: dict, key, c) -> None:
+    """Add c to out[key] in place, dropping the key when the sum cancels."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s if type(s) is int else _norm(s)
+    else:
+        out.pop(key, None)
 
 
 def _as_forest(x) -> Forest:
@@ -60,17 +76,18 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Forest, Fraction] = {}
+        clean: dict[Forest, int | Fraction] = {}
         if terms:
             for forest, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
-                if coeff:
-                    c = clean.get(forest, 0) + coeff
-                    if c:
-                        clean[forest] = c
-                    else:
-                        clean.pop(forest, None)
+                _acc(clean, forest, _norm(coeff))
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "LinComb":
+        """Internal constructor: terms must already be normalized."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @staticmethod
     def zero() -> "LinComb":
@@ -78,11 +95,12 @@ class LinComb:
 
     @staticmethod
     def unit() -> "LinComb":
-        return LinComb({EMPTY_FOREST: Fraction(1)})
+        return LinComb._raw({EMPTY_FOREST: 1})
 
     @staticmethod
     def of(x, coeff=1) -> "LinComb":
-        return LinComb({_as_forest(x): Fraction(coeff)})
+        c = _norm(coeff)
+        return LinComb._raw({_as_forest(x): c} if c else {})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -96,14 +114,8 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
         for f, c in other.terms.items():
-            s = out.get(f, 0) + c
-            if s:
-                out[f] = s
-            else:
-                out.pop(f, None)
-        res = LinComb.__new__(LinComb)
-        res.terms = out
-        return res
+            _acc(out, f, c)
+        return LinComb._raw(out)
 
     def __neg__(self) -> "LinComb":
         return self.scale(-1)
@@ -112,31 +124,23 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        c = Fraction(c)
-        res = LinComb.__new__(LinComb)
-        res.terms = {} if not c else {f: c * v for f, v in self.terms.items()}
-        return res
+        c = _norm(c)
+        return LinComb._raw({f: _norm(c * v) for f, v in self.terms.items()} if c else {})
 
     def __mul__(self, other: "LinComb") -> "LinComb":
-        out: dict[Forest, Fraction] = {}
+        out: dict[Forest, int | Fraction] = {}
         for f1, c1 in self.terms.items():
             for f2, c2 in other.terms.items():
-                f = f1 * f2
-                s = out.get(f, 0) + c1 * c2
-                if s:
-                    out[f] = s
-                else:
-                    out.pop(f, None)
-        res = LinComb.__new__(LinComb)
-        res.terms = out
-        return res
+                _acc(out, f1 * f2, c1 * c2)
+        return LinComb._raw(out)
 
     def map_forests(self, fn) -> "LinComb":
         """Linear extension of a map Forest -> LinComb."""
-        out = LinComb.zero()
+        out: dict[Forest, int | Fraction] = {}
         for f, c in self.terms.items():
-            out = out + fn(f).scale(c)
-        return out
+            for g, d in fn(f).terms.items():
+                _acc(out, g, c * d)
+        return LinComb._raw(out)
 
     def degrees(self) -> set[int]:
         return {f.degree for f in self.terms}
@@ -145,7 +149,7 @@ class LinComb:
         degs = self.degrees()
         return degs.pop() if len(degs) == 1 else None
 
-    def sorted_terms(self) -> list[tuple[Forest, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Forest, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __str__(self) -> str:
@@ -171,17 +175,18 @@ class Tensor2:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple[Forest, Forest], Fraction] = {}
+        clean: dict[tuple[Forest, Forest], int | Fraction] = {}
         if terms:
             for pair, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
-                if coeff:
-                    c = clean.get(pair, 0) + coeff
-                    if c:
-                        clean[pair] = c
-                    else:
-                        clean.pop(pair, None)
+                _acc(clean, pair, _norm(coeff))
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "Tensor2":
+        """Internal constructor: terms must already be normalized."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @staticmethod
     def zero() -> "Tensor2":
@@ -189,7 +194,8 @@ class Tensor2:
 
     @staticmethod
     def of(left, right, coeff=1) -> "Tensor2":
-        return Tensor2({(_as_forest(left), _as_forest(right)): Fraction(coeff)})
+        c = _norm(coeff)
+        return Tensor2._raw({(_as_forest(left), _as_forest(right)): c} if c else {})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -200,14 +206,8 @@ class Tensor2:
     def __add__(self, other: "Tensor2") -> "Tensor2":
         out = dict(self.terms)
         for p, c in other.terms.items():
-            s = out.get(p, 0) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        res = Tensor2.__new__(Tensor2)
-        res.terms = out
-        return res
+            _acc(out, p, c)
+        return Tensor2._raw(out)
 
     def __neg__(self) -> "Tensor2":
         return self.scale(-1)
@@ -216,37 +216,28 @@ class Tensor2:
         return self + (-other)
 
     def scale(self, c) -> "Tensor2":
-        c = Fraction(c)
-        res = Tensor2.__new__(Tensor2)
-        res.terms = {} if not c else {p: c * v for p, v in self.terms.items()}
-        return res
+        c = _norm(c)
+        return Tensor2._raw({p: _norm(c * v) for p, v in self.terms.items()} if c else {})
 
     def __mul__(self, other: "Tensor2") -> "Tensor2":
-        out: dict[tuple[Forest, Forest], Fraction] = {}
+        out: dict[tuple[Forest, Forest], int | Fraction] = {}
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
-                p = (l1 * l2, r1 * r2)
-                s = out.get(p, 0) + c1 * c2
-                if s:
-                    out[p] = s
-                else:
-                    out.pop(p, None)
-        res = Tensor2.__new__(Tensor2)
-        res.terms = out
-        return res
+                _acc(out, (l1 * l2, r1 * r2), c1 * c2)
+        return Tensor2._raw(out)
 
     def map_legs(self, left_fn=None, right_fn=None) -> "Tensor2":
         """Apply Forest -> LinComb maps to the legs, bilinearly."""
-        out = Tensor2.zero()
+        out: dict[tuple[Forest, Forest], int | Fraction] = {}
         for (fl, fr), c in self.terms.items():
-            lefts = left_fn(fl) if left_fn else LinComb.of(fl)
-            rights = right_fn(fr) if right_fn else LinComb.of(fr)
-            for gl, cl in lefts.terms.items():
-                for gr, cr in rights.terms.items():
-                    out = out + Tensor2.of(gl, gr, c * cl * cr)
-        return out
+            lefts = left_fn(fl).terms if left_fn else {fl: 1}
+            rights = right_fn(fr).terms if right_fn else {fr: 1}
+            for gl, cl in lefts.items():
+                for gr, cr in rights.items():
+                    _acc(out, (gl, gr), c * cl * cr)
+        return Tensor2._raw(out)
 
-    def sorted_terms(self) -> list[tuple[tuple[Forest, Forest], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[Forest, Forest], int | Fraction]]:
         # Plain-ASCII order on the right serialization puts the full-cut
         # leg `1` first; ties break on the left serialization.
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1].serial, kv[0][0].serial))
@@ -275,10 +266,10 @@ def multiply(a: LinComb, b: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _coproduct_tree(t: RootedTree) -> Tensor2:
-    out = Tensor2.zero()
+    out: dict[tuple[Forest, Forest], int] = {}
     for _cut, pruned, root_part in admissible_cuts(t):
-        out = out + Tensor2.of(pruned, root_part)
-    return out
+        _acc(out, (pruned, root_part), 1)
+    return Tensor2._raw(out)
 
 
 def _coproduct_forest(f: Forest) -> Tensor2:
@@ -292,33 +283,33 @@ def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
     """Coproduct: sum of P_c (x) R_c over admissible cuts, multiplicative on forests."""
     if isinstance(x, (RootedTree, Forest)):
         return _coproduct_forest(_as_forest(x))
-    out = Tensor2.zero()
+    out: dict[tuple[Forest, Forest], int | Fraction] = {}
     for f, c in x.terms.items():
-        out = out + _coproduct_forest(f).scale(c)
-    return out
+        for p, d in _coproduct_forest(f).terms.items():
+            _acc(out, p, c * d)
+    return Tensor2._raw(out)
 
 
-def counit(x: LinComb) -> Fraction:
+def counit(x: LinComb) -> int | Fraction:
     """Coefficient of the empty forest."""
-    return x.terms.get(EMPTY_FOREST, Fraction(0))
+    return x.terms.get(EMPTY_FOREST, 0)
 
 
 _antipode_memo: dict[RootedTree, LinComb] = {}
-_antipode_lock = threading.Lock()
 
 
 def _antipode_tree(t: RootedTree) -> LinComb:
     cached = _antipode_memo.get(t)
     if cached is not None:
         return cached
-    out = LinComb.of(t, -1)
+    out: dict[Forest, int] = {Forest((t,)): -1}
     for cut, pruned, root_part in admissible_cuts(t):
         if cut.kind != "proper":
             continue
-        out = out - LinComb.of(pruned) * _antipode_tree(root_part.trees[0])
-    with _antipode_lock:
-        _antipode_memo[t] = out
-    return out
+        for f, c in _antipode_tree(root_part.trees[0]).terms.items():
+            _acc(out, pruned * f, -c)
+    res = _antipode_memo[t] = LinComb._raw(out)
+    return res
 
 
 def antipode(x: LinComb | Forest | RootedTree) -> LinComb:
@@ -344,13 +335,13 @@ def grading_Y(x: LinComb | Forest | RootedTree) -> LinComb:
 
 def _graft_everywhere(t: RootedTree, s: RootedTree) -> LinComb:
     """Sum of trees obtained by attaching t's root to each vertex of s."""
-    out = LinComb.of(RootedTree(s.children + (t,)))
+    out: dict[Forest, int | Fraction] = {Forest((RootedTree(s.children + (t,)),)): 1}
     for i, child in enumerate(s.children):
         grown = _graft_everywhere(t, child)
         for f, c in grown.terms.items():
             new_kids = s.children[:i] + (f.trees[0],) + s.children[i + 1:]
-            out = out + LinComb.of(RootedTree(new_kids), c)
-    return out
+            _acc(out, Forest((RootedTree(new_kids),)), c)
+    return LinComb._raw(out)
 
 
 def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
@@ -359,11 +350,12 @@ def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
         x = LinComb.of(x)
 
     def on_forest(f: Forest) -> LinComb:
-        out = LinComb.zero()
+        out: dict[Forest, int | Fraction] = {}
         for i, s in enumerate(f.trees):
             rest = Forest(f.trees[:i] + f.trees[i + 1:])
-            out = out + _graft_everywhere(t, s) * LinComb.of(rest)
-        return out
+            for g, c in _graft_everywhere(t, s).terms.items():
+                _acc(out, g * rest, c)
+        return LinComb._raw(out)
 
     return x.map_forests(on_forest)
 
@@ -435,7 +427,7 @@ def parse_lincomb(text: str) -> LinComb:
         raise TreeParseError("empty expression", text, pos)
     if text.strip() == "0":
         return LinComb.zero()
-    out = LinComb.zero()
+    out: dict[Forest, int | Fraction] = {}
     sign = Fraction(1)
     first = True
     while pos < len(text):
@@ -447,9 +439,9 @@ def parse_lincomb(text: str) -> LinComb:
         first = False
         coeff, pos = _parse_coeff(text, pos)
         forest, pos = _parse_forest_at(text, pos)
-        out = out + LinComb.of(forest, sign * coeff)
+        _acc(out, forest, sign * coeff)
         pos = _skip_ws(text, pos)
-    return out
+    return LinComb._raw(out)
 
 
 def _parse_coeff(text: str, pos: int) -> tuple[Fraction, int]:

@@ -1,7 +1,10 @@
 """Canonical non-planar rooted trees, forests, and admissible cuts.
 
-A tree is stored with its children in canonical order, so structural
-equality coincides with equality of the bracket serialization.  The
+A tree is stored with its children in canonical order, and every tree
+shape and every forest is interned: building one from children (or
+trees) in any order returns the single shared instance of that shape,
+which lives as long as the process.  Equality is therefore identity,
+and the serialization and sort key of a shape are computed once.  The
 canonical order puts larger subtrees first; on serializations this is
 the lexicographic order in which ``]`` sorts before ``[``, which makes
 the single-vertex tree the smallest tree of each size class and lists
@@ -11,8 +14,9 @@ bushy trees before ladders (fan first, ladder last within a degree).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 __all__ = [
     "RootedTree",
@@ -50,19 +54,65 @@ class TreeParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A non-planar rooted tree; children are kept in canonical order."""
+class _Interned:
+    """Immutability, equality, hashing and printing of the interned trees and forests."""
 
-    children: tuple["RootedTree", ...] = ()
-    vertex_count: int = field(init=False, compare=False, repr=False)
-    serial: str = field(init=False, compare=False, repr=False)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, type(self)) and self.serial == other.serial)
+
+    def __hash__(self) -> int:
+        return hash(self.serial)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.serial!r})"
+
+    def __str__(self) -> str:
+        return self.serial
+
+
+# Intern tables: every tree by its serial, every forest by its sorted trees.
+_TREES: dict[str, "RootedTree"] = {}
+_FORESTS: dict[tuple, "Forest"] = {}
+
+
+class RootedTree(_Interned):
+    """A non-planar rooted tree; children are kept in canonical order.
+
+    There is one instance per shape: `RootedTree(children)` returns the
+    interned tree whatever the order of `children`.
+    """
+
+    __slots__ = ("children", "vertex_count", "serial", "_key")
+
+    def __new__(cls, children=()):
+        kids = tuple(children)
+        if len(kids) > 1:
+            kids = tuple(sorted(kids, key=_sort_key, reverse=True))
+        serial = "[" + "".join([c.serial for c in kids]) + "]"
+        self = _TREES.get(serial)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "children", kids)
+            self.__post_init__()
+            _TREES[serial] = self
+        return self
 
     def __post_init__(self):
-        kids = tuple(sorted(self.children, key=_sort_key, reverse=True))
-        object.__setattr__(self, "children", kids)
+        kids = self.children
         object.__setattr__(self, "vertex_count", 1 + sum(c.vertex_count for c in kids))
-        object.__setattr__(self, "serial", "[" + "".join(c.serial for c in kids) + "]")
+        object.__setattr__(self, "serial", "[" + "".join([c.serial for c in kids]) + "]")
+        object.__setattr__(self, "_key", (self.vertex_count, _collate(self.serial)))
+
+    def __reduce__(self):
+        return (RootedTree, (self.children,))
 
     @property
     def fertility(self) -> int:
@@ -71,65 +121,59 @@ class RootedTree:
     def max_fertility(self) -> int:
         return max([self.fertility] + [c.max_fertility() for c in self.children])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RootedTree) and self.serial == other.serial
-
-    def __hash__(self) -> int:
-        return hash(self.serial)
-
     def __lt__(self, other: "RootedTree") -> bool:
-        return _sort_key(self) < _sort_key(other)
+        return self._key < other._key
 
     def __le__(self, other: "RootedTree") -> bool:
-        return _sort_key(self) <= _sort_key(other)
-
-    def __repr__(self) -> str:
-        return f"RootedTree({self.serial!r})"
-
-    def __str__(self) -> str:
-        return self.serial
+        return self._key <= other._key
 
 
-def _sort_key(t: RootedTree):
-    return (t.vertex_count, _collate(t.serial))
+# (vertex count, collated serial), cached on each tree.
+_sort_key = attrgetter("_key")
 
 
-@dataclass(frozen=True)
-class Forest:
-    """A commutative product (multiset) of rooted trees; may be empty."""
+class Forest(_Interned):
+    """A commutative product (multiset) of rooted trees; may be empty.
 
-    trees: tuple[RootedTree, ...] = ()
-    serial: str = field(init=False, compare=False, repr=False)
+    There is one instance per multiset of trees, whatever their order.
+    """
+
+    __slots__ = ("trees", "degree", "serial", "_key")
+
+    def __new__(cls, trees=()):
+        ts = tuple(trees)
+        if len(ts) > 1:
+            ts = tuple(sorted(ts, key=_sort_key, reverse=True))
+        self = _FORESTS.get(ts)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "trees", ts)
+            self.__post_init__()
+            _FORESTS[ts] = self
+        return self
 
     def __post_init__(self):
-        ts = tuple(sorted(self.trees, key=_sort_key, reverse=True))
-        object.__setattr__(self, "trees", ts)
-        object.__setattr__(self, "serial", "*".join(t.serial for t in ts) or "1")
+        ts = self.trees
+        object.__setattr__(self, "degree", sum(t.vertex_count for t in ts))
+        object.__setattr__(self, "serial", "*".join([t.serial for t in ts]) or "1")
+        object.__setattr__(self, "_key", (self.degree, _collate(self.serial)))
 
-    @property
-    def degree(self) -> int:
-        return sum(t.vertex_count for t in self.trees)
+    def __reduce__(self):
+        return (Forest, (self.trees,))
 
     def is_empty(self) -> bool:
         return not self.trees
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.serial == other.serial
-
-    def __hash__(self) -> int:
-        return hash(self.serial)
-
     def __mul__(self, other: "Forest") -> "Forest":
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
         return Forest(self.trees + other.trees)
 
     def sort_key(self):
-        return (self.degree, _collate(self.serial))
-
-    def __repr__(self) -> str:
-        return f"Forest({self.serial!r})"
-
-    def __str__(self) -> str:
-        return self.serial
+        """(degree, collated serial), cached on the forest."""
+        return self._key
 
 
 LEAF = RootedTree()
@@ -145,12 +189,12 @@ def tree_order(a: RootedTree, b: RootedTree) -> int:
 def canonicalize(children_lists) -> RootedTree:
     """Build the canonical tree from nested sequences of children.
 
-    Accepts either a RootedTree (returned up to re-sorting, hence a no-op
-    on canonical input) or a nested list/tuple structure where each node
-    is the sequence of its children.
+    Accepts either a RootedTree (already canonical, so returned as is) or
+    a nested list/tuple structure where each node is the sequence of its
+    children.
     """
     if isinstance(children_lists, RootedTree):
-        return RootedTree(tuple(canonicalize(c) for c in children_lists.children))
+        return children_lists
     return RootedTree(tuple(canonicalize(c) for c in children_lists))
 
 

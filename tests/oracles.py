@@ -2,14 +2,14 @@
 
 These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
-the coproduct is assembled directly from the subset oracle.
+the coproduct and the antipode are assembled directly from edge subsets.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from treehopf import Forest, RootedTree, Tensor2
+from treehopf import Forest, LinComb, RootedTree, Tensor2
 
 
 def level_sequences(n: int):
@@ -118,4 +118,21 @@ def brute_force_coproduct(f: Forest) -> Tensor2:
     out = Tensor2.of(Forest(()), Forest(()))
     for t in f.trees:
         out = out * brute_force_coproduct_tree(t)
+    return out
+
+
+def total_cut_antipode(t: RootedTree) -> LinComb:
+    """S(t) = sum over all edge subsets C of (-1)^(|C|+1) forest(t minus C).
+
+    The non-recursive total-cut formula: deleting the edges of C splits t
+    into the root component and one component below each deleted edge.
+    """
+    edges = list(edge_list(t))
+    out = LinComb.zero()
+    for r in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, r):
+            cut = set(combo)
+            parts = [remove_edges(t, cut)]
+            parts += [remove_edges(subtree_at(t, e), cut, e) for e in combo]
+            out = out + LinComb.of(Forest(tuple(parts)), (-1) ** (r + 1))
     return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from treehopf import LinComb, parse_lincomb
 from treehopf.cli import run
@@ -134,3 +137,16 @@ def test_verify_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, "--json", "verify", "--suite", "butcher",
                              "--max-degree", "3", "--seed", "5")
     assert (code1, out1) == (code2, out2)
+
+
+def test_over_deep_input_exits_2_without_traceback():
+    # A 1,200-deep ladder is deeper than the interpreter's recursion limit.
+    ladder = "[" * 1200 + "]" * 1200
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "treehopf", "coproduct", ladder],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

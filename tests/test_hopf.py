@@ -26,7 +26,7 @@ from treehopf import (
     parse_lincomb,
     parse_tree,
 )
-from oracles import brute_force_coproduct
+from oracles import brute_force_coproduct, total_cut_antipode
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -264,3 +264,57 @@ def test_delta_k_coproducts_match_classical_forms():
         + tensor(d1, d2, 3) + tensor(d1 * d1, d1)
     )
     assert coproduct(d3) == want3
+
+
+def _exact_coeffs(values):
+    """Every coefficient is an int, or a Fraction that is not whole; never a float."""
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def test_coefficients_are_int_first():
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
+    for t in trees:
+        _exact_coeffs(coproduct(t).terms.values())
+        _exact_coeffs(antipode(t).terms.values())
+        _exact_coeffs(natural_growth(LEAF, LinComb.of(t)).terms.values())
+        _exact_coeffs(natural_growth(t, LinComb.of(CHERRY)).terms.values())
+    for k in range(1, 7):
+        _exact_coeffs(delta_k(k).terms.values())
+    for text in ("1/2 [] + 1/2 []", "3/2 []*[] + [[]]", "4/2 [[]] - 1", "2/3 [] * []",
+                 "- 1/3 [[]] + 1/3 [[]] + 6/4 []"):
+        _exact_coeffs(parse_lincomb(text).terms.values())
+    assert parse_lincomb("1/2 [] + 1/2 []").terms == {Forest((LEAF,)): 1}
+    half = LinComb.of(LEAF, Fraction(1, 2))
+    _exact_coeffs((half.scale(2) + half * LinComb.of(L2, Fraction(2, 1))).terms.values())
+    _exact_coeffs(coproduct(half.scale(Fraction(4, 3))).terms.values())
+    _exact_coeffs(antipode(LinComb.of(CHERRY, 0.5)).terms.values())
+
+
+def test_map_forests_drops_cancelled_terms():
+    x = LinComb.of(L2) + LinComb.of(Forest((LEAF, LEAF)))
+    # both forests map to the single vertex with opposite signs
+    out = x.map_forests(lambda f: LinComb.of(LEAF, 1 if f.trees[0] == L2 else -1))
+    assert out == LinComb.zero() and not out.terms
+    out = x.map_forests(lambda f: LinComb.of(LEAF, Fraction(1, 2)) + LinComb.of(f))
+    assert out.terms == {Forest((LEAF,)): 1, Forest((L2,)): 1, Forest((LEAF, LEAF)): 1}
+
+
+def test_map_legs_drops_cancelled_terms():
+    d = coproduct(L2)  # [[]] | 1  +  1 | [[]]  +  [] | []
+    zero_right = d.map_legs(right_fn=lambda f: LinComb.zero())
+    assert not zero_right.terms
+    flip = d.map_legs(left_fn=lambda f: LinComb.of(EMPTY_FOREST, f.degree - 1),
+                      right_fn=lambda f: LinComb.of(EMPTY_FOREST))
+    # degrees 2, 0, 1 on the left give coefficients 1, -1, 0: everything cancels
+    assert flip == Tensor2.zero() and not flip.terms
+    halves = d.map_legs(left_fn=lambda f: LinComb.of(f, Fraction(1, 2)),
+                        right_fn=lambda f: LinComb.of(f, 2))
+    assert halves == d
+    _exact_coeffs(halves.terms.values())
+
+
+def test_antipode_matches_total_cut_oracle():
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            assert antipode(t) == total_cut_antipode(t), t.serial

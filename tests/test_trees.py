@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -195,3 +197,60 @@ def test_forest_degree_and_product():
     assert (f * Forest((CHERRY,))).degree == 6
     assert enumerate_forests(3) == tuple(sorted(enumerate_forests(3), key=lambda x: x.sort_key()))
     assert [len(enumerate_forests(n)) for n in range(7)] == [1, 1, 2, 4, 9, 20, 48]
+
+
+def test_trees_are_interned():
+    t = parse_tree("[[[]][][[][]]]")
+    assert RootedTree(reversed(t.children)) is t
+    assert RootedTree(children=list(t.children)) is t
+    assert parse_tree("[[][[][]][[]]]") is t
+    assert canonicalize([[], [[], []], [[]]]) is t
+    rng = random.Random(5)
+    for u in enumerate_trees(7):
+        assert canonicalize(_shuffle(u, rng)) is u
+
+
+def test_forests_are_interned():
+    f = Forest((LEAF, CHERRY, L2))
+    assert Forest((L2, LEAF, CHERRY)) is f
+    assert Forest(trees=[CHERRY, L2, LEAF]) is f
+    assert Forest((LEAF,)) * Forest((CHERRY, L2)) is f
+    assert f * EMPTY_FOREST is f
+    assert EMPTY_FOREST * f is f
+    assert parse_forest("[] * [[]] * [[][]]") is f
+    assert Forest() is EMPTY_FOREST
+
+
+def test_copy_and_pickle_return_the_interned_instance():
+    t = parse_tree("[[[]][][[][]]]")
+    f = Forest((t, LEAF, t))
+    for x in (LEAF, t, EMPTY_FOREST, f):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
+
+def test_trees_and_forests_are_immutable():
+    t = parse_tree("[[]]")
+    f = Forest((t,))
+    for obj, name in ((t, "children"), (t, "serial"), (t, "vertex_count"),
+                      (f, "trees"), (f, "serial"), (f, "degree")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t.serial == "[[]]" and f.serial == "[[]]"
+
+
+def test_hash_and_order_follow_the_serial():
+    for n in range(1, 6):
+        for t in enumerate_trees(n):
+            assert hash(t) == hash(t.serial)
+            assert t == t and t <= t and not t < t
+    f = Forest((CHERRY, LEAF))
+    assert hash(f) == hash(f.serial)
+    assert f.sort_key() == (4, f.serial.translate(str.maketrans({"[": "\x01", "]": "\x00"})))
+    assert f.sort_key() is f.sort_key()
+    assert LEAF != EMPTY_FOREST and Forest((LEAF,)) != LEAF
