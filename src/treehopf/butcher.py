@@ -5,6 +5,11 @@ and its derivatives via the grafting recursion: the differential of
 B_+(t_1..t_m) contracts the children's differentials into the m-th
 derivative of f.  The operator version phi_t acts the same way on an
 arbitrary function, with phi of the single vertex the identity.
+
+The recursion (`_phi_vec`, `_contract`) is the one grafting recursion of
+the package: it works on any components with `*`, `+` and `deriv(k)`,
+so the frame flow of `treehopf.frame` runs through it too, and the flow
+derivative sum_j v^j d_j h is its one-child contraction.
 """
 
 from __future__ import annotations
@@ -42,27 +47,25 @@ def elementary_differential(t: RootedTree, f: VectorField, _memo=None) -> tuple[
     _require_depth(t, f)
     if _memo is None:
         _memo = {}
-    return _phi_vec(t, f, _memo)
+    return _phi_vec(t, f.components, _memo)
 
 
-def _phi_vec(t: RootedTree, f: VectorField, memo) -> tuple[MultiSeries, ...]:
+def _phi_vec(t: RootedTree, field: tuple, memo) -> tuple:
+    """phi(t) for the field components, memoized by tree in memo."""
     got = memo.get(t)
     if got is not None:
         return got
-    n = f.nvars
     if not t.children:
-        out = f.components
+        out = field
     else:
-        children = [_phi_vec(c, f, memo) for c in t.children]
-        out = tuple(
-            _contract(children, comp, n) for comp in f.components
-        )
+        children = [_phi_vec(c, field, memo) for c in t.children]
+        out = tuple(_contract(children, comp, len(field)) for comp in field)
     memo[t] = out
     return out
 
 
-def _contract(children, target: MultiSeries, n: int) -> MultiSeries:
-    """Sum over index tuples of (prod_j phi^{k_j}(t_j)) d_{k_1..k_m} target."""
+def _contract(children, target, n: int):
+    """Sum over index tuples of (prod_j children[j][k_j]) d_{k_1..k_m} target."""
     m = len(children)
     acc = None
     for ks in itertools.product(range(n), repeat=m):
@@ -79,7 +82,7 @@ def phi_t_apply(t: RootedTree, f: VectorField, h: MultiSeries) -> MultiSeries:
     """Apply the differential operator phi_t to h; phi of the vertex is h itself."""
     _require_depth(t, f)
     memo: dict = {}
-    children = [_phi_vec(c, f, memo) for c in t.children]
+    children = [_phi_vec(c, f.components, memo) for c in t.children]
     return _contract(children, h, f.nvars)
 
 
@@ -99,7 +102,7 @@ def elementary_differential_lincomb(x: LinComb, f: VectorField) -> tuple[MultiSe
     for forest, coeff in x.terms.items():
         if len(forest.trees) != 1:
             raise ValueError("phi extends linearly over single trees only")
-        vec = _phi_vec(forest.trees[0], f, memo)
+        vec = _phi_vec(forest.trees[0], f.components, memo)
         acc = [a + v.scale(coeff) for a, v in zip(acc, vec)]
     return tuple(acc)
 
@@ -111,15 +114,7 @@ def phi_at_origin(x: LinComb, f: VectorField) -> list[Fraction]:
 
 def flow_derivative(vec, f: VectorField):
     """The flow derivative sum_j f^j d_j applied componentwise."""
-    n = f.nvars
-    out = []
-    for comp in vec:
-        acc = None
-        for j in range(n):
-            term = f.components[j] * comp.deriv(j)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    return tuple(_contract([f.components], c, f.nvars) for c in vec)
 
 
 def check_growth_derivative(t: RootedTree, f: VectorField) -> bool:
@@ -135,14 +130,6 @@ def check_generalized_growth(t: RootedTree, s: RootedTree, f: VectorField) -> bo
     """phi(N_t(s)) equals phi^j(t) d_j phi(s), as retained jets."""
     lhs = elementary_differential_lincomb(natural_growth(t, LinComb.of(s)), f)
     memo: dict = {}
-    phi_t = _phi_vec(t, f, memo)
-    phi_s = _phi_vec(s, f, memo)
-    n = f.nvars
-    rhs = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            term = phi_t[j] * phi_s[i].deriv(j)
-            acc = term if acc is None else acc + term
-        rhs.append(acc)
+    phi_t = _phi_vec(t, f.components, memo)
+    rhs = [_contract([phi_t], c, f.nvars) for c in _phi_vec(s, f.components, memo)]
     return all(a.eq_retained(b) for a, b in zip(lhs, rhs))

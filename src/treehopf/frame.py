@@ -8,7 +8,8 @@ truncated x-jet coefficients.  The flow of interest is
     dx/ds = y,    dz/ds = -y Gamma(x),
 
 and phi-operators over this two-coordinate system (indices {x, z})
-reuse the grafting recursion of the Butcher module.
+reuse the grafting recursion of the Butcher module: the components are
+FrameFunctions, whose deriv(0) and deriv(1) are d/dx and d/dz.
 
 Diffeomorphisms are jets psi with psi(0) = 0, psi'(0) > 0; the lift to
 the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Crossed-product
@@ -24,9 +25,9 @@ theorems close (the paper writes both orders in adjacent displays).
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 
+from .butcher import _contract, _phi_vec
 from .hopf import LinComb
 from .series import MultiSeries
 from .trees import Forest, LEAF, RootedTree, admissible_cuts
@@ -127,11 +128,15 @@ class FrameFunction:
 
     def dx(self) -> "FrameFunction":
         """Partial derivative in x (the base coordinate)."""
-        return FrameFunction({k: g.deriv(0) for k, g in self.coeffs.items() if not g.deriv(0).is_zero()})
+        return FrameFunction({k: g.deriv(0) for k, g in self.coeffs.items()})
 
     def dz(self) -> "FrameFunction":
         """The operator y d/dy, i.e. d/dz in the exponential fiber coordinate."""
         return FrameFunction({k: g.scale(k) for k, g in self.coeffs.items() if k})
+
+    def deriv(self, axis: int) -> "FrameFunction":
+        """The derivation along coordinate `axis` of (x, z): dx() for 0, dz() for 1."""
+        return self.dx() if axis == 0 else self.dz()
 
     def y_degrees(self) -> set[int]:
         return set(self.coeffs)
@@ -282,23 +287,16 @@ def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunc
     )
 
 
-def _frame_deriv(h: FrameFunction, axis: int) -> FrameFunction:
-    return h.dx() if axis == 0 else h.dz()
-
-
 _phi_cache: dict = {}
-_phi_cache_lock = threading.Lock()
 
 
 def _phi_memo_for(Gamma: CurvatureFn, trunc: int | None) -> dict:
-    key = (Gamma, trunc)
-    with _phi_cache_lock:
-        memo = _phi_cache.get(key)
-        if memo is None:
-            memo = {}
-            if len(_phi_cache) > 64:
-                _phi_cache.clear()
-            _phi_cache[key] = memo
+    key = (Gamma, Gamma.trunc, trunc)
+    memo = _phi_cache.get(key)
+    if memo is None:
+        if len(_phi_cache) > 64:
+            _phi_cache.clear()
+        memo = _phi_cache[key] = {}
     return memo
 
 
@@ -306,33 +304,7 @@ def phi_frame(t: RootedTree, Gamma: CurvatureFn, trunc: int | None = None, _memo
     """Elementary differentials (phi^x(t), phi^z(t)) of the frame flow."""
     if _memo is None:
         _memo = _phi_memo_for(Gamma, trunc)
-    field = frame_field(Gamma, trunc)
-    return _phi_frame_vec(t, field, _memo)
-
-
-def _phi_frame_vec(t: RootedTree, field, memo):
-    got = memo.get(t)
-    if got is not None:
-        return got
-    if not t.children:
-        out = field
-    else:
-        children = [_phi_frame_vec(c, field, memo) for c in t.children]
-        out = tuple(_frame_contract(children, comp) for comp in field)
-    memo[t] = out
-    return out
-
-
-def _frame_contract(children, target: FrameFunction) -> FrameFunction:
-    acc = FrameFunction.zero()
-    for ks in itertools.product((0, 1), repeat=len(children)):
-        term = target
-        for k in ks:
-            term = _frame_deriv(term, k)
-        for j, k in enumerate(ks):
-            term = term * children[j][k]
-        acc = acc + term
-    return acc
+    return _phi_vec(t, frame_field(Gamma, trunc), _memo)
 
 
 def phi_frame_op(t: RootedTree, Gamma: CurvatureFn, h: FrameFunction,
@@ -341,8 +313,7 @@ def phi_frame_op(t: RootedTree, Gamma: CurvatureFn, h: FrameFunction,
     if _memo is None:
         _memo = _phi_memo_for(Gamma, trunc)
     field = frame_field(Gamma, trunc)
-    children = [_phi_frame_vec(c, field, _memo) for c in t.children]
-    return _frame_contract(children, h)
+    return _contract([_phi_vec(c, field, _memo) for c in t.children], h, 2)
 
 
 _gamma_cache: dict = {}
@@ -350,16 +321,14 @@ _gamma_cache: dict = {}
 
 def gamma_t(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
     """The tree-indexed symbol phi_t applied to the single-vertex symbol."""
-    key = (t, psi.series, Gamma)
-    with _phi_cache_lock:
-        got = _gamma_cache.get(key)
+    key = (t, psi.series, psi.trunc, Gamma, Gamma.trunc)
+    got = _gamma_cache.get(key)
     if got is not None:
         return got
     out = phi_frame_op(t, Gamma, gamma_bullet(psi, Gamma), psi.trunc)
-    with _phi_cache_lock:
-        if len(_gamma_cache) > 4096:
-            _gamma_cache.clear()
-        _gamma_cache[key] = out
+    if len(_gamma_cache) > 4096:
+        _gamma_cache.clear()
+    _gamma_cache[key] = out
     return out
 
 
@@ -402,8 +371,7 @@ def X_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
             continue
         if len(forest.trees) != 1:
             raise ValueError("X extends linearly over single trees only")
-        phi_x, phi_z = _phi_frame_vec(forest.trees[0], field, memo)
-        out = out + (phi_x * m.f.dx() + phi_z * m.f.dz()).scale(coeff)
+        out = out + _contract([_phi_vec(forest.trees[0], field, memo)], m.f, 2).scale(coeff)
     return Monomial(out, m.psi)
 
 
@@ -421,8 +389,8 @@ def phi_frame_op_lincomb(x: LinComb, Gamma: CurvatureFn, h: FrameFunction,
     for forest, coeff in x.terms.items():
         if len(forest.trees) != 1:
             raise ValueError("phi extends linearly over single trees only")
-        children = [_phi_frame_vec(c, field, memo) for c in forest.trees[0].children]
-        out = out + _frame_contract(children, h).scale(coeff)
+        children = [_phi_vec(c, field, memo) for c in forest.trees[0].children]
+        out = out + _contract(children, h, 2).scale(coeff)
     return out
 
 
@@ -650,11 +618,11 @@ def check_pushforward(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
     for ks in itertools.product((0, 1), repeat=m):
         term = h
         for k in ks:
-            term = _frame_deriv(term, k)
+            term = term.deriv(k)
         term = lift_apply(psi, term)
         for j, k in enumerate(ks):
-            children = [_phi_frame_vec(c, field, memo) for c in t.children[j].children]
-            term = term * _frame_contract(children, star[k])
+            children = [_phi_vec(c, field, memo) for c in t.children[j].children]
+            term = term * _contract(children, star[k], 2)
         rhs = rhs + term
     return lhs.eq_retained(rhs)
 

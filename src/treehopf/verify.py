@@ -294,7 +294,7 @@ def verify_butcher(max_degree: int = 5, seed: int = 0) -> dict:
                 continue
             lhs = _phi_growth_apply(t, u, f, h)
             rhs = bu.phi_t_apply(u, f, h)
-            rhs = _apply_X(t, f, rhs)
+            rhs = bu.phi_t_apply(b_plus(Forest((t,))), f, rhs)
             s.check("phi_{N_t} phi_{t'} = phi_{N_t(t')}",
                     f"t={t.serial} t'={u.serial}", lhs.eq_retained(rhs))
 
@@ -339,16 +339,6 @@ def _lincomb_phi_apply(x: LinComb, f: VectorField, h: MultiSeries) -> MultiSerie
     acc = MultiSeries.zero(f.nvars, f.trunc)
     for forest, c in x.terms.items():
         acc = acc + bu.phi_forest_apply(forest, f, h).scale(c)
-    return acc
-
-
-def _apply_X(t, f, h):
-    """phi_{N_t} = phi^j(t) d_j as an operator."""
-    vec = bu.elementary_differential(t, f)
-    acc = None
-    for j in range(f.nvars):
-        term = vec[j] * h.deriv(j)
-        acc = term if acc is None else acc + term
     return acc
 
 

@@ -13,6 +13,7 @@ from treehopf import (
     TruncationError,
     X_t_apply,
     Y_apply,
+    b_plus,
     check_X_coproduct,
     check_cocycle,
     check_commutators,
@@ -31,6 +32,7 @@ from treehopf import (
     monomial_product,
     parse_tree,
     phi_frame,
+    phi_frame_op,
 )
 from treehopf.frame import (
     first_mismatch,
@@ -185,6 +187,43 @@ def test_X_and_Y_actions():
     # hand value: phi^z(2-ladder) = y^2 (Gamma^2 - Gamma') for Gamma = x
     pz = phi_frame(L2, GAMMA_X, D)[1]
     assert pz.eq_retained(FrameFunction.y_times(xs({(2,): 1, (0,): -1}), power=2))
+
+
+def test_X_t_is_phi_of_the_grafted_tree():
+    # X_t = phi^j(t) d_j is the one-child contraction, i.e. phi_{B+(t)}
+    rng = random.Random(5)
+    for n in range(1, 4):
+        for t in enumerate_trees(n):
+            m = Monomial(random_frame_function(rng, D), random_diffeo(rng, D))
+            got = X_t_apply(t, m, GAMMA_X).f
+            want = phi_frame_op(b_plus(Forest((t,))), GAMMA_X, m.f, D)
+            assert str(got) == str(want) and got.trunc == want.trunc
+
+
+def test_frame_function_deriv_is_dx_and_dz():
+    rng = random.Random(6)
+    for _ in range(4):
+        h = random_frame_function(rng, D)
+        assert str(h.deriv(0)) == str(h.dx()) and h.deriv(0).trunc == h.dx().trunc
+        assert str(h.deriv(1)) == str(h.dz()) and h.deriv(1).trunc == h.dz().trunc
+
+
+def test_gamma_t_cache_honours_truncation_orders():
+    short = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): 1}, 4))   # PSI at order 4
+    assert gamma_t(L2, short, GAMMA_X).trunc == 1
+    got = gamma_t(L2, PSI, GAMMA_X)
+    want = phi_frame_op(L2, GAMMA_X, gamma_bullet(PSI, GAMMA_X), D, _memo={})
+    assert got.trunc == want.trunc == 5
+    assert str(got) == str(want)
+
+
+def test_phi_memo_honours_curvature_truncation():
+    short = MultiSeries(1, {(1,): 1}, 4)   # GAMMA_X at order 4
+    assert [h.trunc for h in phi_frame(CHERRY, short, D)] == [4, 3]
+    got = phi_frame(CHERRY, GAMMA_X, D)
+    want = phi_frame(CHERRY, GAMMA_X, D, _memo={})
+    assert [h.trunc for h in got] == [h.trunc for h in want] == [8, 7]
+    assert [str(h) for h in got] == [str(h) for h in want]
 
 
 def test_delta_t_examples():

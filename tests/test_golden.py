@@ -1,0 +1,70 @@
+"""Golden digests of the jet layers (butcher and frame).
+
+The digests were recorded in a fresh process before the Butcher and
+frame flows were routed through one grafting recursion; any change to a
+coefficient, a truncation order or a verify report changes them.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+from treehopf import (
+    FormalDiffeo,
+    MultiSeries,
+    enumerate_trees,
+    gamma_t,
+    phi_frame,
+    verify_butcher,
+    verify_cm,
+)
+
+GAMMA = MultiSeries(1, {(1,): 1}, 8)
+PSI = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): Fraction(1, 2), (3,): -1}, 8))
+TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
+
+VERIFY_CM = "661adde44de059cdb023d38910a24d044f65664f4bf262a5f2d1b96592000a7c"
+VERIFY_BUTCHER = "62c0d295c30d9853559a656377c0b27844753a5f66db91d23cfa2958a97b06f9"
+PHI_FRAME = {
+    "[]": "577c362b13a2af47",
+    "[[]]": "c5b6d7045cc702dd",
+    "[[][]]": "b8dd57cfc90eb658",
+    "[[[]]]": "d520562bc4d981a0",
+    "[[][][]]": "360ebd8bf74f6bb4",
+    "[[[]][]]": "c95f2ae8c9847048",
+    "[[[][]]]": "435db6e429ad2637",
+    "[[[[]]]]": "763d5b9805198a88",
+}
+GAMMA_T = {
+    "[]": "e902b13d7f22eec2",
+    "[[]]": "4effd2d7eb783e35",
+    "[[][]]": "85c9889b7e9bd9f6",
+    "[[[]]]": "f5f7a5ef55b57c55",
+    "[[][][]]": "3a8094f0b94ad706",
+    "[[[]][]]": "e5ea44053134e8e5",
+    "[[[][]]]": "1161214b1d9fe700",
+    "[[[[]]]]": "cea4398385d7e8a3",
+}
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_cm_report_is_unchanged():
+    report = verify_cm(max_degree=4, order=6, trials=2, seed=0)
+    assert sha(json.dumps(report, sort_keys=True)) == VERIFY_CM
+
+
+def test_verify_butcher_report_is_unchanged():
+    assert sha(json.dumps(verify_butcher(5, 0), sort_keys=True)) == VERIFY_BUTCHER
+
+
+def test_phi_frame_is_unchanged():
+    got = {t.serial: sha(" ; ".join(map(str, phi_frame(t, GAMMA, 8))))[:16] for t in TREES}
+    assert got == PHI_FRAME
+
+
+def test_gamma_t_is_unchanged():
+    got = {t.serial: sha(str(gamma_t(t, PSI, GAMMA)))[:16] for t in TREES}
+    assert got == GAMMA_T
