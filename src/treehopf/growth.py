@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .hopf import LinComb, Tensor2, coproduct, natural_growth
-from .linalg import in_span, independent_rows, solve_consistent
+from .hopf import LinComb, Tensor2, _acc, coproduct, natural_growth
+from .linalg import in_span, independent_rows
 from .trees import EMPTY_FOREST, LEAF, Forest, RootedTree, b_plus
 
 __all__ = [
@@ -76,10 +76,11 @@ def eval_growth_expr(e: GrowthExpr) -> LinComb:
     if isinstance(e, GrowthApply):
         return natural_growth(e.tree, eval_growth_expr(e.sub))
     if isinstance(e, GrowthCombo):
-        out = LinComb.zero()
+        out: dict[Forest, int | Fraction] = {}
         for coeff, sub in e.parts:
-            out = out + eval_growth_expr(sub).scale(coeff)
-        return out
+            for f, c in eval_growth_expr(sub).terms.items():
+                _acc(out, f, coeff * c)
+        return LinComb._raw(out)
     raise TypeError(f"not a growth expression: {type(e).__name__}")
 
 
@@ -182,8 +183,8 @@ class GradedBasis:
         return self.by_degree.get(d, [])
 
 
-def _lincomb_vector(x: LinComb, index: dict[Forest, int], size: int) -> list[Fraction]:
-    v = [Fraction(0)] * size
+def _lincomb_vector(x: LinComb, index: dict[Forest, int], size: int) -> list[int | Fraction]:
+    v = [0] * size
     for f, c in x.terms.items():
         v[index[f]] = c
     return v
@@ -284,26 +285,25 @@ def _component_in_span(component, left_basis, right_basis) -> bool:
     if not left_basis or not right_basis:
         return not component
     products = []
-    support = set(component)
     for bl, br in itertools.product(left_basis, right_basis):
-        prod: dict[tuple[Forest, Forest], Fraction] = {}
+        prod: dict[tuple[Forest, Forest], int | Fraction] = {}
         for fl, cl in bl.terms.items():
             for fr, cr in br.terms.items():
-                pair = (fl, fr)
-                prod[pair] = prod.get(pair, Fraction(0)) + cl * cr
+                _acc(prod, (fl, fr), cl * cr)
         products.append(prod)
-        support.update(prod)
-    pairs = sorted(support, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    index = {p: i for i, p in enumerate(pairs)}
-    # One linear system per component: columns are basis products.
-    a = [[Fraction(0)] * len(products) for _ in pairs]
-    for j, prod in enumerate(products):
-        for pair, c in prod.items():
-            a[index[pair]][j] = c
-    target = [Fraction(0)] * len(pairs)
-    for pair, c in component.items():
-        target[index[pair]] = c
-    return solve_consistent(a, target) is not None
+    # Span membership does not depend on the column order.
+    systems = (component, *products)
+    index: dict[tuple[Forest, Forest], int] = {}
+    for terms in systems:
+        for pair in terms:
+            index.setdefault(pair, len(index))
+    vectors = []
+    for terms in systems:
+        v = [0] * len(index)
+        for pair, c in terms.items():
+            v[index[pair]] = c
+        vectors.append(v)
+    return in_span(vectors[1:], vectors[0])
 
 
 def parse_growth_expr(text: str):

@@ -1,8 +1,19 @@
-"""Exact rational Gaussian elimination for small dense systems."""
+"""Exact linear algebra over the rationals for small dense systems.
+
+`independent_rows` and `in_span` run one incremental, fraction-free
+echelon over int rows (after Bareiss 1968): each row is scaled to
+integers by the lcm of its denominators, reduced against the kept rows
+in insertion order by v = a v - c r with cofactors divided by their gcd,
+and kept, divided by its content, when it does not vanish.  A candidate
+row costs O(kept * columns) integer operations.  `rref` and
+`solve_consistent` are the general Fraction Gauss-Jordan elimination
+and solver.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["rref", "independent_rows", "in_span", "solve_consistent"]
 
@@ -37,24 +48,55 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
+def _reduce(echelon: list[tuple[int, list[int]]], row) -> list[int]:
+    """`row` cleared of denominators and eliminated against every kept pivot."""
+    # Pairwise lcm and gcd: star-args would build, and the tuple free
+    # lists keep, one argument tuple per row.
+    den = 1
+    for x in row:
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    v = [x.numerator * (den // x.denominator) for x in row]
+    for p, r in echelon:
+        c = v[p]
+        if c:
+            a = r[p]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            v = [a * x - c * y for x, y in zip(v, r)]
+    return v
+
+
+def _add(echelon: list[tuple[int, list[int]]], row) -> bool:
+    """Keep `row` in the echelon unless it lies in the span; True if kept."""
+    v = _reduce(echelon, row)
+    for p, x in enumerate(v):
+        if x:
+            g = 0
+            for y in v:
+                g = gcd(g, y)
+                if g == 1:
+                    break
+            echelon.append((p, [y // g for y in v]))
+            return True
+    return False
+
+
 def independent_rows(rows: list[list[Fraction]]) -> list[int]:
     """Indices of a maximal independent subset, scanning in order."""
-    kept: list[list[Fraction]] = []
-    kept_idx: list[int] = []
-    for i, row in enumerate(rows):
-        if not in_span(kept, row):
-            kept.append(row)
-            kept_idx.append(i)
-    return kept_idx
+    echelon: list[tuple[int, list[int]]] = []
+    return [i for i, row in enumerate(rows) if _add(echelon, row)]
 
 
 def in_span(rows: list[list[Fraction]], target: list[Fraction]) -> bool:
     """True iff target is a rational linear combination of the rows."""
     if not any(target):
         return True
-    if not rows:
-        return False
-    return solve_consistent([list(col) for col in zip(*rows)], target) is not None
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        _add(echelon, row)
+    return not any(_reduce(echelon, target))
 
 
 def solve_consistent(a: list[list[Fraction]], b: list[Fraction]):

@@ -24,6 +24,7 @@ from .growth import (
 from .hopf import (
     LinComb,
     Tensor2,
+    _acc,
     antipode,
     coproduct,
     counit,
@@ -88,30 +89,31 @@ def _tensor3_left(t2: Tensor2) -> dict:
     out: dict = {}
     for (fl, fr), c in t2.terms.items():
         for (gl, gr), d in coproduct(LinComb.of(fl)).terms.items():
-            key = (gl, gr, fr)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return {k: v for k, v in out.items() if v}
+            _acc(out, (gl, gr, fr), c * d)
+    return out
 
 
 def _tensor3_right(t2: Tensor2) -> dict:
     out: dict = {}
     for (fl, fr), c in t2.terms.items():
         for (gl, gr), d in coproduct(LinComb.of(fr)).terms.items():
-            key = (fl, gl, gr)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return {k: v for k, v in out.items() if v}
-
-
-def _convolve_antipode(x: LinComb, antipode_left: bool) -> LinComb:
-    out = LinComb.zero()
-    for (fl, fr), c in coproduct(x).terms.items():
-        left = antipode(LinComb.of(fl)) if antipode_left else LinComb.of(fl)
-        right = LinComb.of(fr) if antipode_left else antipode(LinComb.of(fr))
-        out = out + (left * right).scale(c)
+            _acc(out, (fl, gl, gr), c * d)
     return out
 
 
+def _convolve_antipode(x: LinComb, antipode_left: bool) -> LinComb:
+    out: dict[Forest, int | Fraction] = {}
+    for (fl, fr), c in coproduct(x).terms.items():
+        left = antipode(LinComb.of(fl)) if antipode_left else LinComb.of(fl)
+        right = LinComb.of(fr) if antipode_left else antipode(LinComb.of(fr))
+        for f, d in (left * right).terms.items():
+            _acc(out, f, c * d)
+    return LinComb._raw(out)
+
+
 def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     s = _Suite("hopf")
     rng = random.Random(seed)
     forests = [f for d in range(max_degree + 1) for f in enumerate_forests(d)]
@@ -120,13 +122,13 @@ def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
         x = LinComb.of(f)
         d = coproduct(x)
         s.check("coassociativity", f.serial, _tensor3_left(d) == _tensor3_right(d))
-        left = LinComb.zero()
-        right = LinComb.zero()
+        left: dict[Forest, int | Fraction] = {}
+        right: dict[Forest, int | Fraction] = {}
         for (fl, fr), c in d.terms.items():
-            left = left + LinComb.of(fr, c * counit(LinComb.of(fl)))
-            right = right + LinComb.of(fl, c * counit(LinComb.of(fr)))
-        s.check("counit law (eps x id)", f.serial, left == x)
-        s.check("counit law (id x eps)", f.serial, right == x)
+            _acc(left, fr, c * counit(LinComb.of(fl)))
+            _acc(right, fl, c * counit(LinComb.of(fr)))
+        s.check("counit law (eps x id)", f.serial, left == x.terms)
+        s.check("counit law (id x eps)", f.serial, right == x.terms)
         target = LinComb.unit().scale(counit(x))
         s.check("antipode m(S x id)Delta = u eps", f.serial,
                 _convolve_antipode(x, True) == target)

@@ -3,6 +3,7 @@
 These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets.
+Span tests rerun a Fraction row reduction for every candidate row.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from treehopf import Forest, LinComb, RootedTree, Tensor2
+from treehopf.linalg import solve_consistent
 
 
 def level_sequences(n: int):
@@ -28,6 +30,28 @@ def level_sequences(n: int):
             seq.pop()
 
     yield from extend()
+
+
+def canonical_level_sequences(n: int):
+    """One level sequence per rooted tree with n vertices (Beyer-Hedetniemi).
+
+    Starts from the path 1, 2, ..., n and steps to the next canonical
+    sequence in decreasing lexicographic order: p is the last position
+    with level above 2, q the last position before p one level up (the
+    parent of p), and from p on the sequence repeats the block from q.
+    Ends at the star 1, 2, ..., 2.
+    """
+    if n == 0:
+        return
+    seq = list(range(1, n + 1))
+    while True:
+        yield tuple(seq)
+        p = max((i for i in range(n) if seq[i] > 2), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        for i in range(p, n):
+            seq[i] = seq[i - (p - q)]
 
 
 def tree_from_levels(levels) -> RootedTree:
@@ -136,3 +160,23 @@ def total_cut_antipode(t: RootedTree) -> LinComb:
             parts += [remove_edges(subtree_at(t, e), cut, e) for e in combo]
             out = out + LinComb.of(Forest(tuple(parts)), (-1) ** (r + 1))
     return out
+
+
+def rref_independent_rows(rows):
+    """Indices of a maximal independent subset, re-solving for every row."""
+    kept = []
+    kept_idx = []
+    for i, row in enumerate(rows):
+        if not rref_in_span(kept, row):
+            kept.append(row)
+            kept_idx.append(i)
+    return kept_idx
+
+
+def rref_in_span(rows, target):
+    """True iff target is a rational combination, by one Fraction rref."""
+    if not any(target):
+        return True
+    if not rows:
+        return False
+    return solve_consistent([list(col) for col in zip(*rows)], target) is not None

@@ -139,14 +139,26 @@ def test_verify_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_over_deep_input_exits_2_without_traceback():
-    # A 1,200-deep ladder is deeper than the interpreter's recursion limit.
-    ladder = "[" * 1200 + "]" * 1200
+def run_module(*argv):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "treehopf", "coproduct", ladder],
+    return subprocess.run([sys.executable, "-m", "treehopf", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_over_deep_input_exits_2_without_traceback():
+    # A 1,200-deep ladder is deeper than the interpreter's recursion limit.
+    ladder = "[" * 1200 + "]" * 1200
+    proc = run_module("coproduct", ladder)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_hopf_without_degrees_exits_2_without_traceback():
+    for degree in ("0", "-1"):
+        proc = run_module("verify", "--suite", "hopf", "--max-degree", degree)
+        assert proc.returncode == 2, degree
+        assert proc.stderr.startswith("error: max_degree must be >= 1"), degree
+        assert "Traceback" not in proc.stderr, degree

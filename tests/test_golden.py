@@ -1,8 +1,12 @@
-"""Golden digests of the jet layers (butcher and frame).
+"""Golden digests of the jet layers (butcher and frame) and the growth layer.
 
-The digests were recorded in a fresh process before the Butcher and
+The jet digests were recorded in a fresh process before the Butcher and
 frame flows were routed through one grafting recursion; any change to a
-coefficient, a truncation order or a verify report changes them.
+coefficient, a truncation order or a verify report changes them.  The
+growth digests were recorded with the Fraction rref path, before the
+subalgebra bases and closure checks moved to the int echelon; they pin
+every basis element, in order, and the element, bidegree and term that a
+failing closure check reports.
 """
 
 import hashlib
@@ -12,8 +16,12 @@ from fractions import Fraction
 from treehopf import (
     FormalDiffeo,
     MultiSeries,
+    closure_check,
     enumerate_trees,
+    fan_graph,
     gamma_t,
+    generate_subalgebra,
+    parse_tree,
     phi_frame,
     verify_butcher,
     verify_cm,
@@ -46,6 +54,10 @@ GAMMA_T = {
     "[[[[]]]]": "cea4398385d7e8a3",
 }
 
+FAN3_DEGREE7 = "b9712382858aa098245814aac108003bd2d04c52e08f97a7b1b5d80a48234568"
+CHERRY_DEGREE6 = "14bb9aedc43a27169acc7867b0ce8ad596313a2013e0043f78eeda22a459e80a"
+CHERRY_CLOSURE = "e86572fc88f11b1821563c70780fe01e4faa1acef4d78f3bf5cda1b1848cf434"
+
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -68,3 +80,21 @@ def test_phi_frame_is_unchanged():
 def test_gamma_t_is_unchanged():
     got = {t.serial: sha(str(gamma_t(t, PSI, GAMMA)))[:16] for t in TREES}
     assert got == GAMMA_T
+
+
+def render(basis):
+    return "\n".join(f"{d}: " + " ; ".join(map(str, basis.by_degree[d]))
+                     for d in sorted(basis.by_degree))
+
+
+def test_fan_subalgebra_basis_is_unchanged():
+    basis = generate_subalgebra({fan_graph(i) for i in range(1, 4)}, 7)
+    assert sha(render(basis)) == FAN3_DEGREE7
+
+
+def test_cherry_subalgebra_and_closure_report_are_unchanged():
+    basis = generate_subalgebra({parse_tree("[[][]]")}, 6)
+    assert sha(render(basis)) == CHERRY_DEGREE6
+    report = closure_check(basis)
+    assert not report
+    assert sha(str(report)) == CHERRY_CLOSURE

@@ -1,0 +1,69 @@
+"""The incremental int echelon against a Fraction rref per candidate row."""
+
+import random
+from fractions import Fraction
+
+from oracles import rref_in_span, rref_independent_rows
+
+from treehopf.linalg import in_span, independent_rows
+
+
+def random_entry(rng):
+    if rng.random() < 0.5:
+        return 0
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return rng.randint(-3, 3)
+
+
+def combination(rng, rows, width):
+    out = [0] * width
+    for row in rng.sample(rows, rng.randint(1, len(rows))):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+def random_matrix(rng):
+    """Rows with zero rows, duplicates and planted combinations mixed in."""
+    width = rng.randint(0, 7)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * width)
+        elif kind < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.45 and rows:
+            rows.append(combination(rng, rows, width))
+        else:
+            rows.append([random_entry(rng) for _ in range(width)])
+    return rows, width
+
+
+def test_independent_rows_matches_rref_oracle():
+    rng = random.Random(2024)
+    for trial in range(2500):
+        rows, _ = random_matrix(rng)
+        assert independent_rows(rows) == rref_independent_rows(rows), (trial, rows)
+
+
+def test_in_span_matches_rref_oracle():
+    rng = random.Random(1968)
+    for trial in range(2500):
+        rows, width = random_matrix(rng)
+        targets = [[0] * width, [random_entry(rng) for _ in range(width)]]
+        if rows:
+            targets.append(combination(rng, rows, width))
+        for target in targets:
+            assert in_span(rows, target) == rref_in_span(rows, target), (trial, rows, target)
+
+
+def test_empty_and_zero_width():
+    assert independent_rows([]) == []
+    assert independent_rows([[], []]) == []
+    assert in_span([], [])
+    assert in_span([[]], [])
+    assert in_span([], [0, 0])
+    assert not in_span([], [0, Fraction(1, 2)])
+    assert independent_rows([[0, 0], [0, -1], [0, 3], [Fraction(1, 3), 1]]) == [1, 3]

@@ -21,7 +21,12 @@ from treehopf import (
     parse_tree,
     tree_order,
 )
-from oracles import all_trees_by_levels, brute_force_cut_pairs
+from oracles import (
+    all_trees_by_levels,
+    brute_force_cut_pairs,
+    canonical_level_sequences,
+    tree_from_levels,
+)
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -87,6 +92,15 @@ def test_enumerate_counts():
 def test_enumerate_against_level_sequence_oracle():
     for n in range(1, 9):
         assert set(enumerate_trees(n)) == all_trees_by_levels(n)
+
+
+def test_enumerate_against_canonical_level_sequences():
+    # One canonical level sequence per rooted tree: 4,766 trees at n = 12.
+    for n in range(1, 13):
+        seqs = list(canonical_level_sequences(n))
+        serials = {tree_from_levels(seq).serial for seq in seqs}
+        assert len(serials) == len(seqs), n
+        assert serials == {t.serial for t in enumerate_trees(n)}, n
 
 
 def test_enumerate_sorted_no_duplicates():
