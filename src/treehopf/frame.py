@@ -12,8 +12,10 @@ reuse the grafting recursion of the Butcher module: the components are
 FrameFunctions, whose deriv(0) and deriv(1) are d/dx and d/dz.
 
 Diffeomorphisms are jets psi with psi(0) = 0, psi'(0) > 0; the lift to
-the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Crossed-product
-monomials f U*_psi multiply by
+the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Each diffeomorphism
+computes psi' once, and the lift reads the powers of psi and of psi' from
+the power tables those series keep (see the series module).
+Crossed-product monomials f U*_psi multiply by
 
     (f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi},
 
@@ -180,7 +182,7 @@ class FrameFunction:
 class FormalDiffeo:
     """An orientation-preserving formal diffeomorphism jet fixing 0."""
 
-    __slots__ = ("series",)
+    __slots__ = ("series", "_d")
 
     def __init__(self, series: MultiSeries):
         if series.nvars != 1:
@@ -190,6 +192,7 @@ class FormalDiffeo:
         if series.coeff(1) <= 0:
             raise ValueError("diffeomorphism must be orientation preserving")
         self.series = series
+        self._d = None
 
     @staticmethod
     def identity(trunc: int | None = None) -> "FormalDiffeo":
@@ -200,7 +203,10 @@ class FormalDiffeo:
         return self.series.trunc
 
     def d(self) -> MultiSeries:
-        return self.series.deriv(0)
+        """psi', computed once, so the lift builds its power table once."""
+        if self._d is None:
+            self._d = self.series.deriv(0)
+        return self._d
 
     def compose(self, inner: "FormalDiffeo") -> "FormalDiffeo":
         """(self o inner)(x) = self(inner(x))."""
@@ -226,18 +232,17 @@ CurvatureFn = MultiSeries
 
 
 def lift_apply(psi: FormalDiffeo, h: FrameFunction) -> FrameFunction:
-    """Compose h with the lifted diffeomorphism (x, y) -> (psi(x), y psi'(x))."""
+    """Compose h with the lifted diffeomorphism (x, y) -> (psi(x), y psi'(x)).
+
+    The y^k coefficient g becomes (g o psi) psi'^k; both factors come from
+    power tables, of psi and of psi', kept on those series.
+    """
     dpsi = psi.d()
-    out = FrameFunction.zero()
-    powers = {0: MultiSeries.constant(1, 1, psi.trunc)}
+    out = {}
     for k, g in sorted(h.coeffs.items()):
-        if k not in powers:
-            p = powers[max(powers)]
-            for _ in range(max(powers), k):
-                p = p * dpsi
-            powers[k] = p
-        out = out + FrameFunction.y_times(g.compose1(psi.series) * powers[k], k)
-    return out
+        g = g.compose1(psi.series)
+        out[k] = g * dpsi._power(k) if k else g
+    return FrameFunction(out)
 
 
 class Monomial:

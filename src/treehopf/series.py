@@ -5,11 +5,22 @@ marks an exact polynomial.  Arithmetic propagates the truncation: sums
 and products keep the weaker truncation, a partial derivative lowers it
 by one.  This makes "requesting deeper truncation never changes retained
 coefficients" automatic.
+
+Univariate jets (nvars == 1, the frame-bundle model) also run on a dense
+int kernel: int numerators over one common denominator, trunc+1 of them
+(degree+1 for an exact polynomial), cached on the series the first time
+it is an operand.  Products, reciprocals and compositions work on these
+lists and convert to the public dict of Fractions once per output
+coefficient.  Composition g o psi is linear in g, with matrix the power
+table [x^i] psi^k, which the inner series keeps once built; the
+compositional inverse comes from Lagrange inversion,
+[x^n] psi^-1 = (1/n) [x^(n-1)] (x/psi)^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "MultiSeries",
@@ -42,14 +53,43 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _conv(a: list, b: list, n: int | None) -> list:
+    """Product of two dense jets (int or Fraction entries), cut to n entries (n=None: exact)."""
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * n
+    for i in range(min(len(a), n)):
+        ai = a[i]
+        if ai:
+            k = i
+            for bj in b[:n - i]:
+                out[k] += ai * bj
+                k += 1
+    return out
+
+
+def _unit_inverse(p: list[int], n: int) -> list[int]:
+    """q with 1/P = sum_k q[k] x^k / p[0]^(k+1) mod x^n, for an int jet P with p[0] != 0."""
+    p0 = p[0]
+    w = [p[j] * p0 ** (j - 1) for j in range(1, min(len(p), n))]
+    q = [1]
+    for k in range(1, n):
+        q.append(-sum(w[j] * q[k - 1 - j] for j in range(min(k, len(w)))))
+    return q
+
+
 class MultiSeries:
     """Sparse exponent-map series in `nvars` variables."""
 
-    __slots__ = ("nvars", "trunc", "terms")
+    # _dense: (numerators, denominator) of a univariate series, built on
+    # first use; _powers: rows of the power table of a composition's inner
+    # series, row k holding the numerators of self^k over denominator^k.
+    __slots__ = ("nvars", "trunc", "terms", "_dense", "_powers")
 
     def __init__(self, nvars: int, terms=None, trunc: int | None = None):
         self.nvars = nvars
         self.trunc = trunc
+        self._dense = self._powers = None
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
@@ -74,7 +114,57 @@ class MultiSeries:
         out.nvars = nvars
         out.trunc = trunc
         out.terms = terms
+        out._dense = out._powers = None
         return out
+
+    @classmethod
+    def _from_jet(cls, nums: list[int], den: int, trunc: int | None) -> "MultiSeries":
+        """Univariate series from int numerators over den > 0, trunc+1 of them if truncated."""
+        if trunc is None:
+            n = len(nums)
+            while n and not nums[n - 1]:
+                n -= 1
+            nums = nums[:n]
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+            den //= g
+        out = cls._raw(1, {(k,): Fraction(v, den) for k, v in enumerate(nums) if v}, trunc)
+        out._dense = (nums, den)
+        return out
+
+    def _jet(self) -> tuple[list[int], int]:
+        """The dense form of a univariate series: (numerators, common denominator)."""
+        if self._dense is None:
+            terms = self.terms
+            if self.trunc is not None:
+                size = self.trunc + 1
+            else:
+                size = max(k for (k,) in terms) + 1 if terms else 0
+            den = 1
+            for c in terms.values():
+                den = lcm(den, c.denominator)
+            nums = [0] * size
+            for (k,), c in terms.items():
+                nums[k] = c.numerator * (den // c.denominator)
+            self._dense = (nums, den)
+        return self._dense
+
+    def _power_rows(self, top: int) -> tuple[list[list[int]], int]:
+        """Rows 0..top (at least) of the power table, and the denominator d of row 1."""
+        a, d = self._jet()
+        rows = self._powers
+        if rows is None:
+            rows = self._powers = [[1] + [0] * self.trunc if self.trunc is not None else [1]]
+        n = None if self.trunc is None else self.trunc + 1
+        while len(rows) <= top:
+            rows.append(_conv(rows[-1], a, n))
+        return rows, d
+
+    def _power(self, k: int) -> "MultiSeries":
+        """self^k, read from the power table."""
+        rows, d = self._power_rows(k)
+        return MultiSeries._from_jet(rows[k], d ** k, self.trunc)
 
     @staticmethod
     def zero(nvars: int, trunc: int | None = None) -> "MultiSeries":
@@ -121,20 +211,12 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         trunc = _min_trunc(self.trunc, other.trunc)
-        out: dict[tuple[int, ...], Fraction] = {}
         if self.nvars == 1:
-            for (i,), c1 in self.terms.items():
-                for (j,), c2 in other.terms.items():
-                    k = i + j
-                    if trunc is not None and k > trunc:
-                        continue
-                    e = (k,)
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return MultiSeries._raw(1, out, trunc)
+            a, da = self._jet()
+            b, db = other._jet()
+            return MultiSeries._from_jet(
+                _conv(a, b, None if trunc is None else trunc + 1), da * db, trunc)
+        out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -191,22 +273,29 @@ class MultiSeries:
         """Substitute a one-variable series with zero constant term.
 
         Two exact polynomials compose to an exact polynomial; otherwise
-        the weaker truncation is kept.
+        the weaker truncation is kept.  Sums g_k psi^k over the rows of
+        the inner series' power table.
         """
         assert self.nvars == 1 and inner.nvars == 1
         if inner.eval0() != 0:
             raise ValueError("composition requires zero constant term")
         trunc = _min_trunc(self.trunc, inner.trunc)
-        out = MultiSeries.zero(1, trunc)
-        power = MultiSeries.constant(1, 1, trunc)
-        max_k = self.total_degree()
-        for k in range(0, max_k + 1):
-            c = self.coeff(k)
+        g, gden = self._jet()
+        top = len(g) if trunc is None else min(len(g), trunc + 1)  # psi^k = O(x^k)
+        if not top:
+            return MultiSeries._raw(1, {}, trunc)
+        rows, d = inner._power_rows(top - 1)
+        width = max(map(len, rows[:top])) if trunc is None else trunc + 1
+        out = [0] * width
+        weight = 1                      # d^(top-1-k): row k is over d^k
+        for k in range(top - 1, -1, -1):
+            c = g[k] * weight
             if c:
-                out = out + power.scale(c)
-            if k < max_k:
-                power = power * inner
-        return out
+                for i, v in enumerate(rows[k][:width]):
+                    if v:
+                        out[i] += c * v
+            weight *= d
+        return MultiSeries._from_jet(out, gden * d ** (top - 1), trunc)
 
     def reciprocal(self) -> "MultiSeries":
         """Inverse of a one-variable unit series, to the retained order."""
@@ -222,14 +311,13 @@ class MultiSeries:
                 "reciprocal of a non-constant polynomial is an infinite "
                 "series; set a truncation order first"
             )
-        inv = [Fraction(0)] * (trunc + 1)
-        inv[0] = 1 / c0
-        for k in range(1, trunc + 1):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += self.coeff(j) * inv[k - j]
-            inv[k] = -s / c0
-        return MultiSeries(1, {(k,): v for k, v in enumerate(inv)}, self.trunc)
+        # 1/(p/den) = den q[k] / p0^(k+1); bring every entry over p0^(trunc+1).
+        p, den = self._jet()
+        p0 = p[0]
+        q = _unit_inverse(p, trunc + 1)
+        sign = 1 if p0 > 0 else -1
+        nums = [sign * den * v * p0 ** (trunc - k) for k, v in enumerate(q)]
+        return MultiSeries._from_jet(nums, sign * p0 ** (trunc + 1), trunc)
 
     def reversion(self) -> "MultiSeries":
         """Compositional inverse of a one-variable series with nonzero slope."""
@@ -244,15 +332,19 @@ class MultiSeries:
                 "reversion of a nonlinear polynomial is an infinite series; "
                 "set a truncation order first"
             )
-        # Solve self(g(x)) = x order by order.
-        g = MultiSeries(1, {(1,): 1 / self.coeff(1)}, trunc)
-        x = MultiSeries.variable(1, 0, trunc)
-        for _ in range(trunc):
-            err = self.with_trunc(trunc).compose1(g) - x
-            if err.is_zero():
-                break
-            g = g - err.scale(1 / self.coeff(1))
-        return g
+        # Lagrange: [x^n] psi^-1 = (1/n) [x^(n-1)] (x/psi)^n.  With
+        # psi = x P(x)/den and 1/P(x) = Q(x/a1)/a1 for an int jet Q, this is
+        # den^n [y^(n-1)] Q^n / (n a1^(2n-1)).
+        a, den = self._jet()
+        a1 = a[1]
+        q = _unit_inverse(a[1:], trunc)
+        terms = {}
+        power = [1] + [0] * (trunc - 1)
+        for n in range(1, trunc + 1):
+            power = _conv(power, q, trunc)
+            if power[n - 1]:
+                terms[(n,)] = Fraction(den ** n * power[n - 1], n * a1 ** (2 * n - 1))
+        return MultiSeries._raw(1, terms, trunc)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -352,22 +444,10 @@ def _eval_field_on_jet(field: VectorField, coeffs: list[list[Fraction]], order: 
             prod = [Fraction(1)] + [Fraction(0)] * order
             for i, e in enumerate(expo):
                 for _ in range(e):
-                    prod = _poly_mul_trunc(prod, jets[i], order)
+                    prod = _conv(prod, jets[i], order + 1)
             for k in range(order + 1):
                 acc[k] += c * prod[k]
         out.append(acc[order])
-    return out
-
-
-def _poly_mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= order:
-            for j, bj in enumerate(b):
-                if i + j > order:
-                    break
-                if bj:
-                    out[i + j] += ai * bj
     return out
 
 

@@ -111,9 +111,14 @@ def _convolve_antipode(x: LinComb, antipode_left: bool) -> LinComb:
     return LinComb._raw(out)
 
 
+def _require_degree(max_degree: int, least: int = 1, why: str = "") -> None:
+    """Reject a degree bound below the least one a suite can run at."""
+    if max_degree < least:
+        raise ValueError(f"max_degree must be >= {least}{why}, got {max_degree}")
+
+
 def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    _require_degree(max_degree)
     s = _Suite("hopf")
     rng = random.Random(seed)
     forests = [f for d in range(max_degree + 1) for f in enumerate_forests(d)]
@@ -189,6 +194,7 @@ def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
 
 
 def verify_growth(max_degree: int = 5, seed: int = 0) -> dict:
+    _require_degree(max_degree, 3, " for the growth suite (fan:3 and the cherry have 3 vertices)")
     s = _Suite("growth")
     for n in range(1, max_degree + 1):
         for t in enumerate_trees(n):
@@ -254,6 +260,7 @@ def _exponents(nvars: int, max_total: int):
 
 
 def verify_butcher(max_degree: int = 5, seed: int = 0) -> dict:
+    _require_degree(max_degree)
     s = _Suite("butcher")
     f = random_quadratic_field(2, seed)
 
@@ -348,6 +355,7 @@ def _lincomb_phi_apply(x: LinComb, f: VectorField, h: MultiSeries) -> MultiSerie
 
 
 def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 10) -> dict:
+    _require_degree(max_degree)
     s = _Suite("cm")
     trees = [t for n in range(1, min(4, max_degree) + 1) for t in enumerate_trees(n)]
     gamma_x = MultiSeries(1, {(1,): 1}, order)

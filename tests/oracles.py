@@ -3,15 +3,19 @@
 These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets.
-Span tests rerun a Fraction row reduction for every candidate row.
+Span tests rerun a Fraction row reduction for every candidate row.  The
+univariate jet oracles multiply dicts of Fractions term by term, compose
+by summing successive powers, and invert by repeated composition.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from treehopf import Forest, LinComb, RootedTree, Tensor2
+from treehopf import Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError
 from treehopf.linalg import solve_consistent
+from treehopf.series import _min_trunc
 
 
 def level_sequences(n: int):
@@ -180,3 +184,90 @@ def rref_in_span(rows, target):
     if not rows:
         return False
     return solve_consistent([list(col) for col in zip(*rows)], target) is not None
+
+
+# Univariate jets: the sparse Fraction arithmetic that MultiSeries ran
+# before its dense kernel, with the products routed through `series_mul`.
+
+def series_mul(self: MultiSeries, other: MultiSeries) -> MultiSeries:
+    """Univariate product, term pair by term pair."""
+    trunc = _min_trunc(self.trunc, other.trunc)
+    out = {}
+    for (i,), c1 in self.terms.items():
+        for (j,), c2 in other.terms.items():
+            k = i + j
+            if trunc is not None and k > trunc:
+                continue
+            e = (k,)
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return MultiSeries._raw(1, out, trunc)
+
+
+def series_compose1(self: MultiSeries, inner: MultiSeries) -> MultiSeries:
+    """self(inner), summing c_k inner^k over successive powers."""
+    assert self.nvars == 1 and inner.nvars == 1
+    if inner.eval0() != 0:
+        raise ValueError("composition requires zero constant term")
+    trunc = _min_trunc(self.trunc, inner.trunc)
+    out = MultiSeries.zero(1, trunc)
+    power = MultiSeries.constant(1, 1, trunc)
+    max_k = self.total_degree()
+    for k in range(0, max_k + 1):
+        c = self.coeff(k)
+        if c:
+            out = out + power.scale(c)
+        if k < max_k:
+            power = series_mul(power, inner)
+    return out
+
+
+def series_reciprocal(self: MultiSeries) -> MultiSeries:
+    """Inverse of a unit series by the order-by-order recurrence."""
+    assert self.nvars == 1
+    c0 = self.eval0()
+    if c0 == 0:
+        raise ValueError("series has no reciprocal: zero constant term")
+    trunc = self.trunc
+    if trunc is None:
+        if self.total_degree() == 0:
+            return MultiSeries(1, {(0,): 1 / c0})
+        raise TruncationError(
+            "reciprocal of a non-constant polynomial is an infinite "
+            "series; set a truncation order first"
+        )
+    inv = [Fraction(0)] * (trunc + 1)
+    inv[0] = 1 / c0
+    for k in range(1, trunc + 1):
+        s = Fraction(0)
+        for j in range(1, k + 1):
+            s += self.coeff(j) * inv[k - j]
+        inv[k] = -s / c0
+    return MultiSeries(1, {(k,): v for k, v in enumerate(inv)}, self.trunc)
+
+
+def series_reversion(self: MultiSeries) -> MultiSeries:
+    """Compositional inverse by fixing one order per composition."""
+    assert self.nvars == 1
+    if self.eval0() != 0 or self.coeff(1) == 0:
+        raise ValueError("reversion requires zero constant term and nonzero slope")
+    trunc = self.trunc
+    if trunc is None:
+        if self.total_degree() <= 1:
+            return MultiSeries(1, {(1,): 1 / self.coeff(1)})
+        raise TruncationError(
+            "reversion of a nonlinear polynomial is an infinite series; "
+            "set a truncation order first"
+        )
+    # Solve self(g(x)) = x order by order.
+    g = MultiSeries(1, {(1,): 1 / self.coeff(1)}, trunc)
+    x = MultiSeries.variable(1, 0, trunc)
+    for _ in range(trunc):
+        err = series_compose1(self.with_trunc(trunc), g) - x
+        if err.is_zero():
+            break
+        g = g - err.scale(1 / self.coeff(1))
+    return g

@@ -162,3 +162,23 @@ def test_verify_hopf_without_degrees_exits_2_without_traceback():
         assert proc.returncode == 2, degree
         assert proc.stderr.startswith("error: max_degree must be >= 1"), degree
         assert "Traceback" not in proc.stderr, degree
+
+
+def test_verify_cm_and_butcher_without_degrees_exit_2_without_traceback():
+    for suite in ("cm", "butcher"):
+        for degree in ("0", "-1"):
+            proc = run_module("verify", "--suite", suite, "--max-degree", degree)
+            assert proc.returncode == 2, (suite, degree)
+            assert proc.stderr.startswith("error: max_degree must be >= 1"), (suite, degree)
+            assert "Traceback" not in proc.stderr, (suite, degree)
+
+
+def test_verify_growth_below_its_least_degree_exits_2_naming_it():
+    for suite in ("growth", "all"):
+        for degree in ("1", "2"):
+            proc = run_module("verify", "--suite", suite, "--max-degree", degree)
+            assert proc.returncode == 2, (suite, degree)
+            assert proc.stderr.startswith(
+                "error: max_degree must be >= 3 for the growth suite"), (suite, degree)
+            assert "generating set" not in proc.stderr, (suite, degree)
+            assert "Traceback" not in proc.stderr, (suite, degree)
