@@ -27,7 +27,7 @@ from .series import (
     parse_vector_field,
 )
 from .trees import TreeParseError, enumerate_trees, parse_tree
-from .verify import SCHEMA_VERSION, run_suites
+from .verify import SCHEMA_VERSION, _require_order, run_suites
 from . import butcher as bu
 from . import frame as fr
 
@@ -250,6 +250,7 @@ def _dispatch(args) -> tuple[int, str]:
 
     if cmd == "cm":
         if args.cm_command == "gamma":
+            _require_order(args.order)
             psi = fr.FormalDiffeo(parse_polynomial(args.psi, ["x"], args.order))
             gamma = parse_polynomial(args.Gamma, ["x"], args.order)
             if gamma.is_zero():

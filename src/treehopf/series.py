@@ -6,21 +6,23 @@ and products keep the weaker truncation, a partial derivative lowers it
 by one.  This makes "requesting deeper truncation never changes retained
 coefficients" automatic.
 
-Univariate jets (nvars == 1, the frame-bundle model) also run on a dense
-int kernel: int numerators over one common denominator, trunc+1 of them
-(degree+1 for an exact polynomial), cached on the series the first time
-it is an operand.  Products, reciprocals and compositions work on these
-lists and convert to the public dict of Fractions once per output
-coefficient.  Composition g o psi is linear in g, with matrix the power
-table [x^i] psi^k, which the inner series keeps once built; the
-compositional inverse comes from Lagrange inversion,
+Every series computes on int numerators over one common denominator,
+reduced by their content gcd so that the denominator is the lcm of the
+coefficient denominators: a dense list of trunc+1 numerators (degree+1
+for an exact polynomial) in one variable, a dict exponent -> nonzero
+numerator in several.  The public dict of Fractions, `terms`, is built
+from it on first read.  Composition g o psi is linear in g, with matrix
+the power table [x^i] psi^k, which the inner series keeps once built;
+the compositional inverse comes from Lagrange inversion,
 [x^n] psi^-1 = (1/n) [x^(n-1)] (x/psi)^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd, inf, lcm
+from operator import add
 
 __all__ = [
     "MultiSeries",
@@ -81,15 +83,16 @@ def _unit_inverse(p: list[int], n: int) -> list[int]:
 class MultiSeries:
     """Sparse exponent-map series in `nvars` variables."""
 
-    # _dense: (numerators, denominator) of a univariate series, built on
-    # first use; _powers: rows of the power table of a composition's inner
-    # series, row k holding the numerators of self^k over denominator^k.
-    __slots__ = ("nvars", "trunc", "terms", "_dense", "_powers")
+    # _nums, _den: the working form (see the module docstring), built from
+    # _terms on first use; _terms is built from it on first read.
+    # _powers: rows of the power table of a composition's inner series,
+    # row k holding the numerators of self^k over _den^k.
+    __slots__ = ("nvars", "trunc", "_terms", "_nums", "_den", "_powers")
 
     def __init__(self, nvars: int, terms=None, trunc: int | None = None):
         self.nvars = nvars
         self.trunc = trunc
-        self._dense = self._powers = None
+        self._nums = self._powers = None
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
@@ -105,50 +108,65 @@ class MultiSeries:
                         clean[expo] = s
                     else:
                         clean.pop(expo, None)
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict, trunc: int | None) -> "MultiSeries":
-        """Internal constructor: terms must already be normalized."""
+    def _raw(cls, nvars: int, terms, trunc: int | None, nums=None, den: int = 1) -> "MultiSeries":
+        """Internal constructor: normalized terms, or a reduced working form nums over den."""
         out = cls.__new__(cls)
-        out.nvars = nvars
-        out.trunc = trunc
-        out.terms = terms
-        out._dense = out._powers = None
+        out.nvars, out.trunc, out._terms, out._nums, out._den = nvars, trunc, terms, nums, den
+        out._powers = None
         return out
 
     @classmethod
-    def _from_jet(cls, nums: list[int], den: int, trunc: int | None) -> "MultiSeries":
-        """Univariate series from int numerators over den > 0, trunc+1 of them if truncated."""
-        if trunc is None:
+    def _from_nums(cls, nvars: int, nums, den: int, trunc: int | None) -> "MultiSeries":
+        """Series from int numerators over den > 0 in the layout of _nums, reduced.
+
+        The content gcd(den, *nums) is taken pair by pair, so that it stops
+        as soon as it reaches 1.
+        """
+        if nvars == 1 and trunc is None:
             n = len(nums)
             while n and not nums[n - 1]:
                 n -= 1
             nums = nums[:n]
-        g = gcd(den, *nums)
+        g = den
+        for v in nums if nvars == 1 else nums.values():
+            if g == 1:
+                break
+            g = gcd(g, v)
         if g > 1:
-            nums = [v // g for v in nums]
             den //= g
-        out = cls._raw(1, {(k,): Fraction(v, den) for k, v in enumerate(nums) if v}, trunc)
-        out._dense = (nums, den)
-        return out
+            nums = [v // g for v in nums] if nvars == 1 else {e: v // g for e, v in nums.items()}
+        return cls._raw(nvars, None, trunc, nums, den)
 
-    def _jet(self) -> tuple[list[int], int]:
-        """The dense form of a univariate series: (numerators, common denominator)."""
-        if self._dense is None:
-            terms = self.terms
-            if self.trunc is not None:
-                size = self.trunc + 1
+    def _jet(self):
+        """The working form: (numerators, common denominator)."""
+        if self._nums is None:
+            terms = self._terms
+            den = lcm(*(c.denominator for c in terms.values()))
+            if self.nvars != 1:
+                nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
             else:
-                size = max(k for (k,) in terms) + 1 if terms else 0
-            den = 1
-            for c in terms.values():
-                den = lcm(den, c.denominator)
-            nums = [0] * size
-            for (k,), c in terms.items():
-                nums[k] = c.numerator * (den // c.denominator)
-            self._dense = (nums, den)
-        return self._dense
+                top = self.trunc if self.trunc is not None else max((k for (k,) in terms), default=-1)
+                nums = [0] * (top + 1)
+                for (k,), c in terms.items():
+                    nums[k] = c.numerator * (den // c.denominator)
+            self._nums, self._den = nums, den
+        return self._nums, self._den
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as a dict exponent -> Fraction, built on first read."""
+        terms = self._terms
+        if terms is None:
+            nums, den = self._nums, self._den
+            if self.nvars == 1:
+                terms = {(k,): Fraction(v, den) for k, v in enumerate(nums) if v}
+            else:
+                terms = {e: Fraction(v, den) for e, v in nums.items()}
+            self._terms = terms
+        return terms
 
     def _power_rows(self, top: int) -> tuple[list[list[int]], int]:
         """Rows 0..top (at least) of the power table, and the denominator d of row 1."""
@@ -164,7 +182,7 @@ class MultiSeries:
     def _power(self, k: int) -> "MultiSeries":
         """self^k, read from the power table."""
         rows, d = self._power_rows(k)
-        return MultiSeries._from_jet(rows[k], d ** k, self.trunc)
+        return MultiSeries._from_nums(1, rows[k], d ** k, self.trunc)
 
     @staticmethod
     def zero(nvars: int, trunc: int | None = None) -> "MultiSeries":
@@ -180,78 +198,94 @@ class MultiSeries:
         return MultiSeries(nvars, {expo: Fraction(1)}, trunc)
 
     def with_trunc(self, trunc: int | None) -> "MultiSeries":
-        return MultiSeries(self.nvars, self.terms, _min_trunc(self.trunc, trunc))
+        if _min_trunc(self.trunc, trunc) == self.trunc:
+            return self
+        return self + MultiSeries.zero(self.nvars, trunc)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        if self._nums is None:
+            return not self._terms
+        return not (any(self._nums) if self.nvars == 1 else self._nums)
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
+    def __add__(self, other: "MultiSeries", sign: int = 1) -> "MultiSeries":
+        """self + sign * other, over the lcm of the two denominators."""
         trunc = _min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        if trunc is not None and (trunc != self.trunc or trunc != other.trunc):
-            out = {e: c for e, c in out.items() if sum(e) <= trunc}
-        return MultiSeries._raw(self.nvars, out, trunc)
+        a, da = self._jet()
+        b, db = other._jet()
+        g = gcd(da, db)
+        ma, mb, den = db // g, sign * (da // g), da // g * db
+        if self.nvars == 1:
+            # The operand cut at trunc has trunc+1 entries; an exact one may be shorter.
+            n = max(len(a), len(b)) if trunc is None else trunc + 1
+            out = [x * ma + y * mb for x, y in zip_longest(a[:n], b[:n], fillvalue=0)]
+            return MultiSeries._from_nums(1, out, den, trunc)
+        out = {e: v * ma for e, v in a.items()}
+        for e, v in b.items():
+            out[e] = out.get(e, 0) + v * mb
+        cut = trunc is not None and (trunc != self.trunc or trunc != other.trunc)
+        out = {e: v for e, v in out.items() if v and not (cut and sum(e) > trunc)}
+        return MultiSeries._from_nums(self.nvars, out, den, trunc)
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries._raw(self.nvars, {e: -c for e, c in self.terms.items()}, self.trunc)
+        a, den = self._jet()
+        a = [-v for v in a] if self.nvars == 1 else {e: -v for e, v in a.items()}
+        return MultiSeries._raw(self.nvars, None, self.trunc, a, den)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def scale(self, c) -> "MultiSeries":
-        c = Fraction(c)
-        return MultiSeries._raw(
-            self.nvars, {e: c * v for e, v in self.terms.items()} if c else {}, self.trunc)
+        if not isinstance(c, int):
+            c = Fraction(c)
+        if not c:
+            return MultiSeries.zero(self.nvars, self.trunc)
+        a, den = self._jet()
+        g = gcd(c.numerator, den)
+        p = c.numerator // g
+        a = [v * p for v in a] if self.nvars == 1 else {e: v * p for e, v in a.items()}
+        return MultiSeries._from_nums(self.nvars, a, den // g * c.denominator, self.trunc)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         trunc = _min_trunc(self.trunc, other.trunc)
+        a, da = self._jet()
+        b, db = other._jet()
         if self.nvars == 1:
-            a, da = self._jet()
-            b, db = other._jet()
-            return MultiSeries._from_jet(
-                _conv(a, b, None if trunc is None else trunc + 1), da * db, trunc)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if trunc is not None and sum(e) > trunc:
-                    continue
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiSeries._raw(self.nvars, out, trunc)
+            return MultiSeries._from_nums(
+                1, _conv(a, b, None if trunc is None else trunc + 1), da * db, trunc)
+        bs = sorted((sum(e), e, v) for e, v in b.items())
+        out: dict[tuple[int, ...], int] = {}
+        for e1, v1 in a.items():
+            room = (inf if trunc is None else trunc) - sum(e1)
+            for d2, e2, v2 in bs:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + v1 * v2
+        return MultiSeries._from_nums(
+            self.nvars, {e: v for e, v in out.items() if v}, da * db, trunc)
 
     def deriv(self, i: int) -> "MultiSeries":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                de = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[de] = out.get(de, Fraction(0)) + c * e[i]
-        trunc = None if self.trunc is None else max(self.trunc - 1, -1)
-        if trunc is not None and trunc < 0:
+        if self.trunc is not None and self.trunc < 1:
             raise TruncationError("derivative exhausted the retained orders")
-        return MultiSeries._raw(self.nvars, out, trunc)
+        trunc = None if self.trunc is None else self.trunc - 1
+        a, den = self._jet()
+        if self.nvars == 1:
+            out = [k * a[k] for k in range(1, len(a))]
+        else:
+            out = {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i] for e, v in a.items() if e[i]}
+        return MultiSeries._from_nums(self.nvars, out, den, trunc)
 
     def eval0(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        a, den = self._jet()
+        v = (a[0] if a else 0) if self.nvars == 1 else a.get((0,) * self.nvars, 0)
+        return Fraction(v, den)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
     def eq_retained(self, other: "MultiSeries") -> bool:
         """Equality up to the common truncation order."""
-        trunc = _min_trunc(self.trunc, other.trunc)
-        a = {e: c for e, c in self.terms.items() if trunc is None or sum(e) <= trunc}
-        b = {e: c for e, c in other.terms.items() if trunc is None or sum(e) <= trunc}
-        return a == b
+        return (self - other).is_zero()
 
     def __eq__(self, other) -> bool:
         return (
@@ -267,7 +301,8 @@ class MultiSeries:
 
     def coeff(self, k: int) -> Fraction:
         assert self.nvars == 1
-        return self.terms.get((k,), Fraction(0))
+        a, den = self._jet()
+        return Fraction(a[k], den) if k < len(a) else Fraction(0)
 
     def compose1(self, inner: "MultiSeries") -> "MultiSeries":
         """Substitute a one-variable series with zero constant term.
@@ -295,7 +330,7 @@ class MultiSeries:
                     if v:
                         out[i] += c * v
             weight *= d
-        return MultiSeries._from_jet(out, gden * d ** (top - 1), trunc)
+        return MultiSeries._from_nums(1, out, gden * d ** (top - 1), trunc)
 
     def reciprocal(self) -> "MultiSeries":
         """Inverse of a one-variable unit series, to the retained order."""
@@ -317,7 +352,7 @@ class MultiSeries:
         q = _unit_inverse(p, trunc + 1)
         sign = 1 if p0 > 0 else -1
         nums = [sign * den * v * p0 ** (trunc - k) for k, v in enumerate(q)]
-        return MultiSeries._from_jet(nums, sign * p0 ** (trunc + 1), trunc)
+        return MultiSeries._from_nums(1, nums, sign * p0 ** (trunc + 1), trunc)
 
     def reversion(self) -> "MultiSeries":
         """Compositional inverse of a one-variable series with nonzero slope."""

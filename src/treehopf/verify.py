@@ -117,6 +117,12 @@ def _require_degree(max_degree: int, least: int = 1, why: str = "") -> None:
         raise ValueError(f"max_degree must be >= {least}{why}, got {max_degree}")
 
 
+def _require_order(order: int) -> None:
+    """Reject a truncation order below 2: the single-vertex symbol needs psi''."""
+    if order < 2:
+        raise ValueError(f"order must be >= 2 (the single-vertex symbol needs psi''), got {order}")
+
+
 def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
     _require_degree(max_degree)
     s = _Suite("hopf")
@@ -356,6 +362,7 @@ def _lincomb_phi_apply(x: LinComb, f: VectorField, h: MultiSeries) -> MultiSerie
 
 def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 10) -> dict:
     _require_degree(max_degree)
+    _require_order(order)
     s = _Suite("cm")
     trees = [t for n in range(1, min(4, max_degree) + 1) for t in enumerate_trees(n)]
     gamma_x = MultiSeries(1, {(1,): 1}, order)
@@ -531,6 +538,8 @@ def run_suites(names, max_degree: int = 5, seed: int = 0, order: int = 8,
         names = [names]
     if "all" in names:
         names = list(available)
+    if "cm" in names:
+        _require_order(order)
     reports = [available[n]() for n in names]
     return {
         "schema": SCHEMA_VERSION,

@@ -5,7 +5,9 @@ sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets.
 Span tests rerun a Fraction row reduction for every candidate row.  The
 univariate jet oracles multiply dicts of Fractions term by term, compose
-by summing successive powers, and invert by repeated composition.
+by summing successive powers, and invert by repeated composition.  The
+sparse oracles add, scale, differentiate, compare and multiply series in
+any number of variables as dicts of Fractions, term by term.
 """
 
 from __future__ import annotations
@@ -271,3 +273,63 @@ def series_reversion(self: MultiSeries) -> MultiSeries:
             break
         g = g - err.scale(1 / self.coeff(1))
     return g
+
+
+# Series in any number of variables: the dict-of-Fractions arithmetic that
+# MultiSeries ran before every series moved onto int numerators.
+
+def series_add(self: MultiSeries, other: MultiSeries) -> MultiSeries:
+    trunc = _min_trunc(self.trunc, other.trunc)
+    out = dict(self.terms)
+    for e, c in other.terms.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    if trunc is not None and (trunc != self.trunc or trunc != other.trunc):
+        out = {e: c for e, c in out.items() if sum(e) <= trunc}
+    return MultiSeries._raw(self.nvars, out, trunc)
+
+
+def series_scale(self: MultiSeries, c) -> MultiSeries:
+    c = Fraction(c)
+    return MultiSeries._raw(
+        self.nvars, {e: c * v for e, v in self.terms.items()} if c else {}, self.trunc)
+
+
+def series_mul_sparse(self: MultiSeries, other: MultiSeries) -> MultiSeries:
+    """Product in any number of variables, term pair by term pair."""
+    trunc = _min_trunc(self.trunc, other.trunc)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in self.terms.items():
+        for e2, c2 in other.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if trunc is not None and sum(e) > trunc:
+                continue
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return MultiSeries._raw(self.nvars, out, trunc)
+
+
+def series_deriv(self: MultiSeries, i: int) -> MultiSeries:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e, c in self.terms.items():
+        if e[i]:
+            de = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[de] = out.get(de, Fraction(0)) + c * e[i]
+    trunc = None if self.trunc is None else max(self.trunc - 1, -1)
+    if trunc is not None and trunc < 0:
+        raise TruncationError("derivative exhausted the retained orders")
+    return MultiSeries._raw(self.nvars, out, trunc)
+
+
+def series_eq_retained(self: MultiSeries, other: MultiSeries) -> bool:
+    """Equality up to the common truncation order."""
+    trunc = _min_trunc(self.trunc, other.trunc)
+    a = {e: c for e, c in self.terms.items() if trunc is None or sum(e) <= trunc}
+    b = {e: c for e, c in other.terms.items() if trunc is None or sum(e) <= trunc}
+    return a == b

@@ -182,3 +182,20 @@ def test_verify_growth_below_its_least_degree_exits_2_naming_it():
                 "error: max_degree must be >= 3 for the growth suite"), (suite, degree)
             assert "generating set" not in proc.stderr, (suite, degree)
             assert "Traceback" not in proc.stderr, (suite, degree)
+
+
+def test_orders_below_two_exit_2_naming_the_least_order():
+    # Order 0 used to fail on "orientation preserving", order 1 on an
+    # exhausted derivative; both now fail on the bound before any jet is built.
+    gamma = ("cm", "gamma", "--psi", "x + x^2", "--Gamma", "x", "--tree", "[[]]", "--order")
+    for argv in (gamma, ("verify", "--suite", "cm", "--order"), ("verify", "--suite", "all", "--order")):
+        for order in ("1", "0", "-1"):
+            proc = run_module(*argv, order)
+            assert proc.returncode == 2, (argv, order)
+            assert proc.stderr.startswith("error: order must be >= 2 "), (argv, order)
+            assert proc.stderr.rstrip().endswith(f"got {order}"), (argv, order)
+            assert "Traceback" not in proc.stderr, (argv, order)
+    assert run_module("cm", "gamma", "--psi", "x + x^2", "--Gamma", "x", "--tree", "[]",
+                      "--order", "2").returncode == 0
+    proc = run_module("verify", "--suite", "cm", "--max-degree", "1", "--order", "2", "--trials", "0")
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from treehopf import (
     EMPTY_FOREST,
@@ -50,8 +50,10 @@ def test_multiply_unit_and_examples():
     assert multiply(dot, dot) == LinComb.of(Forest((LEAF, LEAF)))
 
 
+# No explain phase: it traces every line of a failing run.
 @given(lincombs(3), lincombs(3), lincombs(3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 def test_multiply_commutative_associative(a, b, c):
     assert multiply(a, b) == multiply(b, a)
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
@@ -83,8 +85,10 @@ def test_counit():
     assert counit(LinComb.of(CHERRY, Fraction(5))) == 0
 
 
+# No explain phase: it traces every line of a failing run.
 @given(lincombs(4))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 def test_counit_axiom(x):
     left = LinComb.zero()
     right = LinComb.zero()

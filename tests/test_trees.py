@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from treehopf import (
     EMPTY_FOREST,
@@ -74,8 +74,10 @@ def _shuffle(t: RootedTree, rng) -> list:
     return kids
 
 
+# No explain phase: it traces every line of a failing run.
 @given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 def test_canonicalize_invariant_under_shuffles(seed):
     rng = random.Random(seed)
     trees = enumerate_trees(7)
