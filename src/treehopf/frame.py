@@ -65,13 +65,22 @@ class FrameFunction:
 
     def __init__(self, coeffs=None):
         clean: dict[int, MultiSeries] = {}
+        summed = []
         if coeffs:
             for k, g in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 if k < 0:
                     raise ValueError("negative powers of y are not representable")
                 if not g.is_zero():
-                    clean[k] = clean[k] + g if k in clean else g
-        self.coeffs = {k: g for k, g in clean.items() if not g.is_zero()}
+                    if k in clean:
+                        clean[k] = clean[k] + g
+                        summed.append(k)
+                    else:
+                        clean[k] = g
+        # Only a sum can have cancelled to zero.
+        for k in summed:
+            if k in clean and clean[k].is_zero():
+                del clean[k]
+        self.coeffs = clean
 
     @staticmethod
     def zero() -> "FrameFunction":

@@ -2,9 +2,14 @@
 
 Elements are finite rational linear combinations of forests (LinComb) or
 of forest pairs (Tensor2).  Coefficients are exact: an `int` when whole
-and a `Fraction` otherwise.  The coproduct sums over admissible cuts, the
-antipode uses the recursive proper-cut formula with a per-tree memo, and
+and a `Fraction` otherwise.  The coproduct of a tree, the sum over its
+admissible cuts, is built from the 1-cocycle identity
+Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), children before parents,
+with a per-shape memo; the antipode uses the recursive proper-cut formula
+over the grouped terms of that coproduct, with a per-tree memo; and
 natural growth N_t grafts a copy of t onto every vertex of its argument.
+Terms are kept in dicts keyed by interned forests, which hash by
+identity; every printed order is a sort on the forests' serializations.
 
 On products of trees N_t acts as a derivation,
 N_t(uv) = N_t(u) v + u N_t(v), which is the extension consistent with
@@ -15,7 +20,6 @@ N = d/ds on the Butcher side.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .trees import (
     EMPTY_FOREST,
@@ -25,6 +29,7 @@ from .trees import (
     TreeParseError,
     _parse_tree_at,
     _skip_ws,
+    _sort_key,
     admissible_cuts,
 )
 
@@ -264,19 +269,42 @@ def multiply(a: LinComb, b: LinComb) -> LinComb:
     return a * b
 
 
-@lru_cache(maxsize=None)
+_coproduct_memo: dict[RootedTree, Tensor2] = {}
+
+
 def _coproduct_tree(t: RootedTree) -> Tensor2:
-    out: dict[tuple[Forest, Forest], int] = {}
-    for _cut, pruned, root_part in admissible_cuts(t):
-        _acc(out, (pruned, root_part), 1)
-    return Tensor2._raw(out)
+    """Delta(t) from the 1-cocycle identity Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F).
+
+    Builds every not-yet-memoised subshape of t, children before parents,
+    from an explicit stack, so the depth of t costs no recursion.
+    """
+    got = _coproduct_memo.get(t)
+    if got is not None:
+        return got
+    todo = {t}
+    stack = [t]
+    while stack:
+        for c in stack.pop().children:
+            if c not in todo and c not in _coproduct_memo:
+                todo.add(c)
+                stack.append(c)
+    # A subtree has fewer vertices than its parent, so it sorts first.
+    for s in sorted(todo, key=_sort_key):
+        out: dict[tuple[Forest, Forest], int] = {(Forest((s,)), EMPTY_FOREST): 1}
+        for (left, right), c in _coproduct_forest(Forest(s.children)).terms.items():
+            out[left, Forest((RootedTree(right.trees),))] = c
+        _coproduct_memo[s] = Tensor2._raw(out)
+    return _coproduct_memo[t]
 
 
 def _coproduct_forest(f: Forest) -> Tensor2:
-    out = Tensor2.of(EMPTY_FOREST, EMPTY_FOREST)
-    for t in f.trees:
+    if not f.trees:
+        return Tensor2.of(EMPTY_FOREST, EMPTY_FOREST)
+    out = _coproduct_tree(f.trees[0])
+    for t in f.trees[1:]:
         out = out * _coproduct_tree(t)
-    return out
+    # A fresh element: the memo's own terms never leave this module.
+    return out if len(f.trees) > 1 else Tensor2._raw(dict(out.terms))
 
 
 def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
@@ -299,15 +327,16 @@ _antipode_memo: dict[RootedTree, LinComb] = {}
 
 
 def _antipode_tree(t: RootedTree) -> LinComb:
+    """S(t) = -t - sum of c P S(R) over the proper-cut terms c (P | R) of Delta(t)."""
     cached = _antipode_memo.get(t)
     if cached is not None:
         return cached
     out: dict[Forest, int] = {Forest((t,)): -1}
-    for cut, pruned, root_part in admissible_cuts(t):
-        if cut.kind != "proper":
+    for (pruned, root_part), c in _coproduct_tree(t).terms.items():
+        if not (pruned.trees and root_part.trees):
             continue
-        for f, c in _antipode_tree(root_part.trees[0]).terms.items():
-            _acc(out, pruned * f, -c)
+        for f, d in _antipode_tree(root_part.trees[0]).terms.items():
+            _acc(out, pruned * f, -c * d)
     res = _antipode_memo[t] = LinComb._raw(out)
     return res
 

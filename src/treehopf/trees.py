@@ -3,12 +3,17 @@
 A tree is stored with its children in canonical order, and every tree
 shape and every forest is interned: building one from children (or
 trees) in any order returns the single shared instance of that shape,
-which lives as long as the process.  Equality is therefore identity,
-and the serialization and sort key of a shape are computed once.  The
-canonical order puts larger subtrees first; on serializations this is
-the lexicographic order in which ``]`` sorts before ``[``, which makes
-the single-vertex tree the smallest tree of each size class and lists
-bushy trees before ladders (fan first, ladder last within a degree).
+which lives as long as the process.  Trees are interned on their
+canonical children tuple and forests on their canonical tree tuple, so
+a lookup builds no string.  Equality and hashing are object identity,
+which is sound because no two instances share a shape; hash order is
+therefore address order and never reaches output.  Every order that
+does is the sort key (vertex count, collated serial), computed once per
+shape with the serialization.  The canonical order puts larger subtrees
+first; on serializations this is the lexicographic order in which
+``]`` sorts before ``[``, which makes the single-vertex tree the
+smallest tree of each size class and lists bushy trees before ladders
+(fan first, ladder last within a degree).
 """
 
 from __future__ import annotations
@@ -55,7 +60,10 @@ class TreeParseError(ValueError):
 
 
 class _Interned:
-    """Immutability, equality, hashing and printing of the interned trees and forests."""
+    """Immutability and printing of the interned trees and forests.
+
+    Equality and hashing are inherited from `object`: one instance per shape.
+    """
 
     __slots__ = ()
 
@@ -65,12 +73,6 @@ class _Interned:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, type(self)) and self.serial == other.serial)
-
-    def __hash__(self) -> int:
-        return hash(self.serial)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.serial!r})"
 
@@ -78,8 +80,8 @@ class _Interned:
         return self.serial
 
 
-# Intern tables: every tree by its serial, every forest by its sorted trees.
-_TREES: dict[str, "RootedTree"] = {}
+# Intern tables: every tree by its sorted children, every forest by its sorted trees.
+_TREES: dict[tuple, "RootedTree"] = {}
 _FORESTS: dict[tuple, "Forest"] = {}
 
 
@@ -94,15 +96,17 @@ class RootedTree(_Interned):
 
     def __new__(cls, children=()):
         kids = tuple(children)
-        if len(kids) > 1:
-            kids = tuple(sorted(kids, key=_sort_key, reverse=True))
-        serial = "[" + "".join([c.serial for c in kids]) + "]"
-        self = _TREES.get(serial)
+        # Every key is a canonical tuple, so a hit needs no sort.
+        self = _TREES.get(kids)
         if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "children", kids)
-            self.__post_init__()
-            _TREES[serial] = self
+            if len(kids) > 1:
+                kids = tuple(sorted(kids, key=_sort_key, reverse=True))
+                self = _TREES.get(kids)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "children", kids)
+                self.__post_init__()
+                _TREES[kids] = self
         return self
 
     def __post_init__(self):
@@ -142,14 +146,16 @@ class Forest(_Interned):
 
     def __new__(cls, trees=()):
         ts = tuple(trees)
-        if len(ts) > 1:
-            ts = tuple(sorted(ts, key=_sort_key, reverse=True))
         self = _FORESTS.get(ts)
         if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "trees", ts)
-            self.__post_init__()
-            _FORESTS[ts] = self
+            if len(ts) > 1:
+                ts = tuple(sorted(ts, key=_sort_key, reverse=True))
+                self = _FORESTS.get(ts)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "trees", ts)
+                self.__post_init__()
+                _FORESTS[ts] = self
         return self
 
     def __post_init__(self):

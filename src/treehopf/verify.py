@@ -37,6 +37,7 @@ from .series import MultiSeries, ODEProblem, VectorField, series_solve
 from .trees import (
     LEAF,
     Forest,
+    RootedTree,
     b_plus,
     enumerate_forests,
     enumerate_trees,
@@ -121,6 +122,52 @@ def _require_order(order: int) -> None:
     """Reject a truncation order below 2: the single-vertex symbol needs psi''."""
     if order < 2:
         raise ValueError(f"order must be >= 2 (the single-vertex symbol needs psi''), got {order}")
+
+
+def _cm_trees(max_degree: int) -> tuple[list[RootedTree], int]:
+    """The trees the cm suite checks, and the vertex bound on its commutator pairs."""
+    trees = [t for n in range(1, min(4, max_degree) + 1) for t in enumerate_trees(n)]
+    return trees, max(5, max_degree + 1)
+
+
+def _cm_least_order(max_degree: int, trials: int) -> int:
+    """The least order at which the cm suite keeps every x-derivative it takes.
+
+    A jet truncated at order N survives N x-derivatives.  delta_s multiplies
+    by gamma_s = phi_s(gamma(psi)): psi'' takes 2 and phi_s one per root
+    child, so 2 + fertility(s).  X_t takes one more.  The suite applies
+    X after delta_s over the terms of delta_1..delta_3 and over its
+    commutator pairs, delta_s alone over delta_4 and over N_t(s), nests at
+    most |s| - 1 X's on delta of the vertex in delta_from_commutators, and
+    differentiates the transferred field (psi'' again) once per grandchild
+    in the pushforward checks.  Without trials no psi-dependent jet is
+    differentiated and the single-vertex bound 2 holds.
+    """
+    if trials < 1:
+        return 2
+
+    def delta(x: LinComb) -> int:
+        return max(2 + s.fertility for f in x.terms for s in f.trees)
+
+    trees, pair_bound = _cm_trees(max_degree)
+    need = max(delta(delta_k(k)) + 1 for k in (1, 2, 3))
+    need = max(need, delta(delta_k(4)))
+    for t in trees:
+        need = max(need, 1 + t.vertex_count, 2 + t.max_fertility())
+        for u in trees:
+            if t.vertex_count + u.vertex_count <= pair_bound:
+                need = max(need, delta(LinComb.of(u)) + 1,
+                           delta(natural_growth(t, LinComb.of(u))))
+    return need
+
+
+def _require_cm_order(max_degree: int, order: int, trials: int) -> None:
+    """Reject an order below 2, then one below the cm suite's least order."""
+    _require_order(order)
+    least = _cm_least_order(max_degree, trials)
+    if order < least:
+        raise ValueError(f"order must be >= {least} for the cm suite "
+                         f"(its checks take {least} x-derivatives of one jet), got {order}")
 
 
 def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
@@ -362,9 +409,9 @@ def _lincomb_phi_apply(x: LinComb, f: VectorField, h: MultiSeries) -> MultiSerie
 
 def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 10) -> dict:
     _require_degree(max_degree)
-    _require_order(order)
+    _require_cm_order(max_degree, order, trials)
     s = _Suite("cm")
-    trees = [t for n in range(1, min(4, max_degree) + 1) for t in enumerate_trees(n)]
+    trees, pair_bound = _cm_trees(max_degree)
     gamma_x = MultiSeries(1, {(1,): 1}, order)
 
     instances = []
@@ -405,7 +452,6 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
                 f"trial={i}", (curvature_only + flat).eq_retained(full),
                 fr.first_mismatch(curvature_only + flat, full))
 
-    pair_bound = max(5, max_degree + 1)
     for i, psi, eta, fa, fb in instances:
         m = fr.Monomial(fa, psi)
         for t in trees:
@@ -539,7 +585,7 @@ def run_suites(names, max_degree: int = 5, seed: int = 0, order: int = 8,
     if "all" in names:
         names = list(available)
     if "cm" in names:
-        _require_order(order)
+        _require_cm_order(min(max_degree, 4), order, trials)
     reports = [available[n]() for n in names]
     return {
         "schema": SCHEMA_VERSION,

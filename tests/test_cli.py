@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from treehopf import LinComb, parse_lincomb
 from treehopf.cli import run
 
@@ -156,6 +158,14 @@ def test_over_deep_input_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_900_deep_ladder_coproduct_exits_0():
+    # The coproduct of a ladder builds from an explicit stack, not recursion.
+    ladder = "[" * 900 + "]" * 900
+    proc = run_module("coproduct", ladder)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(" | ") == 901
+
+
 def test_verify_hopf_without_degrees_exits_2_without_traceback():
     for degree in ("0", "-1"):
         proc = run_module("verify", "--suite", "hopf", "--max-degree", degree)
@@ -199,3 +209,31 @@ def test_orders_below_two_exit_2_naming_the_least_order():
                       "--order", "2").returncode == 0
     proc = run_module("verify", "--suite", "cm", "--max-degree", "1", "--order", "2", "--trials", "0")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_cm_below_its_least_order_exits_2_naming_it():
+    # The least order comes from the derivatives the checks take: 5 while the
+    # suite checks trees up to 3 vertices, 6 from 4 on (the suite stops at 4).
+    cases = [("cm", "1", 5), ("cm", "2", 5), ("cm", "3", 5), ("cm", "4", 6), ("cm", "5", 6),
+             ("all", "4", 6)]
+    for suite, degree, least in cases:
+        proc = run_module("verify", "--suite", suite, "--max-degree", degree,
+                          "--order", str(least - 1), "--trials", "1")
+        assert proc.returncode == 2, (suite, degree)
+        assert proc.stderr.startswith(f"error: order must be >= {least} for the cm suite"), \
+            (suite, degree, proc.stderr)
+        assert proc.stderr.rstrip().endswith(f"got {least - 1}"), (suite, degree)
+        assert "Traceback" not in proc.stderr, (suite, degree)
+
+
+def test_cm_least_order_is_the_first_order_that_runs(monkeypatch):
+    from treehopf import TruncationError, verify
+
+    least = {d: verify._cm_least_order(d, 1) for d in (1, 2, 3, 4)}
+    assert verify._cm_least_order(4, 0) == 2
+    monkeypatch.setattr(verify, "_cm_least_order", lambda max_degree, trials: 2)
+    for degree, order in least.items():
+        with pytest.raises(TruncationError, match="derivative exhausted"):
+            verify.verify_cm(degree, order=order - 1, trials=1)
+        assert verify.verify_cm(degree, order=order, trials=1)["suite"] == "cm"
+    assert verify.verify_cm(4, order=2, trials=0)["suite"] == "cm"

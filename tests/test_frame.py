@@ -82,6 +82,14 @@ def test_frame_function_arithmetic():
     assert FrameFunction.y_times(xs({(0,): 1})).homogeneous_y_degree() == 1
 
 
+def test_frame_function_sums_repeated_powers_and_drops_cancelled_sums():
+    g, h = xs({(0,): 1}), xs({(1,): 2})
+    f = FrameFunction([(3, g), (1, h), (3, -g), (2, g - g), (1, h), (0, g)])
+    assert list(f.coeffs) == [1, 0]
+    assert f.coeffs[1] == h.scale(2) and f.coeffs[0] == g
+    assert FrameFunction([(1, h), (1, -h), (1, h)]).coeffs == {1: h}
+
+
 def test_lift_examples():
     h = FrameFunction({1: xs({(1,): 1})})     # x y
     ident = FormalDiffeo.identity(D)

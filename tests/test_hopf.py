@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -26,7 +29,7 @@ from treehopf import (
     parse_lincomb,
     parse_tree,
 )
-from oracles import brute_force_coproduct, total_cut_antipode
+from oracles import brute_force_coproduct, brute_force_coproduct_tree, total_cut_antipode
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -77,6 +80,12 @@ def test_coproduct_matches_brute_force_oracle():
     for d in range(0, 7):
         for f in enumerate_forests(d):
             assert coproduct(LinComb.of(f)) == brute_force_coproduct(f), f.serial
+
+
+def test_coproduct_of_every_tree_matches_brute_force_oracle():
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            assert coproduct(t) == brute_force_coproduct_tree(t), t.serial
 
 
 def test_counit():
@@ -322,3 +331,33 @@ def test_antipode_matches_total_cut_oracle():
     for n in range(1, 9):
         for t in enumerate_trees(n):
             assert antipode(t) == total_cut_antipode(t), t.serial
+
+
+# Renders Delta and S of every tree with n <= 7 in sorted order, after
+# computing them in the order given by argv[1]: "sorted" or a shuffle seed.
+_RENDER_ALL = """
+import random, sys
+from treehopf import antipode, coproduct, enumerate_trees
+trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+order = list(trees)
+if sys.argv[1] != "sorted":
+    random.Random(int(sys.argv[1])).shuffle(order)
+got = {}
+for t in order:
+    got[t] = (coproduct(t), antipode(t))
+for t in trees:
+    print(t.serial, got[t][0], "|", got[t][1])
+"""
+
+
+def test_results_do_not_depend_on_call_order_or_hash_seed():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    texts = []
+    for order, hash_seed in (("sorted", "0"), ("sorted", "1"), ("5", "0"), ("5", "1")):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _RENDER_ALL, order], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        texts.append(proc.stdout)
+    assert texts[0].count("\n") == 1 + 1 + 2 + 4 + 9 + 20 + 48
+    assert all(text == texts[0] for text in texts)

@@ -260,13 +260,24 @@ def test_trees_and_forests_are_immutable():
     assert t.serial == "[[]]" and f.serial == "[[]]"
 
 
-def test_hash_and_order_follow_the_serial():
+def test_hash_is_identity_and_order_follows_the_serial():
+    # Hashing is object identity, sound because there is one instance per
+    # shape; every order comes from the (size, collated serial) sort key.
+    collate = str.maketrans({"[": "\x01", "]": "\x00"})
     for n in range(1, 6):
         for t in enumerate_trees(n):
-            assert hash(t) == hash(t.serial)
+            assert RootedTree(t.children) is t
+            assert copy.copy(t) is t and pickle.loads(pickle.dumps(t)) is t
+            assert hash(RootedTree(reversed(t.children))) == hash(t)
             assert t == t and t <= t and not t < t
+        trees = enumerate_trees(n)
+        assert [t.serial.translate(collate) for t in trees] == sorted(
+            t.serial.translate(collate) for t in trees)
+        assert all(a < b for a, b in zip(trees, trees[1:]))
     f = Forest((CHERRY, LEAF))
-    assert hash(f) == hash(f.serial)
-    assert f.sort_key() == (4, f.serial.translate(str.maketrans({"[": "\x01", "]": "\x00"})))
+    assert Forest(f.trees) is f
+    assert copy.copy(f) is f and pickle.loads(pickle.dumps(f)) is f
+    assert hash(Forest((LEAF, CHERRY))) == hash(f)
+    assert f.sort_key() == (4, f.serial.translate(collate))
     assert f.sort_key() is f.sort_key()
     assert LEAF != EMPTY_FOREST and Forest((LEAF,)) != LEAF
