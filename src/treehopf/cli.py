@@ -142,6 +142,9 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         code, text = _dispatch(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except (TreeParseError, SeriesParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -151,10 +154,7 @@ def run(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
     return code
 

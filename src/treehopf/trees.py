@@ -5,11 +5,14 @@ shape and every forest is interned: building one from children (or
 trees) in any order returns the single shared instance of that shape,
 which lives as long as the process.  Trees are interned on their
 canonical children tuple and forests on their canonical tree tuple, so
-a lookup builds no string.  Equality and hashing are object identity,
-which is sound because no two instances share a shape; hash order is
-therefore address order and never reaches output.  Every order that
-does is the sort key (vertex count, collated serial), computed once per
-shape with the serialization.  The canonical order puts larger subtrees
+a lookup builds no string.  A product of two forests is looked up in a
+table of interned products, keyed on the two factors and filled on
+first use, so a repeated product neither concatenates nor sorts.
+Equality and hashing are object identity, which is sound because no two
+instances share a shape; hash order is therefore address order and
+never reaches output.  Every order that does is the sort key (vertex
+count, collated serial), computed once per shape with the
+serialization.  The canonical order puts larger subtrees
 first; on serializations this is the lexicographic order in which
 ``]`` sorts before ``[``, which makes the single-vertex tree the
 smallest tree of each size class and lists bushy trees before ladders
@@ -80,9 +83,11 @@ class _Interned:
         return self.serial
 
 
-# Intern tables: every tree by its sorted children, every forest by its sorted trees.
+# Intern tables: every tree by its sorted children, every forest by its sorted trees,
+# and every product of two non-empty forests by its (left, right) factors.
 _TREES: dict[tuple, "RootedTree"] = {}
 _FORESTS: dict[tuple, "Forest"] = {}
+_PRODUCTS: dict[tuple["Forest", "Forest"], "Forest"] = {}
 
 
 class RootedTree(_Interned):
@@ -175,7 +180,11 @@ class Forest(_Interned):
             return self
         if not self.trees:
             return other
-        return Forest(self.trees + other.trees)
+        # Both factors are interned, so the pair names the product for good.
+        product = _PRODUCTS.get((self, other))
+        if product is None:
+            product = _PRODUCTS[self, other] = Forest(self.trees + other.trees)
+        return product
 
     def sort_key(self):
         """(degree, collated serial), cached on the forest."""

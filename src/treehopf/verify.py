@@ -162,7 +162,10 @@ def _cm_least_order(max_degree: int, trials: int) -> int:
 
 
 def _require_cm_order(max_degree: int, order: int, trials: int) -> None:
-    """Reject an order below 2, then one below the cm suite's least order."""
+    """Reject a negative trial count, an order below 2, then one below the
+    cm suite's least order."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     _require_order(order)
     least = _cm_least_order(max_degree, trials)
     if order < least:

@@ -117,6 +117,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text().strip() == "1 [[][]] + 1 [[[]]]"
 
 
+def test_out_to_an_unwritable_path_exits_2_without_traceback(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    proc = run_module("--out", str(target), "trees", "--vertices", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not target.parent.exists()
+
+
 def test_verify_growth_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "growth", "--max-degree", "4")
     assert code == 0
@@ -237,3 +246,31 @@ def test_cm_least_order_is_the_first_order_that_runs(monkeypatch):
             verify.verify_cm(degree, order=order - 1, trials=1)
         assert verify.verify_cm(degree, order=order, trials=1)["suite"] == "cm"
     assert verify.verify_cm(4, order=2, trials=0)["suite"] == "cm"
+
+
+def test_negative_trials_are_rejected_before_any_suite_runs(monkeypatch):
+    from treehopf import verify
+
+    with pytest.raises(ValueError, match=r"^trials must be >= 0, got -1$"):
+        verify.verify_cm(1, trials=-1)
+    assert verify.verify_cm(1, trials=0)["ok"]
+
+    def must_not_run(*args):
+        raise AssertionError("a suite ran before the trial count was checked")
+
+    monkeypatch.setattr(verify, "verify_hopf", must_not_run)
+    for names in (["hopf", "cm"], ["all"]):
+        with pytest.raises(ValueError, match=r"^trials must be >= 0, got -1$"):
+            verify.run_suites(names, max_degree=1, trials=-1)
+    assert verify.run_suites(["cm"], max_degree=1, trials=0)["ok"]
+
+
+def test_verify_negative_trials_exits_2_naming_the_bound():
+    for suite in ("cm", "all"):
+        proc = run_module("verify", "--suite", suite, "--max-degree", "1", "--trials", "-1")
+        assert proc.returncode == 2, suite
+        assert proc.stderr == "error: trials must be >= 0, got -1\n", suite
+        assert proc.stdout == "", suite
+    proc = run_module("verify", "--suite", "cm", "--max-degree", "1", "--trials", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("result: ok")

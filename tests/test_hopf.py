@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -361,3 +362,22 @@ def test_results_do_not_depend_on_call_order_or_hash_seed():
         texts.append(proc.stdout)
     assert texts[0].count("\n") == 1 + 1 + 2 + 4 + 9 + 20 + 48
     assert all(text == texts[0] for text in texts)
+
+
+# Runs the hopf suite twice in one process: first on empty memos, then warm.
+_HOPF_TWICE = """
+import json
+from treehopf.verify import verify_hopf
+print(json.dumps(verify_hopf(6)))
+print(json.dumps(verify_hopf(6)))
+"""
+
+
+def test_hopf_suite_reports_the_same_cold_and_warm():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _HOPF_TWICE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    cold, warm = proc.stdout.splitlines()
+    assert json.loads(cold)["ok"] and json.loads(cold)["checks"] > 0
+    assert cold == warm

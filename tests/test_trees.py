@@ -1,4 +1,6 @@
 import copy
+import functools
+import itertools
 import pickle
 import random
 
@@ -213,6 +215,28 @@ def test_forest_degree_and_product():
     assert (f * Forest((CHERRY,))).degree == 6
     assert enumerate_forests(3) == tuple(sorted(enumerate_forests(3), key=lambda x: x.sort_key()))
     assert [len(enumerate_forests(n)) for n in range(7)] == [1, 1, 2, 4, 9, 20, 48]
+
+
+FORESTS_TO_6 = [f for d in range(7) for f in enumerate_forests(d)]
+
+
+def test_forest_product_matches_sorted_concatenation():
+    # The oracle sorts the joined trees itself (largest first) and never multiplies.
+    key = functools.cmp_to_key(tree_order)
+    for a, b in itertools.product(FORESTS_TO_6, repeat=2):
+        trees = tuple(sorted(a.trees + b.trees, key=key, reverse=True))
+        product = a * b
+        assert product.trees == trees, (a.serial, b.serial)
+        assert product is Forest(trees), (a.serial, b.serial)
+        assert a * b is product
+
+
+def test_forest_product_is_commutative_and_associative_on_instances():
+    for a, b in itertools.product(FORESTS_TO_6, repeat=2):
+        assert a * b is b * a, (a.serial, b.serial)
+    small = [f for d in range(5) for f in enumerate_forests(d)]
+    for a, b, c in itertools.product(small, repeat=3):
+        assert (a * b) * c is a * (b * c), (a.serial, b.serial, c.serial)
 
 
 def test_trees_are_interned():
