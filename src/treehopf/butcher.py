@@ -10,6 +10,10 @@ The recursion (`_phi_vec`, `_contract`) is the one grafting recursion of
 the package: it works on any components with `*`, `+` and `deriv(k)`,
 so the frame flow of `treehopf.frame` runs through it too, and the flow
 derivative sum_j v^j d_j h is its one-child contraction.
+
+Each phi(t) of a field is computed once: the recursion memoizes by tree
+in the field's own `VectorField._phi`, which every function here reads,
+and which dies with the field.  It is not a process-wide cache.
 """
 
 from __future__ import annotations
@@ -42,12 +46,10 @@ def _require_depth(t: RootedTree, f: VectorField):
         )
 
 
-def elementary_differential(t: RootedTree, f: VectorField, _memo=None) -> tuple[MultiSeries, ...]:
+def elementary_differential(t: RootedTree, f: VectorField) -> tuple[MultiSeries, ...]:
     """The n-vector phi(t) for the field f."""
     _require_depth(t, f)
-    if _memo is None:
-        _memo = {}
-    return _phi_vec(t, f.components, _memo)
+    return _phi_vec(t, f.components, f._phi)
 
 
 def _phi_vec(t: RootedTree, field: tuple, memo) -> tuple:
@@ -81,8 +83,7 @@ def _contract(children, target, n: int):
 def phi_t_apply(t: RootedTree, f: VectorField, h: MultiSeries) -> MultiSeries:
     """Apply the differential operator phi_t to h; phi of the vertex is h itself."""
     _require_depth(t, f)
-    memo: dict = {}
-    children = [_phi_vec(c, f.components, memo) for c in t.children]
+    children = [_phi_vec(c, f.components, f._phi) for c in t.children]
     return _contract(children, h, f.nvars)
 
 
@@ -98,11 +99,10 @@ def elementary_differential_lincomb(x: LinComb, f: VectorField) -> tuple[MultiSe
     """Linear extension of phi to a combination of single trees."""
     n = f.nvars
     acc = [MultiSeries.zero(n, f.trunc) for _ in range(n)]
-    memo: dict = {}
     for forest, coeff in x.terms.items():
         if len(forest.trees) != 1:
             raise ValueError("phi extends linearly over single trees only")
-        vec = _phi_vec(forest.trees[0], f.components, memo)
+        vec = _phi_vec(forest.trees[0], f.components, f._phi)
         acc = [a + v.scale(coeff) for a, v in zip(acc, vec)]
     return tuple(acc)
 
@@ -129,7 +129,6 @@ def check_growth_derivative(t: RootedTree, f: VectorField) -> bool:
 def check_generalized_growth(t: RootedTree, s: RootedTree, f: VectorField) -> bool:
     """phi(N_t(s)) equals phi^j(t) d_j phi(s), as retained jets."""
     lhs = elementary_differential_lincomb(natural_growth(t, LinComb.of(s)), f)
-    memo: dict = {}
-    phi_t = _phi_vec(t, f.components, memo)
-    rhs = [_contract([phi_t], c, f.nvars) for c in _phi_vec(s, f.components, memo)]
+    phi_t = _phi_vec(t, f.components, f._phi)
+    rhs = [_contract([phi_t], c, f.nvars) for c in _phi_vec(s, f.components, f._phi)]
     return all(a.eq_retained(b) for a, b in zip(lhs, rhs))

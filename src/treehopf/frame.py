@@ -22,6 +22,11 @@ Crossed-product monomials f U*_psi multiply by
 i.e. U*_psi U*_eta = U*_{eta o psi}, the contravariant convention; this
 is the one under which the product is associative and the coproduct
 theorems close (the paper writes both orders in adjacent displays).
+
+A monomial is immutable and keeps X_t and delta_t of itself for single
+trees t, keyed on the operator, t, Gamma and Gamma's truncation order, so
+a relation that applies X_t to the same monomial again reads the first
+result.  The memo dies with the monomial; it is not a process-wide cache.
 """
 
 from __future__ import annotations
@@ -255,13 +260,25 @@ def lift_apply(psi: FormalDiffeo, h: FrameFunction) -> FrameFunction:
 
 
 class Monomial:
-    """A crossed-product element f U*_psi."""
+    """A crossed-product element f U*_psi.
 
-    __slots__ = ("f", "psi")
+    Immutable once built.  `_ops` memoizes X_t and delta_t of this monomial
+    for single trees t (see `X_t_apply`); it is made on first use and dies
+    with the monomial.
+    """
+
+    __slots__ = ("f", "psi", "_ops")
 
     def __init__(self, f: FrameFunction, psi: FormalDiffeo):
-        self.f = f
-        self.psi = psi
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "_ops", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
 
     def scale(self, c) -> "Monomial":
         return Monomial(self.f.scale(c), self.psi)
@@ -304,30 +321,33 @@ def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunc
 _phi_cache: dict = {}
 
 
-def _phi_memo_for(Gamma: CurvatureFn, trunc: int | None) -> dict:
+def _frame_phi(Gamma: CurvatureFn, trunc: int | None, memo=None) -> tuple[tuple, dict]:
+    """The frame field at trunc and its phi memo, both kept in one _phi_cache entry.
+
+    A caller's own memo gets a freshly built field and bypasses the cache.
+    """
+    if memo is not None:
+        return frame_field(Gamma, trunc), memo
     key = (Gamma, Gamma.trunc, trunc)
-    memo = _phi_cache.get(key)
-    if memo is None:
+    got = _phi_cache.get(key)
+    if got is None:
         if len(_phi_cache) > 64:
             _phi_cache.clear()
-        memo = _phi_cache[key] = {}
-    return memo
+        got = _phi_cache[key] = (frame_field(Gamma, trunc), {})
+    return got
 
 
 def phi_frame(t: RootedTree, Gamma: CurvatureFn, trunc: int | None = None, _memo=None):
     """Elementary differentials (phi^x(t), phi^z(t)) of the frame flow."""
-    if _memo is None:
-        _memo = _phi_memo_for(Gamma, trunc)
-    return _phi_vec(t, frame_field(Gamma, trunc), _memo)
+    field, memo = _frame_phi(Gamma, trunc, _memo)
+    return _phi_vec(t, field, memo)
 
 
 def phi_frame_op(t: RootedTree, Gamma: CurvatureFn, h: FrameFunction,
                  trunc: int | None = None, _memo=None) -> FrameFunction:
     """Apply the operator phi_t of the frame flow to h."""
-    if _memo is None:
-        _memo = _phi_memo_for(Gamma, trunc)
-    field = frame_field(Gamma, trunc)
-    return _contract([_phi_vec(c, field, _memo) for c in t.children], h, 2)
+    field, memo = _frame_phi(Gamma, trunc, _memo)
+    return _contract([_phi_vec(c, field, memo) for c in t.children], h, 2)
 
 
 _gamma_cache: dict = {}
@@ -353,12 +373,35 @@ def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> Fram
     return out
 
 
+def _on_monomial(apply, t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Monomial:
+    """apply(t, m, Gamma), computed once per monomial and kept in m._ops.
+
+    The key holds Gamma.trunc because series equality ignores truncation.
+    """
+    ops = m._ops
+    if ops is None:
+        ops = {}
+        object.__setattr__(m, "_ops", ops)
+    key = (apply, t, Gamma, Gamma.trunc)
+    got = ops.get(key)
+    if got is None:
+        got = ops[key] = apply(LinComb.of(t), m, Gamma)
+    return got
+
+
 def delta_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
-    """delta over a tree, forest, or linear combination; multiplication by gamma."""
+    """delta over a tree, forest, or linear combination; multiplication by gamma.
+
+    Over a single tree the result is kept on m (see `_on_monomial`).
+    """
     if isinstance(x, RootedTree):
+        return _on_monomial(_delta_apply, x, m, Gamma)
+    if isinstance(x, Forest):
         x = LinComb.of(x)
-    elif isinstance(x, Forest):
-        x = LinComb.of(x)
+    return _delta_apply(x, m, Gamma)
+
+
+def _delta_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     total = FrameFunction.zero()
     for forest, coeff in x.terms.items():
         total = total + _gamma_forest(forest, m.psi, Gamma).scale(coeff)
@@ -369,16 +412,20 @@ def X_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """The vector field X_t = phi^x(t) d_x + phi^z(t) d_z on a monomial.
 
     Extends linearly over combinations of single trees; the empty forest
-    acts as the grading field Y.
+    acts as the grading field Y.  Over a single tree the result is kept on
+    m (see `_on_monomial`).
     """
     if isinstance(x, RootedTree):
+        return _on_monomial(_X_apply, x, m, Gamma)
+    if isinstance(x, Forest):
         x = LinComb.of(x)
-    elif isinstance(x, Forest):
-        x = LinComb.of(x)
+    return _X_apply(x, m, Gamma)
+
+
+def _X_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     trunc = m.f.trunc if m.f.trunc is not None else m.psi.trunc
+    field, memo = _frame_phi(Gamma, trunc)
     out = FrameFunction.zero()
-    memo = _phi_memo_for(Gamma, trunc)
-    field = frame_field(Gamma, trunc)
     for forest, coeff in x.terms.items():
         if forest.is_empty():
             out = out + m.f.dz().scale(coeff)
@@ -397,8 +444,7 @@ def Y_apply(m: Monomial) -> Monomial:
 def phi_frame_op_lincomb(x: LinComb, Gamma: CurvatureFn, h: FrameFunction,
                          trunc: int | None = None) -> FrameFunction:
     """phi as an operator, extended linearly over combinations of single trees."""
-    memo = _phi_memo_for(Gamma, trunc)
-    field = frame_field(Gamma, trunc)
+    field, memo = _frame_phi(Gamma, trunc)
     out = FrameFunction.zero()
     for forest, coeff in x.terms.items():
         if len(forest.trees) != 1:
@@ -625,8 +671,7 @@ def check_pushforward(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
     trunc = psi.trunc
     lhs = phi_frame_op(t, Gamma, lift_apply(psi, h), trunc)
     star = transferred_base_field(psi, Gamma)
-    memo = _phi_memo_for(Gamma, trunc)
-    field = frame_field(Gamma, trunc)
+    field, memo = _frame_phi(Gamma, trunc)
     rhs = FrameFunction.zero()
     m = len(t.children)
     for ks in itertools.product((0, 1), repeat=m):

@@ -406,9 +406,14 @@ class MultiSeries:
 
 
 class VectorField:
-    """An ODE right-hand side: one series per coordinate."""
+    """An ODE right-hand side: one series per coordinate.
 
-    __slots__ = ("components",)
+    Immutable once built.  `_phi` memoizes the elementary differentials of
+    this field by tree (see the butcher module); it lives and dies with the
+    field, so `with_trunc` starts an empty one.
+    """
+
+    __slots__ = ("components", "_phi")
 
     def __init__(self, components):
         components = tuple(components)
@@ -417,7 +422,14 @@ class VectorField:
         n = components[0].nvars
         if len(components) != n:
             raise ValueError(f"{len(components)} components for {n} variables")
-        self.components = components
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_phi", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VectorField is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"VectorField is immutable; cannot delete {name!r}")
 
     @property
     def nvars(self) -> int:

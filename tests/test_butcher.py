@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -185,3 +189,68 @@ def test_phi_depth_bound_and_truncation_stability():
     exact = elementary_differential(t, FIELD)
     for x, y in zip(a, exact):
         assert x.eq_retained(y)
+
+
+def test_phi_from_a_warm_field_equals_phi_from_a_fresh_one():
+    # a field keeps every phi(t) it has computed; reading them back, in the
+    # reverse order, must give what a new field computes from nothing
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
+    for trunc in (None, 6, 4):
+        def make():
+            return random_quadratic_field(2, 0).with_trunc(trunc)
+        warm = make()
+        for t in trees:
+            elementary_differential(t, warm)
+        for t in reversed(trees):
+            got = elementary_differential(t, warm)
+            want = elementary_differential(t, make())
+            assert [c.terms for c in got] == [c.terms for c in want], (trunc, t.serial)
+            assert [c.trunc for c in got] == [c.trunc for c in want], (trunc, t.serial)
+
+
+def test_with_trunc_starts_its_own_phi_memo():
+    deep = random_quadratic_field(2, 0).with_trunc(9)
+    from_deep = elementary_differential(PAPER_T, deep)
+    got = elementary_differential(PAPER_T, deep.with_trunc(4))
+    want = elementary_differential(PAPER_T, random_quadratic_field(2, 0).with_trunc(4))
+    assert [c.trunc for c in got] == [c.trunc for c in want] != [c.trunc for c in from_deep]
+    assert [c.terms for c in got] == [c.terms for c in want]
+    # the operator form reads the same memo and must see the same truncation
+    h = MultiSeries(2, {(1, 1): 1, (2, 0): Fraction(1, 2)})
+    shallow = deep.with_trunc(4)
+    assert phi_t_apply(PAPER_T, shallow, h).trunc == \
+        phi_t_apply(PAPER_T, random_quadratic_field(2, 0).with_trunc(4), h).trunc
+
+
+def test_vector_field_refuses_assignment_and_deletion():
+    f = random_quadratic_field(2, 0)
+    for name in ("components", "_phi", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, name, ())
+    for name in ("components", "_phi"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, name)
+    assert len(f.components) == 2
+
+
+# Runs the butcher and cm suites twice each in one process: first on empty
+# memos, then warm.
+_SUITES_TWICE = """
+import json
+from treehopf.verify import verify_butcher, verify_cm
+for _ in range(2):
+    print(json.dumps(verify_butcher(4)))
+    print(json.dumps(verify_cm(3, order=6, trials=2)))
+"""
+
+
+def test_butcher_and_cm_suites_report_the_same_cold_and_warm():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SUITES_TWICE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    butcher_cold, cm_cold, butcher_warm, cm_warm = proc.stdout.splitlines()
+    assert json.loads(butcher_cold)["ok"] and json.loads(butcher_cold)["checks"] > 0
+    assert json.loads(cm_cold)["checks"] > 0
+    assert butcher_cold == butcher_warm
+    assert cm_cold == cm_warm

@@ -380,3 +380,50 @@ def test_forced_vertex_symbols_differ_by_flat_cocycle():
         # with nonlinear psi the two forced values genuinely differ
         if not flat.is_zero():
             assert not curvature_only.eq_retained(full)
+
+
+def test_monomial_refuses_assignment_and_deletion():
+    m = Monomial(FrameFunction.constant(1, D), PSI)
+    for name in ("f", "psi", "_ops", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, None)
+    for name in ("f", "psi", "_ops"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(m, name)
+    assert m.psi is PSI
+
+
+def test_X_and_delta_from_a_warm_monomial_equal_a_fresh_one():
+    # a monomial keeps X_t(m) and delta_t(m); reading them back, in the
+    # reverse order, must give what a new monomial computes
+    rng = random.Random(11)
+    f, psi = random_frame_function(rng, D), random_diffeo(rng, D)
+    trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    warm = Monomial(f, psi)
+    for t in trees:
+        X_t_apply(t, warm, GAMMA_X)
+        delta_t_apply(t, warm, GAMMA_X)
+    for t in reversed(trees):
+        for op in (X_t_apply, delta_t_apply):
+            got = op(t, warm, GAMMA_X)
+            want = op(t, Monomial(f, psi), GAMMA_X)
+            assert got.psi is want.psi is psi
+            assert (str(got.f), got.f.trunc) == (str(want.f), want.f.trunc), (op, t.serial)
+
+
+def test_monomial_memo_keeps_curvature_truncation_orders_apart():
+    # GAMMA_X and its order-4 truncation are equal as series, so a memo keyed
+    # on the series alone would hand one's result to the other
+    short = GAMMA_X.with_trunc(4)
+    rng = random.Random(12)
+    f, psi = random_frame_function(rng, D), random_diffeo(rng, D)
+    m = Monomial(f, psi)
+    for t in (LEAF, L2, CHERRY):
+        for op in (X_t_apply, delta_t_apply):
+            truncs = []
+            for gamma in (GAMMA_X, short, GAMMA_X):
+                got = op(t, m, gamma).f
+                want = op(t, Monomial(f, psi), gamma).f
+                assert (str(got), got.trunc) == (str(want), want.trunc), (op, t.serial)
+                truncs.append(got.trunc)
+            assert truncs[0] == truncs[2] != truncs[1]
