@@ -263,8 +263,8 @@ class Monomial:
     """A crossed-product element f U*_psi.
 
     Immutable once built.  `_ops` memoizes X_t and delta_t of this monomial
-    for single trees t (see `X_t_apply`); it is made on first use and dies
-    with the monomial.
+    for trees and forests t (see `X_t_apply`); it is made on first use and
+    dies with the monomial.
     """
 
     __slots__ = ("f", "psi", "_ops")
@@ -373,7 +373,7 @@ def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> Fram
     return out
 
 
-def _on_monomial(apply, t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Monomial:
+def _on_monomial(apply, t: RootedTree | Forest, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """apply(t, m, Gamma), computed once per monomial and kept in m._ops.
 
     The key holds Gamma.trunc because series equality ignores truncation.
@@ -392,12 +392,10 @@ def _on_monomial(apply, t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Monom
 def delta_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """delta over a tree, forest, or linear combination; multiplication by gamma.
 
-    Over a single tree the result is kept on m (see `_on_monomial`).
+    Over a tree or a forest the result is kept on m (see `_on_monomial`).
     """
-    if isinstance(x, RootedTree):
+    if isinstance(x, (RootedTree, Forest)):
         return _on_monomial(_delta_apply, x, m, Gamma)
-    if isinstance(x, Forest):
-        x = LinComb.of(x)
     return _delta_apply(x, m, Gamma)
 
 
@@ -412,13 +410,11 @@ def X_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """The vector field X_t = phi^x(t) d_x + phi^z(t) d_z on a monomial.
 
     Extends linearly over combinations of single trees; the empty forest
-    acts as the grading field Y.  Over a single tree the result is kept on
-    m (see `_on_monomial`).
+    acts as the grading field Y.  Over a tree or a forest the result is kept
+    on m (see `_on_monomial`).
     """
-    if isinstance(x, RootedTree):
+    if isinstance(x, (RootedTree, Forest)):
         return _on_monomial(_X_apply, x, m, Gamma)
-    if isinstance(x, Forest):
-        x = LinComb.of(x)
     return _X_apply(x, m, Gamma)
 
 
@@ -494,8 +490,8 @@ def delta_coproduct_sides(x: LinComb, a: Monomial, b: Monomial,
     lhs = delta_t_apply(x, ab, Gamma).f
     rhs = FrameFunction.zero()
     for (fl, fr), c in coproduct(x).terms.items():
-        da = delta_t_apply(LinComb.of(fl), a, Gamma)
-        db = delta_t_apply(LinComb.of(fr), b, Gamma)
+        da = delta_t_apply(fl, a, Gamma)
+        db = delta_t_apply(fr, b, Gamma)
         rhs = rhs + monomial_product(da, db).f.scale(c)
     return lhs, rhs
 
@@ -527,8 +523,8 @@ def X_coproduct_sides(t: RootedTree, a: Monomial, b: Monomial,
     lhs = X_t_apply(t, ab, Gamma).f
     rhs = monomial_product(X_t_apply(t, a, Gamma), b).f
     for _cut, pruned, root in admissible_cuts(t):
-        da = delta_t_apply(LinComb.of(pruned), a, Gamma)
-        xb = X_t_apply(LinComb.of(root), b, Gamma)
+        da = delta_t_apply(pruned, a, Gamma)
+        xb = X_t_apply(root, b, Gamma)
         rhs = rhs + monomial_product(da, xb).f
     return lhs, rhs
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .hopf import LinComb, Tensor2, _acc, coproduct, natural_growth
+from .hopf import LinComb, Tensor2, coproduct, natural_growth
 from .linalg import in_span, independent_rows
 from .trees import EMPTY_FOREST, LEAF, Forest, RootedTree, b_plus
 
@@ -76,11 +76,8 @@ def eval_growth_expr(e: GrowthExpr) -> LinComb:
     if isinstance(e, GrowthApply):
         return natural_growth(e.tree, eval_growth_expr(e.sub))
     if isinstance(e, GrowthCombo):
-        out: dict[Forest, int | Fraction] = {}
-        for coeff, sub in e.parts:
-            for f, c in eval_growth_expr(sub).terms.items():
-                _acc(out, f, coeff * c)
-        return LinComb._raw(out)
+        return LinComb((f, coeff * c) for coeff, sub in e.parts
+                       for f, c in eval_growth_expr(sub).terms.items())
     raise TypeError(f"not a growth expression: {type(e).__name__}")
 
 
@@ -284,13 +281,8 @@ def closure_check(basis: GradedBasis) -> ClosureReport:
 def _component_in_span(component, left_basis, right_basis) -> bool:
     if not left_basis or not right_basis:
         return not component
-    products = []
-    for bl, br in itertools.product(left_basis, right_basis):
-        prod: dict[tuple[Forest, Forest], int | Fraction] = {}
-        for fl, cl in bl.terms.items():
-            for fr, cr in br.terms.items():
-                _acc(prod, (fl, fr), cl * cr)
-        products.append(prod)
+    products = [Tensor2.tensor(bl, br).terms
+                for bl, br in itertools.product(left_basis, right_basis)]
     # Span membership does not depend on the column order.
     systems = (component, *products)
     index: dict[tuple[Forest, Forest], int] = {}

@@ -1,8 +1,12 @@
 """The Hopf algebra of rooted trees over exact rationals.
 
 Elements are finite rational linear combinations of forests (LinComb) or
-of forest pairs (Tensor2).  Coefficients are exact: an `int` when whole
-and a `Fraction` otherwise.  The coproduct of a tree, the sum over its
+of forest pairs (Tensor2), two subclasses of one free module over a
+hashable basis.  The free module holds the terms, the module operations,
+equality, printing and the linear extension `linear(x, fn)` of a map from
+basis elements; each subclass adds its basis product and how a basis
+element prints.  Coefficients are exact: an `int` when whole and a
+`Fraction` otherwise.  The coproduct of a tree, the sum over its
 admissible cuts, is built from the 1-cocycle identity
 Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), children before parents,
 with a per-shape memo; the antipode uses the recursive proper-cut formula
@@ -75,28 +79,85 @@ def _as_forest(x) -> Forest:
     raise TypeError(f"expected tree or forest, got {type(x).__name__}")
 
 
-class LinComb:
-    """A finite rational linear combination of forests."""
+class _FreeModule:
+    """A finite rational linear combination over a hashable basis.
+
+    Terms are one dict from basis element to nonzero coefficient.  The
+    constructor accumulates (basis, coeff) pairs; `linear` extends a map
+    from basis elements to elements of a free module linearly.  Equal
+    elements have the same class and the same terms.  A subclass that is
+    printed gives `_term_texts`, the (coefficient, text) pairs in order.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Forest, int | Fraction] = {}
+        clean: dict = {}
         if terms:
-            for forest, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                _acc(clean, forest, _norm(coeff))
+            for b, coeff in (terms.items() if isinstance(terms, dict) else terms):
+                _acc(clean, b, _norm(coeff))
         self.terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict) -> "LinComb":
+    def _raw(cls, terms: dict):
         """Internal constructor: terms must already be normalized."""
         res = cls.__new__(cls)
         res.terms = terms
         return res
 
-    @staticmethod
-    def zero() -> "LinComb":
-        return LinComb()
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def linear(cls, x, fn):
+        """Sum of c * fn(b) over the terms c * b of x, as an element of cls."""
+        out: dict = {}
+        for b, c in x.terms.items():
+            for g, d in fn(b).terms.items():
+                _acc(out, g, c * d)
+        return cls._raw(out)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for b, c in other.terms.items():
+            _acc(out, b, c)
+        return self._raw(out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _norm(c)
+        return self._raw({b: _norm(c * v) for b, v in self.terms.items()} if c else {})
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        # Every term gets its sign; a leading "+ " is then dropped.
+        text = " ".join([f"- {-c} {t}" if c < 0 else f"+ {c} {t}" for c, t in self._term_texts()])
+        return text[2:] if text[0] == "+" else text
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class LinComb(_FreeModule):
+    """A finite rational linear combination of forests."""
+
+    __slots__ = ()
 
     @staticmethod
     def unit() -> "LinComb":
@@ -107,31 +168,6 @@ class LinComb:
         c = _norm(coeff)
         return LinComb._raw({_as_forest(x): c} if c else {})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinComb) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            _acc(out, f, c)
-        return LinComb._raw(out)
-
-    def __neg__(self) -> "LinComb":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-other)
-
-    def scale(self, c) -> "LinComb":
-        c = _norm(c)
-        return LinComb._raw({f: _norm(c * v) for f, v in self.terms.items()} if c else {})
-
     def __mul__(self, other: "LinComb") -> "LinComb":
         out: dict[Forest, int | Fraction] = {}
         for f1, c1 in self.terms.items():
@@ -141,11 +177,7 @@ class LinComb:
 
     def map_forests(self, fn) -> "LinComb":
         """Linear extension of a map Forest -> LinComb."""
-        out: dict[Forest, int | Fraction] = {}
-        for f, c in self.terms.items():
-            for g, d in fn(f).terms.items():
-                _acc(out, g, c * d)
-        return LinComb._raw(out)
+        return LinComb.linear(self, fn)
 
     def degrees(self) -> set[int]:
         return {f.degree for f in self.terms}
@@ -157,72 +189,25 @@ class LinComb:
     def sorted_terms(self) -> list[tuple[Forest, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for forest, coeff in self.sorted_terms():
-            mag = -coeff if coeff < 0 else coeff
-            piece = f"{mag} {forest.serial}"
-            if not parts:
-                parts.append(piece if coeff > 0 else f"- {piece}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + piece)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LinComb({str(self)!r})"
+    def _term_texts(self) -> list[tuple[int | Fraction, str]]:
+        return [(c, f.serial) for f, c in self.sorted_terms()]
 
 
-class Tensor2:
+class Tensor2(_FreeModule):
     """A finite rational linear combination of forest (x) forest pairs."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple[Forest, Forest], int | Fraction] = {}
-        if terms:
-            for pair, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                _acc(clean, pair, _norm(coeff))
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "Tensor2":
-        """Internal constructor: terms must already be normalized."""
-        res = cls.__new__(cls)
-        res.terms = terms
-        return res
-
-    @staticmethod
-    def zero() -> "Tensor2":
-        return Tensor2()
+    __slots__ = ()
 
     @staticmethod
     def of(left, right, coeff=1) -> "Tensor2":
         c = _norm(coeff)
         return Tensor2._raw({(_as_forest(left), _as_forest(right)): c} if c else {})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tensor2) and self.terms == other.terms
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            _acc(out, p, c)
-        return Tensor2._raw(out)
-
-    def __neg__(self) -> "Tensor2":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + (-other)
-
-    def scale(self, c) -> "Tensor2":
-        c = _norm(c)
-        return Tensor2._raw({p: _norm(c * v) for p, v in self.terms.items()} if c else {})
+    @staticmethod
+    def tensor(a: LinComb, b: LinComb) -> "Tensor2":
+        """The tensor product a (x) b."""
+        return Tensor2._raw({(fl, fr): _norm(cl * cr)
+                             for fl, cl in a.terms.items() for fr, cr in b.terms.items()})
 
     def __mul__(self, other: "Tensor2") -> "Tensor2":
         out: dict[tuple[Forest, Forest], int | Fraction] = {}
@@ -233,35 +218,16 @@ class Tensor2:
 
     def map_legs(self, left_fn=None, right_fn=None) -> "Tensor2":
         """Apply Forest -> LinComb maps to the legs, bilinearly."""
-        out: dict[tuple[Forest, Forest], int | Fraction] = {}
-        for (fl, fr), c in self.terms.items():
-            lefts = left_fn(fl).terms if left_fn else {fl: 1}
-            rights = right_fn(fr).terms if right_fn else {fr: 1}
-            for gl, cl in lefts.items():
-                for gr, cr in rights.items():
-                    _acc(out, (gl, gr), c * cl * cr)
-        return Tensor2._raw(out)
+        lf, rf = left_fn or LinComb.of, right_fn or LinComb.of
+        return Tensor2.linear(self, lambda p: Tensor2.tensor(lf(p[0]), rf(p[1])))
 
     def sorted_terms(self) -> list[tuple[tuple[Forest, Forest], int | Fraction]]:
         # Plain-ASCII order on the right serialization puts the full-cut
         # leg `1` first; ties break on the left serialization.
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1].serial, kv[0][0].serial))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for (fl, fr), coeff in self.sorted_terms():
-            mag = -coeff if coeff < 0 else coeff
-            piece = f"{mag} ({fl.serial} | {fr.serial})"
-            if not parts:
-                parts.append(piece if coeff > 0 else f"- {piece}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + piece)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Tensor2({str(self)!r})"
+    def _term_texts(self) -> list[tuple[int | Fraction, str]]:
+        return [(c, f"({fl.serial} | {fr.serial})") for (fl, fr), c in self.sorted_terms()]
 
 
 def multiply(a: LinComb, b: LinComb) -> LinComb:
@@ -311,11 +277,7 @@ def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
     """Coproduct: sum of P_c (x) R_c over admissible cuts, multiplicative on forests."""
     if isinstance(x, (RootedTree, Forest)):
         return _coproduct_forest(_as_forest(x))
-    out: dict[tuple[Forest, Forest], int | Fraction] = {}
-    for f, c in x.terms.items():
-        for p, d in _coproduct_forest(f).terms.items():
-            _acc(out, p, c * d)
-    return Tensor2._raw(out)
+    return Tensor2.linear(x, _coproduct_forest)
 
 
 def counit(x: LinComb) -> int | Fraction:
@@ -352,7 +314,7 @@ def antipode(x: LinComb | Forest | RootedTree) -> LinComb:
             out = out * _antipode_tree(t)
         return out
 
-    return x.map_forests(on_forest)
+    return LinComb.linear(x, on_forest)
 
 
 def grading_Y(x: LinComb | Forest | RootedTree) -> LinComb:
@@ -379,14 +341,11 @@ def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
         x = LinComb.of(x)
 
     def on_forest(f: Forest) -> LinComb:
-        out: dict[Forest, int | Fraction] = {}
-        for i, s in enumerate(f.trees):
-            rest = Forest(f.trees[:i] + f.trees[i + 1:])
-            for g, c in _graft_everywhere(t, s).terms.items():
-                _acc(out, g * rest, c)
-        return LinComb._raw(out)
+        return LinComb((g * rest, c) for i, s in enumerate(f.trees)
+                       for rest in (Forest(f.trees[:i] + f.trees[i + 1:]),)
+                       for g, c in _graft_everywhere(t, s).terms.items())
 
-    return x.map_forests(on_forest)
+    return LinComb.linear(x, on_forest)
 
 
 def delta_k(k: int) -> LinComb:
@@ -432,7 +391,7 @@ def b_plus_lin(x: LinComb) -> LinComb:
     """Linear extension of the grafting operator B_+ to linear combinations."""
     from .trees import b_plus
 
-    return x.map_forests(lambda f: LinComb.of(b_plus(f)))
+    return LinComb.linear(x, lambda f: LinComb.of(b_plus(f)))
 
 
 def nbrel_identity(t0: RootedTree, parts: Forest) -> bool:

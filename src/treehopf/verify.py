@@ -24,7 +24,7 @@ from .growth import (
 from .hopf import (
     LinComb,
     Tensor2,
-    _acc,
+    _FreeModule,
     antipode,
     coproduct,
     counit,
@@ -85,31 +85,24 @@ def _json_safe(value):
 # -- Hopf suite ------------------------------------------------------------
 
 
-def _tensor3_left(t2: Tensor2) -> dict:
-    """(Delta (x) id) applied to a Tensor2, as a triple-keyed map."""
-    out: dict = {}
-    for (fl, fr), c in t2.terms.items():
-        for (gl, gr), d in coproduct(LinComb.of(fl)).terms.items():
-            _acc(out, (gl, gr, fr), c * d)
-    return out
+def _tensor3_left(t2: Tensor2) -> _FreeModule:
+    """(Delta (x) id) applied to a Tensor2, keyed by forest triples."""
+    return _FreeModule(((gl, gr, fr), c * d) for (fl, fr), c in t2.terms.items()
+                       for (gl, gr), d in coproduct(fl).terms.items())
 
 
-def _tensor3_right(t2: Tensor2) -> dict:
-    out: dict = {}
-    for (fl, fr), c in t2.terms.items():
-        for (gl, gr), d in coproduct(LinComb.of(fr)).terms.items():
-            _acc(out, (fl, gl, gr), c * d)
-    return out
+def _tensor3_right(t2: Tensor2) -> _FreeModule:
+    return _FreeModule(((fl, gl, gr), c * d) for (fl, fr), c in t2.terms.items()
+                       for (gl, gr), d in coproduct(fr).terms.items())
 
 
 def _convolve_antipode(x: LinComb, antipode_left: bool) -> LinComb:
-    out: dict[Forest, int | Fraction] = {}
-    for (fl, fr), c in coproduct(x).terms.items():
-        left = antipode(LinComb.of(fl)) if antipode_left else LinComb.of(fl)
-        right = LinComb.of(fr) if antipode_left else antipode(LinComb.of(fr))
-        for f, d in (left * right).terms.items():
-            _acc(out, f, c * d)
-    return LinComb._raw(out)
+    def on_pair(p):
+        if antipode_left:
+            return antipode(p[0]) * LinComb.of(p[1])
+        return LinComb.of(p[0]) * antipode(p[1])
+
+    return LinComb.linear(coproduct(x), on_pair)
 
 
 def _require_degree(max_degree: int, least: int = 1, why: str = "") -> None:
@@ -183,13 +176,10 @@ def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
         x = LinComb.of(f)
         d = coproduct(x)
         s.check("coassociativity", f.serial, _tensor3_left(d) == _tensor3_right(d))
-        left: dict[Forest, int | Fraction] = {}
-        right: dict[Forest, int | Fraction] = {}
-        for (fl, fr), c in d.terms.items():
-            _acc(left, fr, c * counit(LinComb.of(fl)))
-            _acc(right, fl, c * counit(LinComb.of(fr)))
-        s.check("counit law (eps x id)", f.serial, left == x.terms)
-        s.check("counit law (id x eps)", f.serial, right == x.terms)
+        left = LinComb.linear(d, lambda p: LinComb.of(p[1], counit(LinComb.of(p[0]))))
+        right = LinComb.linear(d, lambda p: LinComb.of(p[0], counit(LinComb.of(p[1]))))
+        s.check("counit law (eps x id)", f.serial, left == x)
+        s.check("counit law (id x eps)", f.serial, right == x)
         target = LinComb.unit().scale(counit(x))
         s.check("antipode m(S x id)Delta = u eps", f.serial,
                 _convolve_antipode(x, True) == target)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from treehopf import (
+    EMPTY_FOREST,
     FormalDiffeo,
     Forest,
     FrameFunction,
@@ -394,21 +395,28 @@ def test_monomial_refuses_assignment_and_deletion():
 
 
 def test_X_and_delta_from_a_warm_monomial_equal_a_fresh_one():
-    # a monomial keeps X_t(m) and delta_t(m); reading them back, in the
-    # reverse order, must give what a new monomial computes
+    # a monomial keeps X_t(m) and delta_t(m) for trees and forests t; reading
+    # them back, in the reverse order, must give what a new monomial computes
     rng = random.Random(11)
     f, psi = random_frame_function(rng, D), random_diffeo(rng, D)
     trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    forests = [EMPTY_FOREST] + [Forest((t,)) for t in trees]
+    pairs = [Forest((LEAF, LEAF)), Forest((LEAF, L2)), Forest((CHERRY, LADDER3))]
+    inputs = [(op, t) for t in trees + forests for op in (X_t_apply, delta_t_apply)]
+    inputs += [(delta_t_apply, p) for p in pairs]
     warm = Monomial(f, psi)
-    for t in trees:
-        X_t_apply(t, warm, GAMMA_X)
-        delta_t_apply(t, warm, GAMMA_X)
-    for t in reversed(trees):
-        for op in (X_t_apply, delta_t_apply):
-            got = op(t, warm, GAMMA_X)
-            want = op(t, Monomial(f, psi), GAMMA_X)
-            assert got.psi is want.psi is psi
-            assert (str(got.f), got.f.trunc) == (str(want.f), want.f.trunc), (op, t.serial)
+    for op, t in inputs:
+        op(t, warm, GAMMA_X)
+    for op, t in reversed(inputs):
+        got = op(t, warm, GAMMA_X)
+        want = op(t, Monomial(f, psi), GAMMA_X)
+        assert got.psi is want.psi is psi
+        assert (str(got.f), got.f.trunc) == (str(want.f), want.f.trunc), (op, t.serial)
+    # X extends over single trees only: a two-tree forest raises every time
+    for m in (warm, warm, Monomial(f, psi)):
+        for p in pairs:
+            with pytest.raises(ValueError, match="single trees only"):
+                X_t_apply(p, m, GAMMA_X)
 
 
 def test_monomial_memo_keeps_curvature_truncation_orders_apart():

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from treehopf import (
@@ -156,3 +161,22 @@ def test_basis_independence():
         index = {f: i for i, f in enumerate(forests)}
         rows = [_lincomb_vector(e, index, len(forests)) for e in elems]
         assert len(independent_rows(rows)) == len(rows)
+
+
+# Runs the growth suite twice in one process: first on empty memos, then warm.
+_GROWTH_TWICE = """
+import json
+from treehopf.verify import verify_growth
+print(json.dumps(verify_growth(6)))
+print(json.dumps(verify_growth(6)))
+"""
+
+
+def test_growth_suite_reports_the_same_cold_and_warm():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _GROWTH_TWICE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    cold, warm = proc.stdout.splitlines()
+    assert json.loads(cold)["ok"] and json.loads(cold)["checks"] > 0
+    assert cold == warm

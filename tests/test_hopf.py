@@ -381,3 +381,97 @@ def test_hopf_suite_reports_the_same_cold_and_warm():
     cold, warm = proc.stdout.splitlines()
     assert json.loads(cold)["ok"] and json.loads(cold)["checks"] > 0
     assert cold == warm
+
+
+def _double_loop_tensor(a: LinComb, b: LinComb) -> Tensor2:
+    out = Tensor2.zero()
+    for fl, cl in a.terms.items():
+        for fr, cr in b.terms.items():
+            out = out + Tensor2.of(fl, fr, cl * cr)
+    return out
+
+
+def test_tensor_is_the_double_loop():
+    a = (LinComb.of(LEAF, Fraction(2, 3)) + LinComb.of(L2, -3)
+         + LinComb.of(EMPTY_FOREST, Fraction(1, 2)))
+    b = LinComb.of(CHERRY, Fraction(3, 2)) + LinComb.of(Forest((LEAF, LEAF)), 4)
+    got = Tensor2.tensor(a, b)
+    assert got == _double_loop_tensor(a, b) and len(got.terms) == 6
+    # 2/3 * 3/2 and 1/2 * 4 are whole: stored as int
+    assert type(got.terms[Forest((LEAF,)), Forest((CHERRY,))]) is int
+    assert type(got.terms[EMPTY_FOREST, Forest((LEAF, LEAF))]) is int
+    _exact_coeffs(got.terms.values())
+    assert Tensor2.tensor(a, LinComb.zero()) == Tensor2.zero()
+    assert Tensor2.tensor(LinComb.unit(), LinComb.unit()) == Tensor2.of(EMPTY_FOREST, EMPTY_FOREST)
+
+
+@given(lincombs(3), lincombs(3), st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]))
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_tensor_matches_the_double_loop(a, b, c):
+    a = a.scale(c)
+    got = Tensor2.tensor(a, b)
+    assert got == _double_loop_tensor(a, b)
+    _exact_coeffs(got.terms.values())
+
+
+@given(lincombs(4), st.sampled_from([1, Fraction(3, 2)]))
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_linear_extension_is_the_sum_of_the_images(x, c):
+    x = x.scale(c)
+    want = Tensor2.zero()
+    for f, d in x.terms.items():
+        want = want + coproduct(f).scale(d)
+    got = Tensor2.linear(x, coproduct)
+    assert type(got) is Tensor2
+    assert got == want == coproduct(x)
+    _exact_coeffs(got.terms.values())
+
+
+def test_the_two_modules_stay_apart():
+    assert LinComb() != Tensor2() and Tensor2() != LinComb()
+    assert type(LinComb.zero()) is LinComb and type(Tensor2.zero()) is Tensor2
+    x, d = LinComb.of(L2), coproduct(L2)
+    for y in (x, d):
+        for z in (y + y, y - y, -y, y.scale(2), y * y):
+            assert type(z) is type(y)
+    assert repr(LinComb.of(L2, Fraction(-1, 2)) + LinComb.unit()) == "LinComb('1 1 - 1/2 [[]]')"
+    assert repr(d) == "Tensor2('1 ([[]] | 1) + 1 (1 | [[]]) + 1 ([] | [])')"
+    assert repr(Tensor2.of(LEAF, EMPTY_FOREST, Fraction(-3, 4))) == "Tensor2('- 3/4 ([] | 1)')"
+    assert (repr(LinComb()), repr(Tensor2())) == ("LinComb('0')", "Tensor2('0')")
+
+
+_OPS = {"__mul__": lambda y: y * y, "__add__": lambda y: y + y, "__str__": str}
+
+
+def test_patching_one_class_leaves_the_other_untouched():
+    # Per-layer tracing wraps these methods class by class; a wrapper put on
+    # one class must neither replace nor see calls of the other's.
+    x, d = LinComb.of(L2) + LinComb.unit(), coproduct(L2)
+    for patched, other, own_elem, other_elem in ((LinComb, Tensor2, x, d),
+                                                 (Tensor2, LinComb, d, x)):
+        for name, op in _OPS.items():
+            saved = patched.__dict__.get(name)
+            orig = getattr(patched, name)
+            calls = []
+
+            def wrapper(*args, orig=orig, calls=calls):
+                calls.append(args[0])
+                return orig(*args)
+
+            setattr(patched, name, wrapper)
+            try:
+                assert getattr(other, name) is not wrapper
+                want = op(other_elem)
+                assert not calls, (patched.__name__, name)
+                assert op(own_elem) == orig(*((own_elem,) * (1 if name == "__str__" else 2)))
+                assert calls == [own_elem], (patched.__name__, name)
+                assert want == op(other_elem) and len(calls) == 1
+            finally:
+                if saved is None:
+                    delattr(patched, name)
+                else:
+                    setattr(patched, name, saved)
+            assert patched.__dict__.get(name) is saved
+            assert getattr(patched, name) is orig
