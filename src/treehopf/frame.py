@@ -3,7 +3,11 @@
 Coordinates are (x, y) with y = e^z the fiber variable, so the grading
 field is Y = y d/dy and d/dz is realized exactly as y d/dy; z itself is
 never expanded.  Functions on the frame bundle are polynomials in y with
-truncated x-jet coefficients.  The flow of interest is
+truncated x-jet coefficients, kept on one int grid: row k holds the
+numerators of the y^k coefficient with its own truncation order, over one
+denominator for the whole function, reduced by one content gcd per
+result.  The dict of series `coeffs` is built from the grid on first
+read.  The flow of interest is
 
     dx/ds = y,    dz/ds = -y Gamma(x),
 
@@ -33,11 +37,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .butcher import _contract, _phi_vec
-from .hopf import LinComb
-from .series import MultiSeries
-from .trees import Forest, LEAF, RootedTree, admissible_cuts
+from .hopf import LinComb, coproduct
+from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc
+from .trees import Forest, LEAF, RootedTree
 
 __all__ = [
     "FrameFunction",
@@ -63,10 +68,30 @@ def _xseries(value, trunc=None) -> MultiSeries:
     return MultiSeries.constant(1, value, trunc)
 
 
-class FrameFunction:
-    """Polynomial in y with univariate x-jet coefficients."""
+def _row(trunc: int | None, nums: list[int]):
+    """The grid row (trunc, nums), or None if it is zero.
 
-    __slots__ = ("coeffs",)
+    An exact row loses its trailing zeros, popped from nums in place.
+    """
+    if trunc is None:
+        while nums and not nums[-1]:
+            nums.pop()
+        return (None, nums) if nums else None
+    return (trunc, nums) if any(nums) else None
+
+
+class FrameFunction:
+    """Polynomial in y with univariate x-jet coefficients, on one int grid.
+
+    Row k holds the int numerators of the y^k coefficient and its own
+    truncation order: trunc+1 numerators, or, for an exact row, up to its
+    last nonzero one.  Every row shares the denominator `_den`, and the
+    whole grid is reduced by its content gcd, so `_den` is the lcm of the
+    denominators of the reduced coefficients.  Zero rows are not stored.
+    `coeffs`, the dict y-power -> MultiSeries, is built on first read.
+    """
+
+    __slots__ = ("_rows", "_den", "_coeffs")
 
     def __init__(self, coeffs=None):
         clean: dict[int, MultiSeries] = {}
@@ -85,11 +110,48 @@ class FrameFunction:
         for k in summed:
             if k in clean and clean[k].is_zero():
                 del clean[k]
-        self.coeffs = clean
+        jets = {k: g._jet() for k, g in clean.items()}
+        den = lcm(*(d for _, d in jets.values()))
+        # Each row is reduced over its own denominator, so the grid over
+        # their lcm is reduced too.
+        self._rows = {k: (clean[k].trunc, nums if d == den else [v * (den // d) for v in nums])
+                      for k, (nums, d) in jets.items()}
+        self._den = den
+        self._coeffs = None
+
+    @classmethod
+    def _raw(cls, rows: dict, den: int) -> "FrameFunction":
+        """Internal constructor: nonzero rows over den, already reduced."""
+        out = cls.__new__(cls)
+        out._rows, out._den, out._coeffs = rows, den, None
+        return out
+
+    @classmethod
+    def _reduced(cls, rows: dict, den: int) -> "FrameFunction":
+        """Nonzero rows of int numerators over den > 0, reduced by one content gcd."""
+        g = den
+        for _, nums in rows.values():
+            if g == 1:
+                break
+            g = gcd(g, *nums)
+        if g > 1:
+            den //= g
+            rows = {k: (t, [v // g for v in nums]) for k, (t, nums) in rows.items()}
+        return cls._raw(rows, den)
+
+    @property
+    def coeffs(self) -> dict[int, MultiSeries]:
+        """The y^k coefficients as a dict k -> MultiSeries, built on first read."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self._den
+            coeffs = self._coeffs = {k: MultiSeries._from_nums(1, nums, den, t)
+                                     for k, (t, nums) in self._rows.items()}
+        return coeffs
 
     @staticmethod
     def zero() -> "FrameFunction":
-        return FrameFunction()
+        return FrameFunction._raw({}, 1)
 
     @staticmethod
     def of_x(g: MultiSeries) -> "FrameFunction":
@@ -106,56 +168,109 @@ class FrameFunction:
     @property
     def trunc(self) -> int | None:
         t = None
-        for g in self.coeffs.values():
-            gt = g.trunc
-            if gt is not None:
-                t = gt if t is None else min(t, gt)
+        for rt, _ in self._rows.values():
+            if rt is not None and (t is None or rt < t):
+                t = rt
         return t
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._rows
 
-    def __add__(self, other: "FrameFunction") -> "FrameFunction":
-        out = dict(self.coeffs)
-        for k, g in other.coeffs.items():
-            out[k] = out[k] + g if k in out else g
-        return FrameFunction(out)
+    def __add__(self, other: "FrameFunction", sign: int = 1) -> "FrameFunction":
+        """self + sign * other, over the lcm of the two denominators."""
+        ra, rb = self._rows, other._rows
+        if not rb:
+            return self
+        if not ra:
+            return other if sign == 1 else -other
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        ma, mb, den = db // g, sign * (da // g), da // g * db
+        rows = {}
+        for k, (ta, a) in ra.items():
+            row = rb.get(k)
+            if row is None:
+                rows[k] = (ta, a if ma == 1 else [v * ma for v in a])
+                continue
+            tb, b = row
+            trunc = _min_trunc(ta, tb)
+            n = None if trunc is None else trunc + 1
+            row = _row(trunc, [x * ma + y * mb
+                               for x, y in itertools.zip_longest(a[:n], b[:n], fillvalue=0)])
+            if row:
+                rows[k] = row
+        for k, (tb, b) in rb.items():
+            if k not in ra:
+                rows[k] = (tb, [v * mb for v in b])
+        return FrameFunction._reduced(rows, den)
 
     def __neg__(self) -> "FrameFunction":
-        return FrameFunction({k: -g for k, g in self.coeffs.items()})
+        return FrameFunction._raw(
+            {k: (t, [-v for v in nums]) for k, (t, nums) in self._rows.items()}, self._den)
 
     def __sub__(self, other: "FrameFunction") -> "FrameFunction":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other: "FrameFunction") -> "FrameFunction":
-        out: dict[int, MultiSeries] = {}
-        for k1, g1 in self.coeffs.items():
-            for k2, g2 in other.coeffs.items():
-                k = k1 + k2
-                g = g1 * g2
-                out[k] = out[k] + g if k in out else g
-        return FrameFunction(out)
+        """Row k1+k2 gathers the products of rows k1 and k2, at the least of their orders."""
+        cells: dict[int, list] = {}
+        for k1, (t1, a) in self._rows.items():
+            for k2, (t2, b) in other._rows.items():
+                t = _min_trunc(t1, t2)
+                cell = cells.get(k1 + k2)
+                if cell is None:
+                    cells[k1 + k2] = [t, (a, b)]
+                else:
+                    cell[0] = _min_trunc(cell[0], t)
+                    cell.append((a, b))
+        rows = {}
+        for k, (t, *pairs) in cells.items():
+            n = None if t is None else t + 1
+            out = [0] * (n or max(len(a) + len(b) - 1 for a, b in pairs))
+            for a, b in pairs:
+                _conv(a, b, n, out)
+            row = _row(t, out)
+            if row:
+                rows[k] = row
+        return FrameFunction._reduced(rows, self._den * other._den)
 
     def scale(self, c) -> "FrameFunction":
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
-            return FrameFunction()
-        return FrameFunction({k: g.scale(c) for k, g in self.coeffs.items()})
+            return FrameFunction.zero()
+        p, q = c.numerator, c.denominator
+        g = gcd(p, self._den)
+        p //= g
+        rows = {k: (t, [v * p for v in nums]) for k, (t, nums) in self._rows.items()}
+        # p is prime to den // g, so only q can share a factor with the rows.
+        if q == 1:
+            return FrameFunction._raw(rows, self._den // g)
+        return FrameFunction._reduced(rows, self._den // g * q)
 
     def dx(self) -> "FrameFunction":
         """Partial derivative in x (the base coordinate)."""
-        return FrameFunction({k: g.deriv(0) for k, g in self.coeffs.items()})
+        rows = {}
+        for k, (t, a) in self._rows.items():
+            if t is not None and t < 1:
+                raise TruncationError("derivative exhausted the retained orders")
+            row = _row(None if t is None else t - 1, [i * a[i] for i in range(1, len(a))])
+            if row:
+                rows[k] = row
+        return FrameFunction._reduced(rows, self._den)
 
     def dz(self) -> "FrameFunction":
         """The operator y d/dy, i.e. d/dz in the exponential fiber coordinate."""
-        return FrameFunction({k: g.scale(k) for k, g in self.coeffs.items() if k})
+        return FrameFunction._reduced(
+            {k: (t, [k * v for v in nums]) for k, (t, nums) in self._rows.items() if k},
+            self._den)
 
     def deriv(self, axis: int) -> "FrameFunction":
         """The derivation along coordinate `axis` of (x, z): dx() for 0, dz() for 1."""
         return self.dx() if axis == 0 else self.dz()
 
     def y_degrees(self) -> set[int]:
-        return set(self.coeffs)
+        return set(self._rows)
 
     def homogeneous_y_degree(self) -> int | None:
         degs = self.y_degrees()
@@ -163,16 +278,14 @@ class FrameFunction:
 
     def eq_retained(self, other: "FrameFunction") -> bool:
         """Equality of all coefficients retained at the common truncation."""
-        trunc = None
-        for t in (self.trunc, other.trunc):
-            if t is not None:
-                trunc = t if trunc is None else min(trunc, t)
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = MultiSeries.zero(1, trunc)
-        for k in keys:
-            a = self.coeffs.get(k, zero).with_trunc(trunc)
-            b = other.coeffs.get(k, zero).with_trunc(trunc)
-            if not a.eq_retained(b):
+        trunc = _min_trunc(self.trunc, other.trunc)
+        n = None if trunc is None else trunc + 1
+        ra, rb = self._rows, other._rows
+        da, db = self._den, other._den
+        for k in ra.keys() | rb.keys():
+            a = ra[k][1][:n] if k in ra else ()
+            b = rb[k][1][:n] if k in rb else ()
+            if any(x * db != y * da for x, y in itertools.zip_longest(a, b, fillvalue=0)):
                 return False
         return True
 
@@ -180,7 +293,7 @@ class FrameFunction:
         return isinstance(other, FrameFunction) and self.coeffs == other.coeffs
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._rows:
             return "0"
         bits = []
         for k in sorted(self.coeffs):
@@ -249,14 +362,28 @@ def lift_apply(psi: FormalDiffeo, h: FrameFunction) -> FrameFunction:
     """Compose h with the lifted diffeomorphism (x, y) -> (psi(x), y psi'(x)).
 
     The y^k coefficient g becomes (g o psi) psi'^k; both factors come from
-    power tables, of psi and of psi', kept on those series.
+    power tables, of psi and of psi', kept on those series.  Each row comes
+    out over its own power of the two table denominators, and the rows are
+    brought over their lcm before the one reduction.
     """
-    dpsi = psi.d()
-    out = {}
-    for k, g in sorted(h.coeffs.items()):
-        g = g.compose1(psi.series)
-        out[k] = g * dpsi._power(k) if k else g
-    return FrameFunction(out)
+    s, dpsi = psi.series, psi.d()
+    lifted = {}
+    for k in sorted(h._rows):
+        t, g = h._rows[k]
+        trunc = _min_trunc(t, s.trunc)
+        out, den = _compose(g, s, trunc)
+        if k:
+            rows, d = dpsi._power_rows(k)
+            trunc = _min_trunc(trunc, dpsi.trunc)
+            out = _conv(out, rows[k], None if trunc is None else trunc + 1)
+            den *= d ** k
+        row = _row(trunc, out)
+        if row:
+            lifted[k] = row, den
+    den = lcm(*(d for _, d in lifted.values()))
+    rows = {k: (t, out if d == den else [v * (den // d) for v in out])
+            for k, ((t, out), d) in lifted.items()}
+    return FrameFunction._reduced(rows, h._den * den)
 
 
 class Monomial:
@@ -481,19 +608,37 @@ def check_delta_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: Curvat
     return check_delta_coproduct_lincomb(LinComb.of(t), a, b, Gamma)
 
 
+def _cut_sum(x: LinComb, psi: FormalDiffeo, right, Gamma: CurvatureFn,
+             proper: bool = False) -> FrameFunction:
+    """sum_P gamma_P(psi) L(sum_R c right(R)) over the terms c (P | R) of Delta(x).
+
+    L is the lift of psi.  The terms are grouped by their left leg P, so
+    each group is lifted once; `proper` leaves out the terms with P = 1.
+    """
+    groups: dict[Forest, FrameFunction] = {}
+    for (fl, fr), c in coproduct(x).terms.items():
+        if proper and fl.is_empty():
+            continue
+        term = right(fr).scale(c)
+        groups[fl] = groups[fl] + term if fl in groups else term
+    out = FrameFunction.zero()
+    for fl, inner in groups.items():
+        out = out + _gamma_forest(fl, psi, Gamma) * lift_apply(psi, inner)
+    return out
+
+
 def delta_coproduct_sides(x: LinComb, a: Monomial, b: Monomial,
                           Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
-    """Both sides of the delta coproduct identity, as function parts."""
-    from .hopf import coproduct
+    """Both sides of the delta coproduct identity, as function parts.
 
-    ab = monomial_product(a, b)
-    lhs = delta_t_apply(x, ab, Gamma).f
-    rhs = FrameFunction.zero()
-    for (fl, fr), c in coproduct(x).terms.items():
-        da = delta_t_apply(fl, a, Gamma)
-        db = delta_t_apply(fr, b, Gamma)
-        rhs = rhs + monomial_product(da, db).f.scale(c)
-    return lhs, rhs
+    delta_P is multiplication by gamma_P and the lift L = lift(psi_a) is a
+    ring homomorphism, so the right side, sum over c (P | R) of
+    c (delta_P(a) delta_R(b)).f, is a.f L(b.f) sum_P gamma_P(psi_a)
+    L(sum_R c gamma_R(psi_b)).
+    """
+    lhs = delta_t_apply(x, monomial_product(a, b), Gamma).f
+    cuts = _cut_sum(x, a.psi, lambda fr: _gamma_forest(fr, b.psi, Gamma), Gamma)
+    return lhs, a.f * lift_apply(a.psi, b.f) * cuts
 
 
 def check_delta_coproduct_lincomb(x: LinComb, a: Monomial, b: Monomial,
@@ -518,14 +663,17 @@ def check_X_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: CurvatureF
 
 def X_coproduct_sides(t: RootedTree, a: Monomial, b: Monomial,
                       Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
-    """Both sides of the X coproduct identity, as function parts."""
-    ab = monomial_product(a, b)
-    lhs = X_t_apply(t, ab, Gamma).f
-    rhs = monomial_product(X_t_apply(t, a, Gamma), b).f
-    for _cut, pruned, root in admissible_cuts(t):
-        da = delta_t_apply(pruned, a, Gamma)
-        xb = X_t_apply(root, b, Gamma)
-        rhs = rhs + monomial_product(da, xb).f
+    """Both sides of the X coproduct identity, as function parts.
+
+    With L = lift(psi_a), the right side is X_t(a).f L(b.f), plus
+    a.f L(X_t(b).f) from the empty cut, plus a.f sum_{P != 1} gamma_P(psi_a)
+    L(sum_R c X_R(b).f) over the terms c (P | R) of Delta(t).
+    """
+    lhs = X_t_apply(t, monomial_product(a, b), Gamma).f
+    cuts = _cut_sum(LinComb.of(t), a.psi, lambda fr: X_t_apply(fr, b, Gamma).f, Gamma,
+                    proper=True)
+    rhs = X_t_apply(t, a, Gamma).f * lift_apply(a.psi, b.f) \
+        + a.f * (lift_apply(a.psi, X_t_apply(t, b, Gamma).f) + cuts)
     return lhs, rhs
 
 

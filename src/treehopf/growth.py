@@ -217,16 +217,17 @@ def generate_subalgebra(S, max_degree: int) -> GradedBasis:
 
     # Products of atoms, by multisets with bounded total degree.
     products: dict[int, list[LinComb]] = {d: [] for d in range(1, max_degree + 1)}
+    degrees = [a.homogeneous_degree() for a in atoms]
 
     def extend(start: int, current: LinComb, degree: int):
         products[degree].append(current)
         for j in range(start, len(atoms)):
-            d = atoms[j].homogeneous_degree()
+            d = degrees[j]
             if degree + d <= max_degree:
                 extend(j, current * atoms[j], degree + d)
 
     for j, atom in enumerate(atoms):
-        extend(j, atom, atom.homogeneous_degree())
+        extend(j, atom, degrees[j])
 
     by_degree: dict[int, list[LinComb]] = {}
     for d in range(1, max_degree + 1):

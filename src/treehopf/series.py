@@ -55,11 +55,15 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _conv(a: list, b: list, n: int | None) -> list:
-    """Product of two dense jets (int or Fraction entries), cut to n entries (n=None: exact)."""
+def _conv(a: list, b: list, n: int | None, out: list | None = None) -> list:
+    """Product of two dense jets (int or Fraction entries), cut to n entries (n=None: exact).
+
+    Given `out` (at least n entries), the product is added into it.
+    """
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
-    out = [0] * n
+    if out is None:
+        out = [0] * n
     for i in range(min(len(a), n)):
         ai = a[i]
         if ai:
@@ -80,6 +84,30 @@ def _unit_inverse(p: list[int], n: int) -> list[int]:
     return q
 
 
+def _compose(g: list[int], inner: "MultiSeries", trunc: int | None) -> tuple[list[int], int]:
+    """g o inner at trunc, for the numerators g of the outer series: (out, den).
+
+    The composition is out over den times the outer series' own
+    denominator.  Sums g_k inner^k over the rows of the power table that
+    `inner` keeps; inner has zero constant term, so inner^k = O(x^k).
+    """
+    top = len(g) if trunc is None else min(len(g), trunc + 1)
+    if not top:
+        return [0] * (0 if trunc is None else trunc + 1), 1
+    rows, d = inner._power_rows(top - 1)
+    width = max(map(len, rows[:top])) if trunc is None else trunc + 1
+    out = [0] * width
+    weight = 1                      # d^(top-1-k): row k is over d^k
+    for k in range(top - 1, -1, -1):
+        c = g[k] * weight
+        if c:
+            for i, v in enumerate(rows[k][:width]):
+                if v:
+                    out[i] += c * v
+        weight *= d
+    return out, weight // d
+
+
 class MultiSeries:
     """Sparse exponent-map series in `nvars` variables."""
 
@@ -87,12 +115,13 @@ class MultiSeries:
     # _terms on first use; _terms is built from it on first read.
     # _powers: rows of the power table of a composition's inner series,
     # row k holding the numerators of self^k over _den^k.
-    __slots__ = ("nvars", "trunc", "_terms", "_nums", "_den", "_powers")
+    # _hash: the hash, computed on first use (a series is never mutated).
+    __slots__ = ("nvars", "trunc", "_terms", "_nums", "_den", "_powers", "_hash")
 
     def __init__(self, nvars: int, terms=None, trunc: int | None = None):
         self.nvars = nvars
         self.trunc = trunc
-        self._nums = self._powers = None
+        self._nums = self._powers = self._hash = None
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
@@ -115,7 +144,7 @@ class MultiSeries:
         """Internal constructor: normalized terms, or a reduced working form nums over den."""
         out = cls.__new__(cls)
         out.nvars, out.trunc, out._terms, out._nums, out._den = nvars, trunc, terms, nums, den
-        out._powers = None
+        out._powers = out._hash = None
         return out
 
     @classmethod
@@ -295,7 +324,10 @@ class MultiSeries:
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.nvars, frozenset(self.terms.items())))
+        return h
 
     # Univariate helpers (nvars == 1) used by the frame-bundle model.
 
@@ -316,21 +348,8 @@ class MultiSeries:
             raise ValueError("composition requires zero constant term")
         trunc = _min_trunc(self.trunc, inner.trunc)
         g, gden = self._jet()
-        top = len(g) if trunc is None else min(len(g), trunc + 1)  # psi^k = O(x^k)
-        if not top:
-            return MultiSeries._raw(1, {}, trunc)
-        rows, d = inner._power_rows(top - 1)
-        width = max(map(len, rows[:top])) if trunc is None else trunc + 1
-        out = [0] * width
-        weight = 1                      # d^(top-1-k): row k is over d^k
-        for k in range(top - 1, -1, -1):
-            c = g[k] * weight
-            if c:
-                for i, v in enumerate(rows[k][:width]):
-                    if v:
-                        out[i] += c * v
-            weight *= d
-        return MultiSeries._from_nums(1, out, gden * d ** (top - 1), trunc)
+        out, den = _compose(g, inner, trunc)
+        return MultiSeries._from_nums(1, out, gden * den, trunc)
 
     def reciprocal(self) -> "MultiSeries":
         """Inverse of a one-variable unit series, to the retained order."""

@@ -7,7 +7,9 @@ Span tests rerun a Fraction row reduction for every candidate row.  The
 univariate jet oracles multiply dicts of Fractions term by term, compose
 by summing successive powers, and invert by repeated composition.  The
 sparse oracles add, scale, differentiate, compare and multiply series in
-any number of variables as dicts of Fractions, term by term.
+any number of variables as dicts of Fractions, term by term.  Frame
+functions keep one series per power of y, and the coproduct sides of the
+frame model take one monomial product per coproduct term or cut.
 """
 
 from __future__ import annotations
@@ -333,3 +335,134 @@ def series_eq_retained(self: MultiSeries, other: MultiSeries) -> bool:
     a = {e: c for e, c in self.terms.items() if trunc is None or sum(e) <= trunc}
     b = {e: c for e, c in other.terms.items() if trunc is None or sum(e) <= trunc}
     return a == b
+
+
+# Frame functions: the dict y-power -> MultiSeries that FrameFunction was
+# before it moved onto one int grid, and the lift of psi row by row from
+# the sparse series oracles.
+
+class SeriesFrameFunction:
+    """Polynomial in y with univariate x-jet coefficients, one series per row."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        clean: dict[int, MultiSeries] = {}
+        summed = []
+        if coeffs:
+            for k, g in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+                if k < 0:
+                    raise ValueError("negative powers of y are not representable")
+                if not g.is_zero():
+                    if k in clean:
+                        clean[k] = clean[k] + g
+                        summed.append(k)
+                    else:
+                        clean[k] = g
+        # Only a sum can have cancelled to zero.
+        for k in summed:
+            if k in clean and clean[k].is_zero():
+                del clean[k]
+        self.coeffs = clean
+
+    @property
+    def trunc(self) -> int | None:
+        t = None
+        for g in self.coeffs.values():
+            gt = g.trunc
+            if gt is not None:
+                t = gt if t is None else min(t, gt)
+        return t
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other: "SeriesFrameFunction") -> "SeriesFrameFunction":
+        out = dict(self.coeffs)
+        for k, g in other.coeffs.items():
+            out[k] = out[k] + g if k in out else g
+        return SeriesFrameFunction(out)
+
+    def __neg__(self) -> "SeriesFrameFunction":
+        return SeriesFrameFunction({k: -g for k, g in self.coeffs.items()})
+
+    def __sub__(self, other: "SeriesFrameFunction") -> "SeriesFrameFunction":
+        return self + (-other)
+
+    def __mul__(self, other: "SeriesFrameFunction") -> "SeriesFrameFunction":
+        out: dict[int, MultiSeries] = {}
+        for k1, g1 in self.coeffs.items():
+            for k2, g2 in other.coeffs.items():
+                k = k1 + k2
+                g = g1 * g2
+                out[k] = out[k] + g if k in out else g
+        return SeriesFrameFunction(out)
+
+    def scale(self, c) -> "SeriesFrameFunction":
+        c = Fraction(c)
+        if not c:
+            return SeriesFrameFunction()
+        return SeriesFrameFunction({k: g.scale(c) for k, g in self.coeffs.items()})
+
+    def dx(self) -> "SeriesFrameFunction":
+        return SeriesFrameFunction({k: g.deriv(0) for k, g in self.coeffs.items()})
+
+    def dz(self) -> "SeriesFrameFunction":
+        return SeriesFrameFunction({k: g.scale(k) for k, g in self.coeffs.items() if k})
+
+    def eq_retained(self, other: "SeriesFrameFunction") -> bool:
+        trunc = None
+        for t in (self.trunc, other.trunc):
+            if t is not None:
+                trunc = t if trunc is None else min(trunc, t)
+        keys = set(self.coeffs) | set(other.coeffs)
+        zero = MultiSeries.zero(1, trunc)
+        for k in keys:
+            a = self.coeffs.get(k, zero).with_trunc(trunc)
+            b = other.coeffs.get(k, zero).with_trunc(trunc)
+            if not a.eq_retained(b):
+                return False
+        return True
+
+
+def series_lift_apply(psi, h: SeriesFrameFunction) -> SeriesFrameFunction:
+    """(g o psi) psi'^k on each y^k coefficient g, from the sparse oracles."""
+    dpsi = psi.series.deriv(0)
+    out = {}
+    for k, g in sorted(h.coeffs.items()):
+        term = series_compose1(g, psi.series)
+        for _ in range(k):
+            term = series_mul(term, dpsi)
+        out[k] = term
+    return SeriesFrameFunction(out)
+
+
+# The coproduct sides of the frame model, one monomial product per
+# coproduct term and per admissible cut.
+
+def delta_coproduct_sides_per_term(x, a, b, Gamma):
+    from treehopf.frame import FrameFunction, delta_t_apply, monomial_product
+    from treehopf.hopf import coproduct
+
+    ab = monomial_product(a, b)
+    lhs = delta_t_apply(x, ab, Gamma).f
+    rhs = FrameFunction.zero()
+    for (fl, fr), c in coproduct(x).terms.items():
+        da = delta_t_apply(fl, a, Gamma)
+        db = delta_t_apply(fr, b, Gamma)
+        rhs = rhs + monomial_product(da, db).f.scale(c)
+    return lhs, rhs
+
+
+def X_coproduct_sides_per_term(t, a, b, Gamma):
+    from treehopf.frame import X_t_apply, delta_t_apply, monomial_product
+    from treehopf.trees import admissible_cuts
+
+    ab = monomial_product(a, b)
+    lhs = X_t_apply(t, ab, Gamma).f
+    rhs = monomial_product(X_t_apply(t, a, Gamma), b).f
+    for _cut, pruned, root in admissible_cuts(t):
+        da = delta_t_apply(pruned, a, Gamma)
+        xb = X_t_apply(root, b, Gamma)
+        rhs = rhs + monomial_product(da, xb).f
+    return lhs, rhs

@@ -228,3 +228,38 @@ def test_terms_is_read_only_and_equality_ignores_the_form():
         assert a + MultiSeries.constant(nvars, 1) != a
     s = MultiSeries(1, {(0,): Fraction(2, 3), (3,): -1}, 6)
     assert [working(s).coeff(k) for k in range(8)] == [Fraction(2, 3), 0, 0, -1, 0, 0, 0, 0]
+
+
+def test_cached_hash_equals_a_fresh_hash_and_ignores_trunc():
+    rng = random.Random(9)
+    for nvars in NVARS:
+        for trunc in (None, 4):
+            a, b = random_series(rng, nvars, trunc), random_series(rng, nvars, trunc)
+            for s in (a, working(a) * b, (a - b).scale(Fraction(-3, 2))):
+                h = hash(s)
+                assert s._hash == h and hash(s) == h                 # kept, not rebuilt
+                fresh = MultiSeries(nvars, dict(s.terms), trunc)
+                assert fresh._hash is None and hash(fresh) == h
+                longer = MultiSeries(nvars, s.terms, 9)              # __eq__ ignores trunc
+                assert longer == s and hash(longer) == h
+            assert (a + b)._hash is None and (-a)._hash is None       # results start empty
+
+
+def test_gamma_cache_keys_keep_the_truncation_orders():
+    """Equal series that differ only in trunc hash alike, so the keys hold trunc."""
+    from treehopf import FormalDiffeo, gamma_t, parse_tree
+    from treehopf import frame as fr
+
+    terms = {(1,): 1, (2,): Fraction(1, 2), (3,): -1}
+    psi8, psi5 = FormalDiffeo(MultiSeries(1, terms, 8)), FormalDiffeo(MultiSeries(1, terms, 5))
+    g8 = MultiSeries(1, {(1,): 1}, 8)
+    g5 = MultiSeries(1, {(1,): 1}, 5)
+    assert hash(psi8.series) == hash(psi5.series) and hash(g8) == hash(g5)
+    t = parse_tree("[[]]")
+    fr._gamma_cache.clear()
+    pairs = ((psi8, g8), (psi5, g8), (psi8, g5), (psi5, g5))
+    got = [gamma_t(t, p, g) for p, g in pairs]
+    assert len(fr._gamma_cache) == 4
+    assert {(pt, gt) for _, _, pt, _, gt in fr._gamma_cache} == {(8, 8), (5, 8), (8, 5), (5, 5)}
+    assert all(gamma_t(t, p, g) is out for (p, g), out in zip(pairs, got))
+    assert got[0].trunc > got[1].trunc
