@@ -9,7 +9,8 @@ from math import comb
 
 from .hopf import LinComb, Tensor2, coproduct, natural_growth
 from .linalg import in_span, independent_rows
-from .trees import EMPTY_FOREST, LEAF, Forest, RootedTree, b_plus
+from .trees import (EMPTY_FOREST, LEAF, Forest, RootedTree, TreeParseError, _expect, _expect_end,
+                    _parse_tree_at, _rational_at, _sign_at, _skip_ws, b_plus)
 
 __all__ = [
     "GrowthExpr",
@@ -301,67 +302,42 @@ def _component_in_span(component, left_basis, right_basis) -> bool:
 
 def parse_growth_expr(text: str):
     """Parse the GrowthExpr text format; inverse of str() on expressions."""
-    from .trees import TreeParseError, _parse_tree_at, _skip_ws
 
     def parse_atom(pos: int):
         pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == ".":
+        if text.startswith(".", pos):
             return GrowthLeaf(), pos + 1
-        if pos < len(text) and text[pos] == "(":
+        if text.startswith("(", pos):
             sub, p = parse_sum(pos + 1)
-            p = _skip_ws(text, p)
-            if p >= len(text) or text[p] != ")":
-                raise TreeParseError("expected ')'", text, p)
-            return sub, p + 1
+            return sub, _expect(text, _skip_ws(text, p), ")")
         if text.startswith("N{", pos):
             tree, p = _parse_tree_at(text, pos + 2)
-            if p >= len(text) or text[p] != "}":
-                raise TreeParseError("expected '}'", text, p)
-            p = _skip_ws(text, p + 1)
-            if p >= len(text) or text[p] != "(":
-                raise TreeParseError("expected '('", text, p)
-            sub, p = parse_sum(p + 1)
-            p = _skip_ws(text, p)
-            if p >= len(text) or text[p] != ")":
-                raise TreeParseError("expected ')'", text, p)
-            return GrowthApply(tree, sub), p + 1
+            p = _expect(text, p, "}")
+            sub, p = parse_sum(_expect(text, _skip_ws(text, p), "("))
+            return GrowthApply(tree, sub), _expect(text, _skip_ws(text, p), ")")
         raise TreeParseError("expected '.' or 'N{'", text, pos)
 
     def parse_term(pos: int):
-        pos = _skip_ws(text, pos)
-        start = pos
-        while pos < len(text) and (text[pos].isdigit() or text[pos] == "/"):
-            pos += 1
-        coeff = Fraction(1)
-        if pos > start:
-            coeff = Fraction(text[start:pos])
+        coeff, pos = _rational_at(text, _skip_ws(text, pos), TreeParseError,
+                                  "malformed rational coefficient")
         atom, pos = parse_atom(pos)
         return coeff, atom, pos
 
     def parse_sum(pos: int):
         parts = []
-        sign = Fraction(1)
         pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == "-":
-            sign = Fraction(-1)
-            pos += 1
+        sign, pos = _sign_at(text, pos) if text.startswith("-", pos) else (1, pos)
         while True:
             coeff, atom, pos = parse_term(pos)
             parts.append((sign * coeff, atom))
             pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] in "+-":
-                sign = Fraction(1) if text[pos] == "+" else Fraction(-1)
-                pos += 1
-                continue
-            break
+            if not text.startswith(("+", "-"), pos):
+                break
+            sign, pos = _sign_at(text, pos)
         if len(parts) == 1 and parts[0][0] == 1:
             return parts[0][1], pos
         return GrowthCombo(tuple(parts)), pos
 
     expr, pos = parse_sum(0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        from .trees import TreeParseError as TPE
-
-        raise TPE("trailing input after expression", text, pos)
+    _expect_end(text, pos, "trailing input after expression")
     return expr

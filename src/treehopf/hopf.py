@@ -31,7 +31,9 @@ from .trees import (
     Forest,
     RootedTree,
     TreeParseError,
-    _parse_tree_at,
+    _forest_at,
+    _rational_at,
+    _sign_at,
     _skip_ws,
     _sort_key,
     admissible_cuts,
@@ -416,52 +418,16 @@ def parse_lincomb(text: str) -> LinComb:
     if text.strip() == "0":
         return LinComb.zero()
     out: dict[Forest, int | Fraction] = {}
-    sign = Fraction(1)
-    first = True
-    while pos < len(text):
-        if not first or text[pos] in "+-":
-            if pos >= len(text) or text[pos] not in "+-":
-                raise TreeParseError("expected '+' or '-'", text, pos)
-            sign = Fraction(1) if text[pos] == "+" else Fraction(-1)
-            pos = _skip_ws(text, pos + 1)
-        first = False
-        coeff, pos = _parse_coeff(text, pos)
-        forest, pos = _parse_forest_at(text, pos)
+    sign, pos = _sign_at(text, pos)
+    while True:
+        coeff, end = _rational_at(text, pos, TreeParseError, "malformed rational coefficient")
+        rest = _skip_ws(text, end)
+        # A bare `1` at the end or before a sign is the empty forest.
+        if text[pos:end] != "1" or rest < len(text) and text[rest] not in "+-":
+            pos = rest
+        forest, pos = _forest_at(text, pos)
         _acc(out, forest, sign * coeff)
         pos = _skip_ws(text, pos)
-    return LinComb._raw(out)
-
-
-def _parse_coeff(text: str, pos: int) -> tuple[Fraction, int]:
-    start = pos
-    while pos < len(text) and (text[pos].isdigit() or text[pos] == "/"):
-        pos += 1
-    if pos == start:
-        return Fraction(1), pos
-    token = text[start:pos]
-    # A bare `1` may be the empty forest rather than a coefficient.
-    rest = _skip_ws(text, pos)
-    if token == "1" and (rest == len(text) or text[rest] in "+-"):
-        return Fraction(1), start
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise TreeParseError("malformed rational coefficient", text, start) from None
-    return value, _skip_ws(text, pos)
-
-
-def _parse_forest_at(text: str, pos: int) -> tuple[Forest, int]:
-    if pos < len(text) and text[pos] == "1":
-        return EMPTY_FOREST, pos + 1
-    trees = []
-    while True:
-        tree, pos = _parse_tree_at(text, pos)
-        trees.append(tree)
-        save = pos
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == "*":
-            pos = _skip_ws(text, pos + 1)
-            continue
-        pos = save
-        break
-    return Forest(tuple(trees)), pos
+        if pos == len(text):
+            return LinComb._raw(out)
+        sign, pos = _sign_at(text, pos, required=True)

@@ -24,6 +24,8 @@ from itertools import zip_longest
 from math import gcd, inf, lcm
 from operator import add
 
+from .trees import _ParseError, _digits_end, _rational_at, _sign_at, _skip_ws
+
 __all__ = [
     "MultiSeries",
     "VectorField",
@@ -40,11 +42,8 @@ class TruncationError(ValueError):
     """A computation needs more retained orders than the input carries."""
 
 
-class SeriesParseError(ValueError):
-    def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos}: {text!r}")
-        self.text = text
-        self.pos = pos
+class SeriesParseError(_ParseError):
+    """Raised on malformed polynomial or vector-field text."""
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
@@ -520,67 +519,43 @@ def _eval_field_on_jet(field: VectorField, coeffs: list[list[Fraction]], order: 
 def parse_polynomial(text: str, var_names: list[str], trunc: int | None = None) -> MultiSeries:
     """Parse a polynomial like `x2 + 1/2 x1^2 - 3 x1 x2` exactly."""
     n = len(var_names)
-    pos = 0
-    out = MultiSeries.zero(n, trunc)
-    sign = Fraction(1)
-    first = True
-
-    def skip(p):
-        while p < len(text) and text[p].isspace():
-            p += 1
-        return p
-
-    pos = skip(pos)
+    longest_first = sorted(enumerate(var_names), key=lambda kv: -len(kv[1]))
+    terms = []
+    pos = _skip_ws(text, 0)
     if pos == len(text):
         raise SeriesParseError("empty polynomial", text, pos)
-    while pos < len(text):
-        if not first or text[pos] in "+-":
-            if text[pos] not in "+-":
-                raise SeriesParseError("expected '+' or '-'", text, pos)
-            sign = Fraction(1) if text[pos] == "+" else Fraction(-1)
-            pos = skip(pos + 1)
-        first = False
+    sign, pos = _sign_at(text, pos)
+    while True:
         coeff = Fraction(1)
         expo = [0] * n
         saw_factor = False
         while pos < len(text) and text[pos] not in "+-":
             if text[pos] == "*":
-                pos = skip(pos + 1)
+                pos = _skip_ws(text, pos + 1)
                 continue
             if text[pos].isdigit():
-                start = pos
-                while pos < len(text) and (text[pos].isdigit() or text[pos] == "/"):
-                    pos += 1
-                try:
-                    coeff *= Fraction(text[start:pos])
-                except (ValueError, ZeroDivisionError):
-                    raise SeriesParseError("malformed rational", text, start) from None
-                saw_factor = True
+                value, pos = _rational_at(text, pos, SeriesParseError, "malformed rational")
+                coeff *= value
             else:
-                matched = None
-                for i, name in sorted(enumerate(var_names), key=lambda kv: -len(kv[1])):
-                    if text.startswith(name, pos):
-                        matched = i
-                        pos += len(name)
-                        break
+                matched = next((i for i, name in longest_first if text.startswith(name, pos)), None)
                 if matched is None:
                     raise SeriesParseError("unknown symbol", text, pos)
+                pos += len(var_names[matched])
                 power = 1
-                if pos < len(text) and text[pos] == "^":
-                    pos += 1
-                    start = pos
-                    while pos < len(text) and text[pos].isdigit():
-                        pos += 1
+                if text.startswith("^", pos):
+                    start, pos = pos + 1, _digits_end(text, pos + 1)
                     if pos == start:
                         raise SeriesParseError("expected exponent", text, pos)
                     power = int(text[start:pos])
                 expo[matched] += power
-                saw_factor = True
-            pos = skip(pos)
+            saw_factor = True
+            pos = _skip_ws(text, pos)
         if not saw_factor:
             raise SeriesParseError("expected a term", text, pos)
-        out = out + MultiSeries(n, {tuple(expo): sign * coeff}, trunc)
-    return out
+        terms.append((expo, sign * coeff))
+        if pos == len(text):
+            return MultiSeries(n, terms, trunc)
+        sign, pos = _sign_at(text, pos)
 
 
 def parse_vector_field(text: str, trunc: int | None = None) -> VectorField:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
@@ -53,13 +54,17 @@ def _collate(serial: str) -> str:
     return serial.translate(_COLLATE)
 
 
-class TreeParseError(ValueError):
-    """Raised on malformed tree/forest text; carries the offending position."""
+class _ParseError(ValueError):
+    """Malformed text; carries the text and the offending position."""
 
     def __init__(self, message: str, text: str, pos: int):
         super().__init__(f"{message} at position {pos}: {text!r}")
         self.text = text
         self.pos = pos
+
+
+class TreeParseError(_ParseError):
+    """Raised on malformed tree, forest, linear-combination or growth text."""
 
 
 class _Interned:
@@ -327,32 +332,20 @@ def _cut_options(t: RootedTree, path: tuple[int, ...]):
 def parse_tree(text: str) -> RootedTree:
     """Parse a tree in the bracket grammar; children may appear in any order."""
     tree, pos = _parse_tree_at(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise TreeParseError("trailing input after tree", text, pos)
+    _expect_end(text, pos, "trailing input after tree")
     return tree
 
 
 def parse_forest(text: str) -> Forest:
     """Parse a forest: `1` or trees joined by `*`."""
-    pos = _skip_ws(text, 0)
-    if pos < len(text) and text[pos] == "1":
-        pos = _skip_ws(text, pos + 1)
-        if pos != len(text):
-            raise TreeParseError("trailing input after empty forest", text, pos)
-        return EMPTY_FOREST
-    trees = []
-    while True:
-        tree, pos = _parse_tree_at(text, pos)
-        trees.append(tree)
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == "*":
-            pos = _skip_ws(text, pos + 1)
-            continue
-        break
-    if pos != len(text):
-        raise TreeParseError("trailing input after forest", text, pos)
-    return Forest(tuple(trees))
+    forest, pos = _forest_at(text, _skip_ws(text, 0))
+    _expect_end(text, pos, "trailing input after empty forest" if forest is EMPTY_FOREST
+                else "trailing input after forest")
+    return forest
+
+
+# The scanner every text parser shares.  Each helper reads `text` at `pos` and
+# returns what it read with the next position, or raises at the offending one.
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -361,15 +354,65 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
+def _expect(text: str, pos: int, char: str) -> int:
+    if not text.startswith(char, pos):
+        raise TreeParseError(f"expected {char!r}", text, pos)
+    return pos + 1
+
+
+def _expect_end(text: str, pos: int, message: str) -> None:
+    """Only whitespace may follow pos; `message` names what came before."""
+    pos = _skip_ws(text, pos)
+    if pos != len(text):
+        raise TreeParseError(message, text, pos)
+
+
+def _sign_at(text: str, pos: int, required: bool = False) -> tuple[int, int]:
+    """1 for `+`, -1 for `-`, and 1 for no sign unless one is `required` between terms."""
+    if text.startswith(("+", "-"), pos):
+        return (1 if text[pos] == "+" else -1), _skip_ws(text, pos + 1)
+    if required:
+        raise TreeParseError("expected '+' or '-'", text, pos)
+    return 1, pos
+
+
+def _digits_end(text: str, pos: int, slash: bool = False) -> int:
+    while pos < len(text) and (text[pos].isdigit() or slash and text[pos] == "/"):
+        pos += 1
+    return pos
+
+
+def _rational_at(text: str, pos: int, error: type[_ParseError], message: str):
+    """A literal `p` or `p/q` as a Fraction, 1 if there is none; `error(message)` if malformed."""
+    end = _digits_end(text, pos, slash=True)
+    if end == pos:
+        return Fraction(1), pos
+    try:
+        return Fraction(text[pos:end]), end
+    except (ValueError, ZeroDivisionError):
+        raise error(message, text, pos) from None
+
+
+def _forest_at(text: str, pos: int) -> tuple[Forest, int]:
+    """`1`, or trees joined by `*`; stops before trailing whitespace."""
+    if text.startswith("1", pos):
+        return EMPTY_FOREST, pos + 1
+    trees = []
+    while True:
+        tree, pos = _parse_tree_at(text, pos)
+        trees.append(tree)
+        star = _skip_ws(text, pos)
+        if not text.startswith("*", star):
+            return Forest(tuple(trees)), pos
+        pos = _skip_ws(text, star + 1)
+
+
 def _parse_tree_at(text: str, pos: int) -> tuple[RootedTree, int]:
-    if pos >= len(text) or text[pos] != "[":
-        raise TreeParseError("expected '['", text, pos)
-    pos = _skip_ws(text, pos + 1)
+    pos = _skip_ws(text, _expect(text, pos, "["))
     children = []
-    while pos < len(text) and text[pos] == "[":
+    while text.startswith("[", pos):
         child, pos = _parse_tree_at(text, pos)
         children.append(child)
         pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != "]":
-        raise TreeParseError("expected ']'", text, pos)
-    return RootedTree(tuple(children)), pos + 1
+    pos = _expect(text, pos, "]")
+    return RootedTree(tuple(children)), pos

@@ -9,7 +9,8 @@ by summing successive powers, and invert by repeated composition.  The
 sparse oracles add, scale, differentiate, compare and multiply series in
 any number of variables as dicts of Fractions, term by term.  Frame
 functions keep one series per power of y, and the coproduct sides of the
-frame model take one monomial product per coproduct term or cut.
+frame model take one monomial product per coproduct term or cut.  The
+text parsers are kept as they were before they shared one scanner.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import itertools
 from fractions import Fraction
 
 from treehopf import Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError
+from treehopf.growth import GrowthApply, GrowthCombo, GrowthLeaf
+from treehopf.hopf import _acc
 from treehopf.linalg import solve_consistent
-from treehopf.series import _min_trunc
+from treehopf.series import SeriesParseError, _min_trunc
+from treehopf.trees import EMPTY_FOREST, TreeParseError
 
 
 def level_sequences(n: int):
@@ -466,3 +470,252 @@ def X_coproduct_sides_per_term(t, a, b, Gamma):
         xb = X_t_apply(root, b, Gamma)
         rhs = rhs + monomial_product(da, xb).f
     return lhs, rhs
+
+
+# The five text parsers as they were before they shared one scanner, kept
+# verbatim (renamed, with absolute imports) as the reference of the
+# differential parser test.  They raise the library's own error classes.
+
+
+def reference_parse_tree(text: str) -> RootedTree:
+    """Parse a tree in the bracket grammar; children may appear in any order."""
+    tree, pos = _reference_parse_tree_at(text, _reference_skip_ws(text, 0))
+    pos = _reference_skip_ws(text, pos)
+    if pos != len(text):
+        raise TreeParseError("trailing input after tree", text, pos)
+    return tree
+
+
+def reference_parse_forest(text: str) -> Forest:
+    """Parse a forest: `1` or trees joined by `*`."""
+    pos = _reference_skip_ws(text, 0)
+    if pos < len(text) and text[pos] == "1":
+        pos = _reference_skip_ws(text, pos + 1)
+        if pos != len(text):
+            raise TreeParseError("trailing input after empty forest", text, pos)
+        return EMPTY_FOREST
+    trees = []
+    while True:
+        tree, pos = _reference_parse_tree_at(text, pos)
+        trees.append(tree)
+        pos = _reference_skip_ws(text, pos)
+        if pos < len(text) and text[pos] == "*":
+            pos = _reference_skip_ws(text, pos + 1)
+            continue
+        break
+    if pos != len(text):
+        raise TreeParseError("trailing input after forest", text, pos)
+    return Forest(tuple(trees))
+
+
+def _reference_skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _reference_parse_tree_at(text: str, pos: int) -> tuple[RootedTree, int]:
+    if pos >= len(text) or text[pos] != "[":
+        raise TreeParseError("expected '['", text, pos)
+    pos = _reference_skip_ws(text, pos + 1)
+    children = []
+    while pos < len(text) and text[pos] == "[":
+        child, pos = _reference_parse_tree_at(text, pos)
+        children.append(child)
+        pos = _reference_skip_ws(text, pos)
+    if pos >= len(text) or text[pos] != "]":
+        raise TreeParseError("expected ']'", text, pos)
+    return RootedTree(tuple(children)), pos + 1
+
+
+def reference_parse_lincomb(text: str) -> LinComb:
+    """Parse `c1 F1 + c2 F2 + ...`; coefficients are optional and default to 1."""
+    pos = _reference_skip_ws(text, 0)
+    if pos == len(text):
+        raise TreeParseError("empty expression", text, pos)
+    if text.strip() == "0":
+        return LinComb.zero()
+    out: dict[Forest, int | Fraction] = {}
+    sign = Fraction(1)
+    first = True
+    while pos < len(text):
+        if not first or text[pos] in "+-":
+            if pos >= len(text) or text[pos] not in "+-":
+                raise TreeParseError("expected '+' or '-'", text, pos)
+            sign = Fraction(1) if text[pos] == "+" else Fraction(-1)
+            pos = _reference_skip_ws(text, pos + 1)
+        first = False
+        coeff, pos = _reference_parse_coeff(text, pos)
+        forest, pos = _reference_parse_forest_at(text, pos)
+        _acc(out, forest, sign * coeff)
+        pos = _reference_skip_ws(text, pos)
+    return LinComb._raw(out)
+
+
+def _reference_parse_coeff(text: str, pos: int) -> tuple[Fraction, int]:
+    start = pos
+    while pos < len(text) and (text[pos].isdigit() or text[pos] == "/"):
+        pos += 1
+    if pos == start:
+        return Fraction(1), pos
+    token = text[start:pos]
+    # A bare `1` may be the empty forest rather than a coefficient.
+    rest = _reference_skip_ws(text, pos)
+    if token == "1" and (rest == len(text) or text[rest] in "+-"):
+        return Fraction(1), start
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise TreeParseError("malformed rational coefficient", text, start) from None
+    return value, _reference_skip_ws(text, pos)
+
+
+def _reference_parse_forest_at(text: str, pos: int) -> tuple[Forest, int]:
+    if pos < len(text) and text[pos] == "1":
+        return EMPTY_FOREST, pos + 1
+    trees = []
+    while True:
+        tree, pos = _reference_parse_tree_at(text, pos)
+        trees.append(tree)
+        save = pos
+        pos = _reference_skip_ws(text, pos)
+        if pos < len(text) and text[pos] == "*":
+            pos = _reference_skip_ws(text, pos + 1)
+            continue
+        pos = save
+        break
+    return Forest(tuple(trees)), pos
+
+
+def reference_parse_growth_expr(text: str):
+    """Parse the GrowthExpr text format; inverse of str() on expressions."""
+    from treehopf.trees import TreeParseError
+
+    def parse_atom(pos: int):
+        pos = _reference_skip_ws(text, pos)
+        if pos < len(text) and text[pos] == ".":
+            return GrowthLeaf(), pos + 1
+        if pos < len(text) and text[pos] == "(":
+            sub, p = parse_sum(pos + 1)
+            p = _reference_skip_ws(text, p)
+            if p >= len(text) or text[p] != ")":
+                raise TreeParseError("expected ')'", text, p)
+            return sub, p + 1
+        if text.startswith("N{", pos):
+            tree, p = _reference_parse_tree_at(text, pos + 2)
+            if p >= len(text) or text[p] != "}":
+                raise TreeParseError("expected '}'", text, p)
+            p = _reference_skip_ws(text, p + 1)
+            if p >= len(text) or text[p] != "(":
+                raise TreeParseError("expected '('", text, p)
+            sub, p = parse_sum(p + 1)
+            p = _reference_skip_ws(text, p)
+            if p >= len(text) or text[p] != ")":
+                raise TreeParseError("expected ')'", text, p)
+            return GrowthApply(tree, sub), p + 1
+        raise TreeParseError("expected '.' or 'N{'", text, pos)
+
+    def parse_term(pos: int):
+        pos = _reference_skip_ws(text, pos)
+        start = pos
+        while pos < len(text) and (text[pos].isdigit() or text[pos] == "/"):
+            pos += 1
+        coeff = Fraction(1)
+        if pos > start:
+            coeff = Fraction(text[start:pos])
+        atom, pos = parse_atom(pos)
+        return coeff, atom, pos
+
+    def parse_sum(pos: int):
+        parts = []
+        sign = Fraction(1)
+        pos = _reference_skip_ws(text, pos)
+        if pos < len(text) and text[pos] == "-":
+            sign = Fraction(-1)
+            pos += 1
+        while True:
+            coeff, atom, pos = parse_term(pos)
+            parts.append((sign * coeff, atom))
+            pos = _reference_skip_ws(text, pos)
+            if pos < len(text) and text[pos] in "+-":
+                sign = Fraction(1) if text[pos] == "+" else Fraction(-1)
+                pos += 1
+                continue
+            break
+        if len(parts) == 1 and parts[0][0] == 1:
+            return parts[0][1], pos
+        return GrowthCombo(tuple(parts)), pos
+
+    expr, pos = parse_sum(0)
+    pos = _reference_skip_ws(text, pos)
+    if pos != len(text):
+        from treehopf.trees import TreeParseError as TPE
+
+        raise TPE("trailing input after expression", text, pos)
+    return expr
+
+
+def reference_parse_polynomial(text: str, var_names: list[str], trunc: int | None = None) -> MultiSeries:
+    """Parse a polynomial like `x2 + 1/2 x1^2 - 3 x1 x2` exactly."""
+    n = len(var_names)
+    pos = 0
+    out = MultiSeries.zero(n, trunc)
+    sign = Fraction(1)
+    first = True
+
+    def skip(p):
+        while p < len(text) and text[p].isspace():
+            p += 1
+        return p
+
+    pos = skip(pos)
+    if pos == len(text):
+        raise SeriesParseError("empty polynomial", text, pos)
+    while pos < len(text):
+        if not first or text[pos] in "+-":
+            if text[pos] not in "+-":
+                raise SeriesParseError("expected '+' or '-'", text, pos)
+            sign = Fraction(1) if text[pos] == "+" else Fraction(-1)
+            pos = skip(pos + 1)
+        first = False
+        coeff = Fraction(1)
+        expo = [0] * n
+        saw_factor = False
+        while pos < len(text) and text[pos] not in "+-":
+            if text[pos] == "*":
+                pos = skip(pos + 1)
+                continue
+            if text[pos].isdigit():
+                start = pos
+                while pos < len(text) and (text[pos].isdigit() or text[pos] == "/"):
+                    pos += 1
+                try:
+                    coeff *= Fraction(text[start:pos])
+                except (ValueError, ZeroDivisionError):
+                    raise SeriesParseError("malformed rational", text, start) from None
+                saw_factor = True
+            else:
+                matched = None
+                for i, name in sorted(enumerate(var_names), key=lambda kv: -len(kv[1])):
+                    if text.startswith(name, pos):
+                        matched = i
+                        pos += len(name)
+                        break
+                if matched is None:
+                    raise SeriesParseError("unknown symbol", text, pos)
+                power = 1
+                if pos < len(text) and text[pos] == "^":
+                    pos += 1
+                    start = pos
+                    while pos < len(text) and text[pos].isdigit():
+                        pos += 1
+                    if pos == start:
+                        raise SeriesParseError("expected exponent", text, pos)
+                    power = int(text[start:pos])
+                expo[matched] += power
+                saw_factor = True
+            pos = skip(pos)
+        if not saw_factor:
+            raise SeriesParseError("expected a term", text, pos)
+        out = out + MultiSeries(n, {tuple(expo): sign * coeff}, trunc)
+    return out

@@ -64,10 +64,22 @@ def test_json_round_trip(capsys):
     assert rebuilt == antipode(LC.of(parse_tree("[[][]]")))
 
 
-def test_parse_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "coproduct", "[[]")
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "[]]"], "trailing input after tree at position 2: '[]]'"),
+    (["coproduct", "[[]"], "expected ']' at position 3: '[[]'"),
+    (["antipode", "1/0 [[]]"], "malformed rational coefficient at position 0: '1/0 [[]]'"),
+    (["cm", "gamma", "--psi", "x^", "--Gamma", "x", "--tree", "[]"],
+     "expected exponent at position 2: 'x^'"),
+    (["butcher", "--field", "FIELD", "--tree", "[]"], "malformed rational at position 0: '1/0 x1'"),
+], ids=["tree", "lincomb", "lincomb-coefficient", "polynomial", "vector-field"])
+def test_parse_error_exit_code(capsys, tmp_path, argv, message):
+    field = tmp_path / "field.txt"
+    field.write_text("f1 = x2\nf2 = 1/0 x1\n")
+    argv = [str(field) if arg == "FIELD" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "position" in err
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     SeriesFrameFunction,
@@ -268,8 +268,7 @@ def _rows(spec):
 def test_random_grids_match_the_oracle():
     # No explain phase, as in the other property tests.
     @given(st.lists(ROW, max_size=4), st.lists(ROW, max_size=4), st.sampled_from(SCALARS))
-    @settings(max_examples=40, deadline=None,
-              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+    @settings(max_examples=40)
     def run(ra, rb, c):
         (a, oa), (b, ob) = both(_rows(ra)), both(_rows(rb))
         same(a * b + a.scale(c), oa * ob + oa.scale(c))

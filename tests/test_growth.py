@@ -25,6 +25,7 @@ from treehopf import (
     parse_tree,
 )
 from treehopf.growth import GrowthApply, GrowthLeaf
+from treehopf.trees import TreeParseError
 
 CHERRY = parse_tree("[[][]]")
 L2 = parse_tree("[[]]")
@@ -63,6 +64,15 @@ def test_growth_expr_text_round_trip():
         expr = decompose(t)
         parsed = parse_growth_expr(str(expr))
         assert eval_growth_expr(parsed) == LinComb.of(t)
+
+
+@pytest.mark.parametrize("text", ["1/0 .", "1/2/3 .", "// ."])
+def test_malformed_growth_coefficient_is_a_parse_error_at_its_start(text):
+    with pytest.raises(TreeParseError) as info:
+        parse_growth_expr(text)
+    assert type(info.value) is TreeParseError
+    assert str(info.value) == f"malformed rational coefficient at position 0: {text!r}"
+    assert info.value.pos == 0
 
 
 def test_fan_graphs():

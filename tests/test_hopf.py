@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treehopf import (
     EMPTY_FOREST,
@@ -56,8 +56,7 @@ def test_multiply_unit_and_examples():
 
 # No explain phase: it traces every line of a failing run.
 @given(lincombs(3), lincombs(3), lincombs(3))
-@settings(max_examples=40, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@settings(max_examples=40)
 def test_multiply_commutative_associative(a, b, c):
     assert multiply(a, b) == multiply(b, a)
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
@@ -97,8 +96,7 @@ def test_counit():
 
 # No explain phase: it traces every line of a failing run.
 @given(lincombs(4))
-@settings(max_examples=30, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@settings(max_examples=30)
 def test_counit_axiom(x):
     left = LinComb.zero()
     right = LinComb.zero()
@@ -406,8 +404,7 @@ def test_tensor_is_the_double_loop():
 
 
 @given(lincombs(3), lincombs(3), st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]))
-@settings(max_examples=30, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@settings(max_examples=30)
 def test_tensor_matches_the_double_loop(a, b, c):
     a = a.scale(c)
     got = Tensor2.tensor(a, b)
@@ -416,8 +413,7 @@ def test_tensor_matches_the_double_loop(a, b, c):
 
 
 @given(lincombs(4), st.sampled_from([1, Fraction(3, 2)]))
-@settings(max_examples=30, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@settings(max_examples=30)
 def test_linear_extension_is_the_sum_of_the_images(x, c):
     x = x.scale(c)
     want = Tensor2.zero()

@@ -131,7 +131,7 @@ def test_ode_problem_validation():
 
 
 def test_ring_laws_under_truncation():
-    from hypothesis import Phase, given, settings, strategies as st
+    from hypothesis import given, settings, strategies as st
 
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     expo = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -140,8 +140,7 @@ def test_ring_laws_under_truncation():
 
     # No explain phase: it traces every line of a failing run.
     @given(polys, polys, polys)
-    @settings(max_examples=40, deadline=None,
-              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+    @settings(max_examples=40)
     def run(a, b, c):
         assert ((a + b) * c).eq_retained(a * c + b * c)
         assert (a * b).eq_retained(b * a)

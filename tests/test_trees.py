@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treehopf import (
     EMPTY_FOREST,
@@ -78,8 +78,7 @@ def _shuffle(t: RootedTree, rng) -> list:
 
 # No explain phase: it traces every line of a failing run.
 @given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@settings(max_examples=60)
 def test_canonicalize_invariant_under_shuffles(seed):
     rng = random.Random(seed)
     trees = enumerate_trees(7)
