@@ -9,7 +9,11 @@ arbitrary function, with phi of the single vertex the identity.
 The recursion (`_phi_vec`, `_contract`) is the one grafting recursion of
 the package: it works on any components with `*`, `+` and `deriv(k)`,
 so the frame flow of `treehopf.frame` runs through it too, and the flow
-derivative sum_j v^j d_j h is its one-child contraction.
+derivative sum_j v^j d_j h is its one-child contraction.  The partial
+derivatives commute, so a contraction takes each d_ks of its target once
+per sorted index tuple ks; it keeps the order of every product and sum,
+because a truncated product that vanishes drops its row, and with it that
+row's truncation order, so regrouping could change a result's orders.
 
 Each phi(t) of a field is computed once: the recursion memoizes by tree
 in the field's own `VectorField._phi`, which every function here reads,
@@ -67,13 +71,20 @@ def _phi_vec(t: RootedTree, field: tuple, memo) -> tuple:
 
 
 def _contract(children, target, n: int):
-    """Sum over index tuples of (prod_j children[j][k_j]) d_{k_1..k_m} target."""
+    """Sum over index tuples of (prod_j children[j][k_j]) d_{k_1..k_m} target.
+
+    The partial derivatives commute, so d_ks target is taken once per
+    sorted tuple ks, from the derivative of its prefix; the products and
+    the sum still run in index-tuple order.
+    """
     m = len(children)
+    partials = {(): target}
+    for r in range(1, m + 1):
+        for ks in itertools.combinations_with_replacement(range(n), r):
+            partials[ks] = partials[ks[:-1]].deriv(ks[-1])
     acc = None
     for ks in itertools.product(range(n), repeat=m):
-        term = target
-        for k in ks:
-            term = term.deriv(k)
+        term = partials[tuple(sorted(ks))]
         for j, k in enumerate(ks):
             term = term * children[j][k]
         acc = term if acc is None else acc + term

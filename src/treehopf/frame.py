@@ -17,8 +17,9 @@ FrameFunctions, whose deriv(0) and deriv(1) are d/dx and d/dz.
 
 Diffeomorphisms are jets psi with psi(0) = 0, psi'(0) > 0; the lift to
 the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Each diffeomorphism
-computes psi' once, and the lift reads the powers of psi and of psi' from
-the power tables those series keep (see the series module).
+computes psi' once, and the vertex symbol gamma_bullet(psi) once per
+curvature, and the lift reads the powers of psi and of psi' from the power
+tables those series keep (see the series module).
 Crossed-product monomials f U*_psi multiply by
 
     (f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi},
@@ -27,10 +28,13 @@ i.e. U*_psi U*_eta = U*_{eta o psi}, the contravariant convention; this
 is the one under which the product is associative and the coproduct
 theorems close (the paper writes both orders in adjacent displays).
 
-A monomial is immutable and keeps X_t and delta_t of itself for single
-trees t, keyed on the operator, t, Gamma and Gamma's truncation order, so
-a relation that applies X_t to the same monomial again reads the first
-result.  The memo dies with the monomial; it is not a process-wide cache.
+A frame function is never mutated and keeps its derivatives dx and dz
+once taken.  A monomial is immutable and keeps Y of itself, X_t and
+delta_t for trees and forests t, and phi_s of its function for trees s,
+keyed on the operator, the tree, Gamma and Gamma's truncation order, so a
+relation that applies X_t to the same monomial again reads the first
+result.  As operators X_t = phi_{B+(t)}, so X_t reads the same phi memo.
+The memos die with their objects; none is a process-wide cache.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from math import gcd, lcm
 from .butcher import _contract, _phi_vec
 from .hopf import LinComb, coproduct
 from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc
-from .trees import Forest, LEAF, RootedTree
+from .trees import Forest, LEAF, RootedTree, b_plus
 
 __all__ = [
     "FrameFunction",
@@ -88,10 +92,11 @@ class FrameFunction:
     last nonzero one.  Every row shares the denominator `_den`, and the
     whole grid is reduced by its content gcd, so `_den` is the lcm of the
     denominators of the reduced coefficients.  Zero rows are not stored.
-    `coeffs`, the dict y-power -> MultiSeries, is built on first read.
+    `coeffs`, the dict y-power -> MultiSeries, is built on first read, and
+    `dx` and `dz` on their first call; a frame function is never mutated.
     """
 
-    __slots__ = ("_rows", "_den", "_coeffs")
+    __slots__ = ("_rows", "_den", "_coeffs", "_dx", "_dz")
 
     def __init__(self, coeffs=None):
         clean: dict[int, MultiSeries] = {}
@@ -117,13 +122,14 @@ class FrameFunction:
         self._rows = {k: (clean[k].trunc, nums if d == den else [v * (den // d) for v in nums])
                       for k, (nums, d) in jets.items()}
         self._den = den
-        self._coeffs = None
+        self._coeffs = self._dx = self._dz = None
 
     @classmethod
     def _raw(cls, rows: dict, den: int) -> "FrameFunction":
         """Internal constructor: nonzero rows over den, already reduced."""
         out = cls.__new__(cls)
-        out._rows, out._den, out._coeffs = rows, den, None
+        out._rows, out._den = rows, den
+        out._coeffs = out._dx = out._dz = None
         return out
 
     @classmethod
@@ -249,21 +255,25 @@ class FrameFunction:
         return FrameFunction._reduced(rows, self._den // g * q)
 
     def dx(self) -> "FrameFunction":
-        """Partial derivative in x (the base coordinate)."""
-        rows = {}
-        for k, (t, a) in self._rows.items():
-            if t is not None and t < 1:
-                raise TruncationError("derivative exhausted the retained orders")
-            row = _row(None if t is None else t - 1, [i * a[i] for i in range(1, len(a))])
-            if row:
-                rows[k] = row
-        return FrameFunction._reduced(rows, self._den)
+        """Partial derivative in x (the base coordinate), computed once."""
+        if self._dx is None:
+            rows = {}
+            for k, (t, a) in self._rows.items():
+                if t is not None and t < 1:
+                    raise TruncationError("derivative exhausted the retained orders")
+                row = _row(None if t is None else t - 1, [i * a[i] for i in range(1, len(a))])
+                if row:
+                    rows[k] = row
+            self._dx = FrameFunction._reduced(rows, self._den)
+        return self._dx
 
     def dz(self) -> "FrameFunction":
-        """The operator y d/dy, i.e. d/dz in the exponential fiber coordinate."""
-        return FrameFunction._reduced(
-            {k: (t, [k * v for v in nums]) for k, (t, nums) in self._rows.items() if k},
-            self._den)
+        """The operator y d/dy, i.e. d/dz in the exponential fiber coordinate, computed once."""
+        if self._dz is None:
+            self._dz = FrameFunction._reduced(
+                {k: (t, [k * v for v in nums]) for k, (t, nums) in self._rows.items() if k},
+                self._den)
+        return self._dz
 
     def deriv(self, axis: int) -> "FrameFunction":
         """The derivation along coordinate `axis` of (x, z): dx() for 0, dz() for 1."""
@@ -307,9 +317,13 @@ class FrameFunction:
 
 
 class FormalDiffeo:
-    """An orientation-preserving formal diffeomorphism jet fixing 0."""
+    """An orientation-preserving formal diffeomorphism jet fixing 0.
 
-    __slots__ = ("series", "_d")
+    Keeps psi' and, per curvature, the vertex symbol gamma_bullet(psi),
+    each computed once; the jet is never changed after construction.
+    """
+
+    __slots__ = ("series", "_d", "_gamma")
 
     def __init__(self, series: MultiSeries):
         if series.nvars != 1:
@@ -319,7 +333,7 @@ class FormalDiffeo:
         if series.coeff(1) <= 0:
             raise ValueError("diffeomorphism must be orientation preserving")
         self.series = series
-        self._d = None
+        self._d = self._gamma = None
 
     @staticmethod
     def identity(trunc: int | None = None) -> "FormalDiffeo":
@@ -389,9 +403,9 @@ def lift_apply(psi: FormalDiffeo, h: FrameFunction) -> FrameFunction:
 class Monomial:
     """A crossed-product element f U*_psi.
 
-    Immutable once built.  `_ops` memoizes X_t and delta_t of this monomial
-    for trees and forests t (see `X_t_apply`); it is made on first use and
-    dies with the monomial.
+    Immutable once built.  `_ops` memoizes Y of this monomial, X_t and
+    delta_t for trees and forests t, and phi_s(f) for single trees s (see
+    `_kept`); it is made on first use and dies with the monomial.
     """
 
     __slots__ = ("f", "psi", "_ops")
@@ -429,11 +443,21 @@ def gamma_bullet(psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
     """The single-vertex symbol, as a function of the source point:
 
     gamma(psi) = y ( psi'(x) Gamma(psi(x)) - Gamma(x) + psi''(x)/psi'(x) ).
+
+    Kept on psi per (Gamma, Gamma.trunc), as psi' is; the key holds
+    Gamma.trunc because series equality ignores truncation.
     """
-    dpsi = psi.d()
-    g = dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc) \
-        + dpsi.deriv(0) * dpsi.reciprocal()
-    return FrameFunction.y_times(g)
+    kept = psi._gamma
+    if kept is None:
+        kept = psi._gamma = {}
+    key = (Gamma, Gamma.trunc)
+    got = kept.get(key)
+    if got is None:
+        dpsi = psi.d()
+        g = dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc) \
+            + dpsi.deriv(0) * dpsi.reciprocal()
+        got = kept[key] = FrameFunction.y_times(g)
+    return got
 
 
 def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunction, FrameFunction]:
@@ -494,35 +518,54 @@ def gamma_t(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFuncti
 
 
 def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
-    out = FrameFunction.constant(1, psi.trunc)
-    for t in forest.trees:
+    """gamma_F(psi), the product of gamma_t(psi) over the trees t of F.
+
+    psi' is cut at psi.trunc - 1, so every row of every gamma_t is cut at
+    an order below psi.trunc (or psi is exact): only the empty forest
+    needs the constant 1 at psi.trunc.
+    """
+    trees = forest.trees
+    if not trees:
+        return FrameFunction.constant(1, psi.trunc)
+    out = gamma_t(trees[0], psi, Gamma)
+    for t in trees[1:]:
         out = out * gamma_t(t, psi, Gamma)
     return out
 
 
-def _on_monomial(apply, t: RootedTree | Forest, m: Monomial, Gamma: CurvatureFn) -> Monomial:
-    """apply(t, m, Gamma), computed once per monomial and kept in m._ops.
+def _kept(m: Monomial, key, compute):
+    """compute(), run once per monomial and kept in m._ops under key.
 
-    The key holds Gamma.trunc because series equality ignores truncation.
+    Keys that depend on Gamma hold Gamma.trunc too, because series
+    equality ignores truncation.
     """
     ops = m._ops
     if ops is None:
         ops = {}
         object.__setattr__(m, "_ops", ops)
-    key = (apply, t, Gamma, Gamma.trunc)
     got = ops.get(key)
     if got is None:
-        got = ops[key] = apply(LinComb.of(t), m, Gamma)
+        got = ops[key] = compute()
     return got
+
+
+def _phi_on(s: RootedTree, m: Monomial, Gamma: CurvatureFn) -> FrameFunction:
+    """phi_s(m.f) for the frame field cut at m's order, kept on m."""
+    def compute():
+        trunc = m.f.trunc if m.f.trunc is not None else m.psi.trunc
+        field, memo = _frame_phi(Gamma, trunc)
+        return _contract([_phi_vec(c, field, memo) for c in s.children], m.f, 2)
+    return _kept(m, (_phi_on, s, Gamma, Gamma.trunc), compute)
 
 
 def delta_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """delta over a tree, forest, or linear combination; multiplication by gamma.
 
-    Over a tree or a forest the result is kept on m (see `_on_monomial`).
+    Over a tree or a forest the result is kept on m (see `_kept`).
     """
     if isinstance(x, (RootedTree, Forest)):
-        return _on_monomial(_delta_apply, x, m, Gamma)
+        return _kept(m, (_delta_apply, x, Gamma, Gamma.trunc),
+                     lambda: _delta_apply(LinComb.of(x), m, Gamma))
     return _delta_apply(x, m, Gamma)
 
 
@@ -536,45 +579,49 @@ def _delta_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
 def X_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """The vector field X_t = phi^x(t) d_x + phi^z(t) d_z on a monomial.
 
+    As an operator X_t is phi_{B+(t)}, so it reads the phi_s(m.f) kept on m.
     Extends linearly over combinations of single trees; the empty forest
     acts as the grading field Y.  Over a tree or a forest the result is kept
-    on m (see `_on_monomial`).
+    on m (see `_kept`).
     """
     if isinstance(x, (RootedTree, Forest)):
-        return _on_monomial(_X_apply, x, m, Gamma)
+        return _kept(m, (_X_apply, x, Gamma, Gamma.trunc),
+                     lambda: _X_apply(LinComb.of(x), m, Gamma))
     return _X_apply(x, m, Gamma)
 
 
 def _X_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
-    trunc = m.f.trunc if m.f.trunc is not None else m.psi.trunc
-    field, memo = _frame_phi(Gamma, trunc)
     out = FrameFunction.zero()
     for forest, coeff in x.terms.items():
         if forest.is_empty():
-            out = out + m.f.dz().scale(coeff)
-            continue
-        if len(forest.trees) != 1:
+            term = Y_apply(m).f
+        elif len(forest.trees) != 1:
             raise ValueError("X extends linearly over single trees only")
-        out = out + _contract([_phi_vec(forest.trees[0], field, memo)], m.f, 2).scale(coeff)
+        else:
+            term = _phi_on(b_plus(forest), m, Gamma)
+        out = out + term.scale(coeff)
     return Monomial(out, m.psi)
 
 
 def Y_apply(m: Monomial) -> Monomial:
-    """The grading field Y = y d/dy."""
-    return Monomial(m.f.dz(), m.psi)
+    """The grading field Y = y d/dy, kept on m."""
+    return _kept(m, Y_apply, lambda: Monomial(m.f.dz(), m.psi))
+
+
+def _phi_linear(x: LinComb, phi_s) -> FrameFunction:
+    """sum c phi_s(s) over the terms c s of x, which must be single trees."""
+    out = FrameFunction.zero()
+    for forest, coeff in x.terms.items():
+        if len(forest.trees) != 1:
+            raise ValueError("phi extends linearly over single trees only")
+        out = out + phi_s(forest.trees[0]).scale(coeff)
+    return out
 
 
 def phi_frame_op_lincomb(x: LinComb, Gamma: CurvatureFn, h: FrameFunction,
                          trunc: int | None = None) -> FrameFunction:
     """phi as an operator, extended linearly over combinations of single trees."""
-    field, memo = _frame_phi(Gamma, trunc)
-    out = FrameFunction.zero()
-    for forest, coeff in x.terms.items():
-        if len(forest.trees) != 1:
-            raise ValueError("phi extends linearly over single trees only")
-        children = [_phi_vec(c, field, memo) for c in forest.trees[0].children]
-        out = out + _contract(children, h, 2).scale(coeff)
-    return out
+    return _phi_linear(x, lambda s: phi_frame_op(s, Gamma, h, trunc))
 
 
 def first_mismatch(a: FrameFunction, b: FrameFunction):
@@ -705,7 +752,6 @@ def check_commutators(t: RootedTree, tp: RootedTree, m: Monomial,
                       Gamma: CurvatureFn) -> CommutatorReport:
     """Verify the commutation relations of Y, X_t and delta_t on m."""
     from .hopf import natural_growth
-    from .trees import Forest, b_plus
 
     rep = CommutatorReport()
 
@@ -729,13 +775,10 @@ def check_commutators(t: RootedTree, tp: RootedTree, m: Monomial,
         dt(m).f.scale(t.vertex_count),
     )
     xtp = lambda mm: X_t_apply(tp, mm, Gamma)
-    trunc = m.f.trunc if m.f.trunc is not None else m.psi.trunc
+    phi_m = lambda x: _phi_linear(x, lambda s: _phi_on(s, m, Gamma))
     lhs_xx = xt(xtp(m)).f - xtp(xt(m)).f
-    rhs_xx = phi_frame_op_lincomb(
-        natural_growth(t, LinComb.of(b_plus(Forest((tp,))))), Gamma, m.f, trunc
-    ) - phi_frame_op_lincomb(
-        natural_growth(tp, LinComb.of(b_plus(Forest((t,))))), Gamma, m.f, trunc
-    )
+    rhs_xx = phi_m(natural_growth(t, LinComb.of(b_plus(Forest((tp,)))))) \
+        - phi_m(natural_growth(tp, LinComb.of(b_plus(Forest((t,))))))
     rep.record("[X_t, X_t'] = phi_{N_t(B+(t'))} - phi_{N_t'(B+(t))}", lhs_xx, rhs_xx)
     rep.record(
         "[delta_t, delta_t'] = 0",

@@ -499,13 +499,19 @@ def series_solve(p: ODEProblem) -> list[list[Fraction]]:
 
 
 def _eval_field_on_jet(field: VectorField, coeffs: list[list[Fraction]], order: int) -> list[Fraction]:
-    """The s^order coefficient of f(x(s)) for the partial jet x(s)."""
+    """The s^order coefficient of f(x(s)) for the partial jet x(s).
+
+    x(0) = 0, so a monomial of total degree above `order` is O(s^(order+1))
+    and contributes nothing: its powers are never built.
+    """
     n = field.nvars
     jets = [[coeffs[k][i] for k in range(len(coeffs))] for i in range(n)]
     out = []
     for comp in field.components:
         acc = [Fraction(0)] * (order + 1)
         for expo, c in comp.terms.items():
+            if sum(expo) > order:
+                continue
             prod = [Fraction(1)] + [Fraction(0)] * order
             for i, e in enumerate(expo):
                 for _ in range(e):

@@ -10,7 +10,9 @@ sparse oracles add, scale, differentiate, compare and multiply series in
 any number of variables as dicts of Fractions, term by term.  Frame
 functions keep one series per power of y, and the coproduct sides of the
 frame model take one monomial product per coproduct term or cut.  The
-text parsers are kept as they were before they shared one scanner.
+grafting contraction differentiates the target afresh for every index
+tuple.  The text parsers are kept as they were before they shared one
+scanner.
 """
 
 from __future__ import annotations
@@ -470,6 +472,32 @@ def X_coproduct_sides_per_term(t, a, b, Gamma):
         xb = X_t_apply(root, b, Gamma)
         rhs = rhs + monomial_product(da, xb).f
     return lhs, rhs
+
+
+# The grafting contraction as it was before it took each partial derivative
+# once per sorted index tuple, kept verbatim (renamed), and the elementary
+# differentials built on it without a memo.
+
+def reference_contract(children, target, n: int):
+    """Sum over index tuples of (prod_j children[j][k_j]) d_{k_1..k_m} target."""
+    m = len(children)
+    acc = None
+    for ks in itertools.product(range(n), repeat=m):
+        term = target
+        for k in ks:
+            term = term.deriv(k)
+        for j, k in enumerate(ks):
+            term = term * children[j][k]
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else target
+
+
+def reference_phi_vec(t: RootedTree, field: tuple) -> tuple:
+    """phi(t) for the field components, recomputed for every subtree."""
+    if not t.children:
+        return field
+    children = [reference_phi_vec(c, field) for c in t.children]
+    return tuple(reference_contract(children, comp, len(field)) for comp in field)
 
 
 # The five text parsers as they were before they shared one scanner, kept

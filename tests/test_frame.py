@@ -435,3 +435,87 @@ def test_monomial_memo_keeps_curvature_truncation_orders_apart():
                 assert (str(got), got.trunc) == (str(want), want.trunc), (op, t.serial)
                 truncs.append(got.trunc)
             assert truncs[0] == truncs[2] != truncs[1]
+
+
+def grid(f):
+    return list(f._rows.items()), f._den
+
+
+def test_frame_function_keeps_its_derivatives():
+    rng = random.Random(13)
+    f = random_frame_function(rng, D)
+    fresh = FrameFunction(f.coeffs)
+    assert f.deriv(0) is f.dx() is f.deriv(0) and f.deriv(1) is f.dz() is f.deriv(1)
+    assert grid(f.dx()) == grid(fresh.dx()) and grid(f.dz()) == grid(fresh.dz())
+    assert f.dx().dz() is f.dx().dz() and grid(f.dx().dz()) == grid(fresh.dz().dx())
+    short = FrameFunction({0: MultiSeries.constant(1, 1, 0), 1: xs({(2,): 1})})
+    for _ in range(2):                                  # an exhausted derivative keeps nothing
+        with pytest.raises(TruncationError):
+            short.dx()
+    assert short._dx is None and short.dz() is short.dz()
+
+
+def test_monomial_keeps_Y_and_phi_per_curvature_order():
+    from treehopf import frame as fr
+
+    short = GAMMA_X.with_trunc(5)
+    rng = random.Random(14)
+    f, psi = random_frame_function(rng, D), random_diffeo(rng, D)
+    m = Monomial(f, psi)
+    assert Y_apply(m) is Y_apply(m) and Y_apply(m).f is f.dz()
+    for gamma in (GAMMA_X, short, GAMMA_X, short):
+        for t, tp in ((LEAF, LEAF), (LEAF, L2), (L2, CHERRY)):
+            got = check_commutators(t, tp, m, gamma)
+            want = check_commutators(t, tp, Monomial(f, psi), gamma)
+            assert got.results == want.results and got.mismatches == want.mismatches
+        got, want = X_t_apply(L2, m, gamma).f, X_t_apply(L2, Monomial(f, psi), gamma).f
+        assert grid(got) == grid(want)
+    # X_t reads phi_{B+(t)}: one entry per tree and curvature order, B+(L2) included
+    phis = [key for key in m._ops if isinstance(key, tuple) and key[0] is fr._phi_on]
+    assert {(s, trunc) for _, s, _, trunc in phis if s == LADDER3} == {(LADDER3, 8), (LADDER3, 5)}
+    assert len(phis) == len(set(phis)) and len({s for _, s, _, _ in phis}) * 2 == len(phis)
+    assert sum(1 for key in m._ops if key is Y_apply) == 1
+    assert grid(X_t_apply(L2, m, GAMMA_X).f) == grid(fr._phi_on(LADDER3, m, GAMMA_X))
+
+
+def test_psi_keeps_its_vertex_symbol_per_curvature_order():
+    from treehopf import frame as fr
+
+    short = GAMMA_X.with_trunc(5)
+    psi = diffeo({(1,): 1, (2,): Fraction(1, 2), (3,): -1})
+    cached = len(fr._gamma_cache)
+    got = [gamma_bullet(psi, g) for g in (GAMMA_X, short, GAMMA_X, short)]
+    assert got[0] is got[2] and got[1] is got[3] and len(psi._gamma) == 2
+    assert got[0].trunc == 6 and got[1].trunc == 5       # psi'' is cut at 6
+    for g, out in zip((GAMMA_X, short), got):
+        assert grid(out) == grid(gamma_bullet(FormalDiffeo(psi.series), g))
+    assert len(fr._gamma_cache) == cached               # gamma_bullet is not in _gamma_cache
+    assert gamma_t(LEAF, psi, GAMMA_X) is got[0]
+
+
+def test_gamma_forest_needs_no_constant_factor():
+    # every row of gamma_t is cut below psi.trunc, so the product by the
+    # constant 1 at psi.trunc, which the empty forest still returns, would
+    # change no row of a nonempty forest
+    from treehopf.frame import _gamma_forest
+
+    rng = random.Random(15)
+    trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    for order in (3, 5, 8):
+        psi = random_diffeo(rng, order)
+        one = FrameFunction.constant(1, order)
+        assert grid(_gamma_forest(EMPTY_FOREST, psi, GAMMA_X)) == grid(one)
+        for gamma in (GAMMA_X, GAMMA_X.with_trunc(None), GAMMA_X.with_trunc(4)):
+            gammas = {}
+            for t in trees:
+                try:
+                    gammas[t] = g = gamma_t(t, psi, gamma)
+                except TruncationError:
+                    continue
+                assert all(trunc is not None and trunc < order for trunc, _ in g._rows.values())
+                assert _gamma_forest(Forest((t,)), psi, gamma) is g
+                assert grid(one * g) == grid(g)
+            for t, u in zip(gammas, list(gammas)[1:]):
+                pair = Forest((t, u))
+                want = one * gammas[pair.trees[0]] * gammas[pair.trees[1]]
+                assert grid(_gamma_forest(pair, psi, gamma)) == grid(want)

@@ -122,6 +122,21 @@ def test_series_solve_logistic_style():
     assert got == [0, 1, 0, Fraction(1, 3), 0, Fraction(2, 15), 0, Fraction(17, 315)]
 
 
+def test_series_solve_skips_monomials_above_the_order():
+    # x(0) = 0, so x1^e is O(s^e): any e above the order gives the same
+    # coefficients as order + 1, and a huge e must not build its powers
+    order = 6
+    for extra in ("", " + x1 x2"):
+        got, want = (series_solve(ODEProblem(parse_vector_field(
+            f"f1 = 1 + x1^{e}{extra}\nf2 = x1^3 + 1/2 x2"), order)) for e in (2000000, order + 1))
+        assert got == want and any(got[order])
+    # total degree counts: x1^3 x2^4 is O(s^7), x1^3 x2^3 is not
+    f = parse_vector_field("f1 = 1 + x1^3 x2^3\nf2 = 1")
+    g = parse_vector_field("f1 = 1 + x1^3 x2^4\nf2 = 1")
+    s = series_solve(ODEProblem(f, 7))
+    assert s[7][0] == Fraction(1, 7) and series_solve(ODEProblem(g, 7))[7][0] == 0
+
+
 def test_ode_problem_validation():
     f = VectorField([s1({(1,): 1}, trunc=3)])
     with pytest.raises(ValueError):
