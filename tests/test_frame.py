@@ -505,7 +505,7 @@ def test_gamma_forest_needs_no_constant_factor():
         psi = random_diffeo(rng, order)
         one = FrameFunction.constant(1, order)
         assert grid(_gamma_forest(EMPTY_FOREST, psi, GAMMA_X)) == grid(one)
-        for gamma in (GAMMA_X, GAMMA_X.with_trunc(None), GAMMA_X.with_trunc(4)):
+        for gamma in (GAMMA_X, MultiSeries(1, GAMMA_X.terms), GAMMA_X.with_trunc(4)):
             gammas = {}
             for t in trees:
                 try:
