@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 from .hopf import LinComb, Tensor2, coproduct, natural_growth
-from .linalg import in_span, independent_rows
+from .linalg import Span, independent_rows
 from .trees import (EMPTY_FOREST, LEAF, Forest, RootedTree, TreeParseError, _expect, _expect_end,
                     _parse_tree_at, _rational_at, _sign_at, _skip_ws, b_plus)
 
@@ -264,40 +264,62 @@ class ClosureReport:
 
 
 def closure_check(basis: GradedBasis) -> ClosureReport:
-    """Check every basis element's coproduct stays inside span (x) span."""
+    """Check every basis element's coproduct stays inside span (x) span.
+
+    Delta(elem) is split into bidegree components (dl, dr), each tested
+    against span(dl) (x) span(dr).  That span is indexed and echeloned once
+    per bidegree, when a component first needs it, and every later
+    component of the same bidegree is reduced against it; nothing outlives
+    the call.
+    """
+    spans = {}  # bidegree -> (column index, Span), as `_tensor_span` builds them
     for d in range(1, basis.max_degree + 1):
         for elem in basis.degree_span(d):
             delta = coproduct(elem)
             components: dict[tuple[int, int], dict[tuple[Forest, Forest], Fraction]] = {}
             for (fl, fr), c in delta.terms.items():
                 components.setdefault((fl.degree, fr.degree), {})[(fl, fr)] = c
-            for (dl, dr), comp in sorted(components.items()):
-                left_basis = basis.degree_span(dl)
-                right_basis = basis.degree_span(dr)
-                if not _component_in_span(comp, left_basis, right_basis):
+            for bidegree, comp in sorted(components.items()):
+                span = spans.get(bidegree)
+                if span is None:
+                    dl, dr = bidegree
+                    span = spans[bidegree] = _tensor_span(basis.degree_span(dl),
+                                                          basis.degree_span(dr))
+                if not _component_in_span(comp, span):
                     worst = min(comp, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-                    return ClosureReport(False, elem, (dl, dr), worst)
+                    return ClosureReport(False, elem, bidegree, worst)
     return ClosureReport(True)
 
 
-def _component_in_span(component, left_basis, right_basis) -> bool:
-    if not left_basis or not right_basis:
-        return not component
+def _tensor_span(left_basis, right_basis):
+    """Column index over (left, right) forest pairs and the echelon of bl (x) br."""
+    index: dict[tuple[Forest, Forest], int] = {}
     products = [Tensor2.tensor(bl, br).terms
                 for bl, br in itertools.product(left_basis, right_basis)]
-    # Span membership does not depend on the column order.
-    systems = (component, *products)
-    index: dict[tuple[Forest, Forest], int] = {}
-    for terms in systems:
+    for terms in products:
         for pair in terms:
             index.setdefault(pair, len(index))
-    vectors = []
-    for terms in systems:
+    span = Span()
+    for terms in products:
         v = [0] * len(index)
         for pair, c in terms.items():
             v[index[pair]] = c
-        vectors.append(v)
-    return in_span(vectors[1:], vectors[0])
+        span.add(v)
+    return index, span
+
+
+def _component_in_span(component, span) -> bool:
+    """True iff the component lies in the tensor span (index, echelon) given."""
+    # Span membership does not depend on the column order.  Coproduct
+    # coefficients are nonzero, so a pair no product reaches escapes.
+    index, echelon = span
+    v = [0] * len(index)
+    for pair, c in component.items():
+        col = index.get(pair)
+        if col is None:
+            return False
+        v[col] = c
+    return echelon.contains(v)
 
 
 def parse_growth_expr(text: str):

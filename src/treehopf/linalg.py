@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-`independent_rows` and `in_span` run one incremental, fraction-free
-echelon over int rows (after Bareiss 1968): each row is scaled to
-integers by the lcm of its denominators, reduced against the kept rows
-in insertion order by v = a v - c r with cofactors divided by their gcd,
-and kept, divided by its content, when it does not vanish.  A candidate
-row costs O(kept * columns) integer operations.  `rref` and
+`Span` is one incremental, fraction-free echelon over int rows (after
+Bareiss 1968): each row is scaled to integers by the lcm of its
+denominators, reduced against the kept rows in insertion order by
+v = a v - c r with cofactors divided by their gcd, and kept, divided by
+its content, when it does not vanish.  `add` and `contains` cost
+O(kept * columns) integer operations per row, so a caller that tests
+many rows against one span echelons it once.  `independent_rows` and
+`in_span` are one-shot wrappers over a fresh `Span`.  `rref` and
 `solve_consistent` are the general Fraction Gauss-Jordan elimination
 and solver.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["rref", "independent_rows", "in_span", "solve_consistent"]
+__all__ = ["rref", "Span", "independent_rows", "in_span", "solve_consistent"]
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -48,55 +50,69 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def _reduce(echelon: list[tuple[int, list[int]]], row) -> list[int]:
-    """`row` cleared of denominators and eliminated against every kept pivot."""
-    # Pairwise lcm and gcd: star-args would build, and the tuple free
-    # lists keep, one argument tuple per row.
-    den = 1
-    for x in row:
-        if type(x) is not int:
-            den = lcm(den, x.denominator)
-    v = [x.numerator * (den // x.denominator) for x in row]
-    for p, r in echelon:
-        c = v[p]
-        if c:
-            a = r[p]
-            g = gcd(a, c)
-            a //= g
-            c //= g
-            v = [a * x - c * y for x, y in zip(v, r)]
-    return v
+class Span:
+    """The rational span of the rows added so far, as an int echelon.
 
+    Rows are lists of `int` or `Fraction` entries of one common width.
+    """
 
-def _add(echelon: list[tuple[int, list[int]]], row) -> bool:
-    """Keep `row` in the echelon unless it lies in the span; True if kept."""
-    v = _reduce(echelon, row)
-    for p, x in enumerate(v):
-        if x:
-            g = 0
-            for y in v:
-                g = gcd(g, y)
-                if g == 1:
-                    break
-            echelon.append((p, [y // g for y in v]))
-            return True
-    return False
+    __slots__ = ("_echelon",)
+
+    def __init__(self):
+        self._echelon: list[tuple[int, list[int]]] = []
+
+    def _reduce(self, row) -> list[int]:
+        """`row` cleared of denominators and eliminated against every kept pivot."""
+        # Pairwise lcm and gcd: star-args would build, and the tuple free
+        # lists keep, one argument tuple per row.
+        den = 1
+        for x in row:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+        v = [x.numerator * (den // x.denominator) for x in row]
+        for p, r in self._echelon:
+            c = v[p]
+            if c:
+                a = r[p]
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                v = [a * x - c * y for x, y in zip(v, r)]
+        return v
+
+    def add(self, row) -> bool:
+        """Keep `row` unless it already lies in the span; True if kept."""
+        v = self._reduce(row)
+        for p, x in enumerate(v):
+            if x:
+                g = 0
+                for y in v:
+                    g = gcd(g, y)
+                    if g == 1:
+                        break
+                self._echelon.append((p, [y // g for y in v]))
+                return True
+        return False
+
+    def contains(self, row) -> bool:
+        """True iff `row` is a rational linear combination of the kept rows."""
+        return not any(self._reduce(row))
 
 
 def independent_rows(rows: list[list[Fraction]]) -> list[int]:
     """Indices of a maximal independent subset, scanning in order."""
-    echelon: list[tuple[int, list[int]]] = []
-    return [i for i, row in enumerate(rows) if _add(echelon, row)]
+    span = Span()
+    return [i for i, row in enumerate(rows) if span.add(row)]
 
 
 def in_span(rows: list[list[Fraction]], target: list[Fraction]) -> bool:
     """True iff target is a rational linear combination of the rows."""
     if not any(target):
         return True
-    echelon: list[tuple[int, list[int]]] = []
+    span = Span()
     for row in rows:
-        _add(echelon, row)
-    return not any(_reduce(echelon, target))
+        span.add(row)
+    return span.contains(target)
 
 
 def solve_consistent(a: list[list[Fraction]], b: list[Fraction]):

@@ -552,7 +552,10 @@ def parse_polynomial(text: str, var_names: list[str], trunc: int | None = None) 
                     start, pos = pos + 1, _digits_end(text, pos + 1)
                     if pos == start:
                         raise SeriesParseError("expected exponent", text, pos)
-                    power = int(text[start:pos])
+                    try:
+                        power = int(text[start:pos])
+                    except ValueError:  # `str.isdigit` digits that are not decimal, like `²`
+                        raise SeriesParseError("malformed exponent", text, start) from None
                 expo[matched] += power
             saw_factor = True
             pos = _skip_ws(text, pos)

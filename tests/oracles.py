@@ -3,16 +3,17 @@
 These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets.
-Span tests rerun a Fraction row reduction for every candidate row.  The
-univariate jet oracles multiply dicts of Fractions term by term, compose
-by summing successive powers, and invert by repeated composition.  The
-sparse oracles add, scale, differentiate, compare and multiply series in
-any number of variables as dicts of Fractions, term by term.  Frame
-functions keep one series per power of y, and the coproduct sides of the
-frame model take one monomial product per coproduct term or cut.  The
-grafting contraction differentiates the target afresh for every index
-tuple.  The text parsers are kept as they were before they shared one
-scanner.
+Span tests rerun a Fraction row reduction for every candidate row, and
+the closure check echelons span (x) span afresh for every coproduct
+component.  The univariate jet oracles multiply dicts of Fractions term
+by term, compose by summing successive powers, and invert by repeated
+composition.  The sparse oracles add, scale, differentiate, compare and
+multiply series in any number of variables as dicts of Fractions, term
+by term.  Frame functions keep one series per power of y, and the
+coproduct sides of the frame model take one monomial product per
+coproduct term or cut.  The grafting contraction differentiates the
+target afresh for every index tuple.  The text parsers are kept as they
+were before they shared one scanner.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from treehopf import Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError
+from treehopf import (Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError,
+                      coproduct)
 from treehopf.growth import GrowthApply, GrowthCombo, GrowthLeaf
 from treehopf.hopf import _acc
-from treehopf.linalg import solve_consistent
+from treehopf.linalg import in_span, solve_consistent
 from treehopf.series import SeriesParseError, _min_trunc
 from treehopf.trees import EMPTY_FOREST, TreeParseError
 
@@ -194,6 +196,42 @@ def rref_in_span(rows, target):
     if not rows:
         return False
     return solve_consistent([list(col) for col in zip(*rows)], target) is not None
+
+
+def reference_closure_check(basis):
+    """Closure under the coproduct, re-solving span (x) span for every component."""
+    from treehopf.growth import ClosureReport
+
+    for d in range(1, basis.max_degree + 1):
+        for elem in basis.degree_span(d):
+            components = {}
+            for (fl, fr), c in coproduct(elem).terms.items():
+                components.setdefault((fl.degree, fr.degree), {})[(fl, fr)] = c
+            for (dl, dr), comp in sorted(components.items()):
+                left, right = basis.degree_span(dl), basis.degree_span(dr)
+                if not _reference_component_in_span(comp, left, right):
+                    worst = min(comp, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+                    return ClosureReport(False, elem, (dl, dr), worst)
+    return ClosureReport(True)
+
+
+def _reference_component_in_span(component, left_basis, right_basis):
+    if not left_basis or not right_basis:
+        return not component
+    products = [Tensor2.tensor(bl, br).terms
+                for bl, br in itertools.product(left_basis, right_basis)]
+    systems = (component, *products)
+    index = {}
+    for terms in systems:
+        for pair in terms:
+            index.setdefault(pair, len(index))
+    vectors = []
+    for terms in systems:
+        v = [0] * len(index)
+        for pair, c in terms.items():
+            v[index[pair]] = c
+        vectors.append(v)
+    return in_span(vectors[1:], vectors[0])
 
 
 # Univariate jets: the sparse Fraction arithmetic that MultiSeries ran

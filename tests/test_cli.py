@@ -70,8 +70,11 @@ def test_json_round_trip(capsys):
     (["antipode", "1/0 [[]]"], "malformed rational coefficient at position 0: '1/0 [[]]'"),
     (["cm", "gamma", "--psi", "x^", "--Gamma", "x", "--tree", "[]"],
      "expected exponent at position 2: 'x^'"),
+    (["cm", "gamma", "--psi", "x^²", "--Gamma", "x", "--tree", "[]"],
+     "malformed exponent at position 2: 'x^²'"),
     (["butcher", "--field", "FIELD", "--tree", "[]"], "malformed rational at position 0: '1/0 x1'"),
-], ids=["tree", "lincomb", "lincomb-coefficient", "polynomial", "vector-field"])
+], ids=["tree", "lincomb", "lincomb-coefficient", "polynomial", "polynomial-exponent",
+     "vector-field"])
 def test_parse_error_exit_code(capsys, tmp_path, argv, message):
     field = tmp_path / "field.txt"
     field.write_text("f1 = x2\nf2 = 1/0 x1\n")

@@ -1,9 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+from oracles import reference_closure_check
 
 from treehopf import (
     Forest,
@@ -150,6 +153,38 @@ def test_closure_fails_without_hopf_hypothesis():
     assert rep.bidegree is not None
     # the escaping leg is the single vertex produced by a leaf cut
     assert rep.bidegree[0] == 1 or rep.bidegree[1] == 1
+
+
+def _same_closure_report(gens, max_degree):
+    basis = generate_subalgebra(gens, max_degree)
+    got, want = closure_check(basis), reference_closure_check(basis)
+    assert (got.ok, got.element, got.bidegree, got.term) == (
+        want.ok, want.element, want.bidegree, want.term), (gens, max_degree)
+    assert str(got) == str(want)
+    return got
+
+
+@pytest.mark.parametrize("gens, max_degree, ok", [
+    ({fan_graph(1)}, 6, True),
+    ({fan_graph(1), fan_graph(2)}, 6, True),
+    ({fan_graph(1), fan_graph(2), fan_graph(3)}, 6, True),
+    ({CHERRY}, 6, False),
+    ({parse_tree("[[[]]]")}, 4, False),
+    ({LEAF, parse_tree("[[[]]]")}, 5, False),
+])
+def test_closure_check_matches_the_per_component_reference(gens, max_degree, ok):
+    assert _same_closure_report(gens, max_degree).ok is ok
+
+
+def test_closure_check_matches_the_reference_on_random_generators():
+    rng = random.Random(15)
+    small = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    outcomes = set()
+    for _ in range(40):
+        gens = set(rng.sample(small, rng.randint(1, 3)))
+        top = max(t.vertex_count for t in gens)
+        outcomes.add(_same_closure_report(gens, rng.randint(top, 5)).ok)
+    assert outcomes == {True, False}
 
 
 def test_generate_subalgebra_validates_input():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from oracles import rref_in_span, rref_independent_rows
 
-from treehopf.linalg import in_span, independent_rows
+from treehopf.linalg import Span, in_span, independent_rows
 
 
 def random_entry(rng):
@@ -67,3 +67,46 @@ def test_empty_and_zero_width():
     assert in_span([], [0, 0])
     assert not in_span([], [0, Fraction(1, 2)])
     assert independent_rows([[0, 0], [0, -1], [0, 3], [Fraction(1, 3), 1]]) == [1, 3]
+
+
+def probe(rng, rows, width):
+    """A zero row, a random row, or a combination of `rows`, as ints or Fractions."""
+    kind = rng.random()
+    if kind < 0.2:
+        row = [0] * width
+    elif kind < 0.6 and rows:
+        row = combination(rng, rows, width)
+    else:
+        row = [random_entry(rng) for _ in range(width)]
+    return [Fraction(x) for x in row] if rng.random() < 0.3 else row
+
+
+def test_span_add_and_contains_match_rref_oracle():
+    rng = random.Random(1515)
+    for trial in range(1200):
+        rows, width = random_matrix(rng)
+        span, added, kept = Span(), [], []
+        for row in rows:
+            for _ in range(rng.randint(0, 2)):
+                target = probe(rng, added, width)
+                assert span.contains(target) == rref_in_span(added, target), (trial, added, target)
+            if span.add(row):
+                kept.append(len(added))
+            added.append(row)
+        assert kept == rref_independent_rows(added), (trial, added)
+        target = probe(rng, added, width)
+        assert span.contains(target) == rref_in_span(added, target), (trial, added, target)
+
+
+def test_empty_span_and_empty_rows():
+    span = Span()
+    assert span.contains([])
+    assert span.contains([0, Fraction(0)])
+    assert not span.contains([0, Fraction(1, 2)])
+    assert not span.add([])
+    assert not span.add([0, 0])
+    assert span.contains([0, 0])
+    assert span.add([Fraction(1, 2), 0])
+    assert span.contains([3, 0])
+    assert not span.contains([3, 1])
+    assert not span.add([Fraction(-4, 3), 0])

@@ -2,11 +2,14 @@
 
 Each public parser must return the same value as its reference in
 `oracles.py`, or raise the same exception class with the same message and
-the same `.pos`.  One difference is documented: a malformed growth
+the same `.pos`.  Two differences are documented.  A malformed growth
 coefficient (`1/0`, `1/2/3`, `//`) made the reference raise a bare
 ZeroDivisionError or ValueError, and now raises
 TreeParseError("malformed rational coefficient") at the coefficient's start,
-as `parse_lincomb` does.
+as `parse_lincomb` does.  A polynomial exponent of digits that `str.isdigit`
+accepts but `int` does not (`x^²`) made the reference raise a bare
+ValueError, and now raises SeriesParseError("malformed exponent") at the
+exponent's start.
 
 Inputs are strings over each grammar's alphabet and valid inputs with a
 few characters inserted, deleted or replaced.  The alphabets hold Unicode
@@ -26,6 +29,7 @@ from oracles import (
 )
 from treehopf import (enumerate_trees, parse_forest, parse_growth_expr, parse_lincomb,
                       parse_polynomial, parse_tree)
+from treehopf.series import SeriesParseError
 from treehopf.trees import TreeParseError
 
 WHITESPACE = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]
@@ -148,6 +152,23 @@ def _is_growth_coefficient_fix(grammar, text, got, want):
     return True
 
 
+def _is_polynomial_exponent_fix(grammar, text, got, want):
+    """The documented difference: a reference `int` error on an exponent the scanner now names."""
+    if not grammar.startswith("polynomial") or want[0] != "error" or want[1][0] is not ValueError:
+        return False
+    assert got[0] == "error", text
+    cls, message, pos = got[1]
+    assert cls is SeriesParseError
+    assert message == f"malformed exponent at position {pos}: {text!r}"
+    # pos starts the digit run after a `^`, and that run is not a decimal number.
+    end = pos
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    assert pos > 0 and text[pos - 1] == "^"
+    assert end > pos and not text[pos:end].isdecimal()
+    return True
+
+
 def _huge_exact_power(grammar, text):
     """A big exponent of an exact one-variable polynomial, which the reference builds densely."""
     if grammar != "polynomial-x":
@@ -168,7 +189,8 @@ def _check(grammar, text):
     parse, reference, view, _ = GRAMMARS[grammar]
     want = _outcome(reference, view, text)
     got = _outcome(parse, view, text)
-    if not _is_growth_coefficient_fix(grammar, text, got, want):
+    if not (_is_growth_coefficient_fix(grammar, text, got, want)
+            or _is_polynomial_exponent_fix(grammar, text, got, want)):
         assert got == want, text
 
 
@@ -201,7 +223,7 @@ def test_parsers_match_their_frozen_references(grammar):
     ("polynomial-x", "* + x"), ("polynomial-x", "1/0 x"), ("polynomial-x", "q"),
     ("polynomial-x", "x - x"), ("polynomial-x-trunc", "x^5 + x"),
     ("polynomial-xy", "y^2 x - y + x y^2"),
-    ("polynomial-x1-x2-x12", "x12 x1^2 - x2 + x1^2 x12"),
+    ("polynomial-x1-x2-x12", "x12 x1^2 - x2 + x1^2 x12"), ("polynomial-xy", "x^1² + y"),
 ])
 def test_known_inputs_match_their_frozen_references(grammar, text):
     _check(grammar, text)
