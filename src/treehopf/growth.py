@@ -1,16 +1,21 @@
-"""Generation of trees by natural growth, fan graphs, and sub-Hopf algebras."""
+"""Generation of trees by natural growth, fan graphs, and sub-Hopf algebras.
+
+Growth expressions are frozen records (equal and hashed by their fields);
+the graded basis and the closure report are mutable, unhashable records.
+Both kinds are `__slots__` classes on the small record bases of `trees`.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .hopf import LinComb, Tensor2, coproduct, natural_growth
 from .linalg import Span, independent_rows
 from .trees import (EMPTY_FOREST, LEAF, Forest, RootedTree, TreeParseError, _expect, _expect_end,
-                    _parse_tree_at, _rational_at, _sign_at, _skip_ws, b_plus)
+                    _FrozenRecord, _parse_tree_at, _rational_at, _Record, _sign_at, _skip_ws,
+                    b_plus)
 
 __all__ = [
     "GrowthExpr",
@@ -30,32 +35,41 @@ __all__ = [
 ]
 
 
-class GrowthExpr:
+class GrowthExpr(_FrozenRecord):
     """Expression over the leaf, N_t applications, and rational combinations."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class GrowthLeaf(GrowthExpr):
+    """The single vertex."""
+
     __slots__ = ()
 
     def __str__(self) -> str:
         return "."
 
 
-@dataclass(frozen=True)
 class GrowthApply(GrowthExpr):
-    tree: RootedTree
-    sub: GrowthExpr
+    """N_tree applied to the expression `sub`."""
+
+    __slots__ = ("tree", "sub")
+
+    def __init__(self, tree: RootedTree, sub: GrowthExpr):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "sub", sub)
 
     def __str__(self) -> str:
         return f"N{{{self.tree.serial}}}({self.sub})"
 
 
-@dataclass(frozen=True)
 class GrowthCombo(GrowthExpr):
-    parts: tuple[tuple[Fraction, GrowthExpr], ...]
+    """The rational combination sum of coeff * expr over `parts`."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[Fraction, GrowthExpr], ...]):
+        object.__setattr__(self, "parts", parts)
 
     def __str__(self) -> str:
         bits = []
@@ -167,13 +181,16 @@ def fan_closed_form_report(n: int) -> dict:
     }
 
 
-@dataclass
-class GradedBasis:
+class GradedBasis(_Record):
     """Per-degree spanning bases of a growth subalgebra A_S."""
 
-    generators: tuple[RootedTree, ...]
-    max_degree: int
-    by_degree: dict[int, list[LinComb]]
+    __slots__ = ("generators", "max_degree", "by_degree")
+
+    def __init__(self, generators: tuple[RootedTree, ...], max_degree: int,
+                 by_degree: dict[int, list[LinComb]]):
+        self.generators = generators
+        self.max_degree = max_degree
+        self.by_degree = by_degree
 
     def degree_span(self, d: int) -> list[LinComb]:
         if d == 0:
@@ -244,12 +261,18 @@ def generate_subalgebra(S, max_degree: int) -> GradedBasis:
     return GradedBasis(generators=gens, max_degree=max_degree, by_degree=by_degree)
 
 
-@dataclass
-class ClosureReport:
-    ok: bool
-    element: LinComb | None = None
-    bidegree: tuple[int, int] | None = None
-    term: tuple[Forest, Forest] | None = None
+class ClosureReport(_Record):
+    """Whether Delta maps a basis into span (x) span; else the first escaping term."""
+
+    __slots__ = ("ok", "element", "bidegree", "term")
+
+    def __init__(self, ok: bool, element: LinComb | None = None,
+                 bidegree: tuple[int, int] | None = None,
+                 term: tuple[Forest, Forest] | None = None):
+        self.ok = ok
+        self.element = element
+        self.bidegree = bidegree
+        self.term = term
 
     def __bool__(self) -> bool:
         return self.ok

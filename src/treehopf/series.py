@@ -580,7 +580,8 @@ def parse_vector_field(text: str, trunc: int | None = None) -> VectorField:
             raise SeriesParseError("expected `fi = polynomial`", ln, 0)
         lhs, rhs = ln.split("=", 1)
         lhs = lhs.strip()
-        if not (lhs.startswith("f") and lhs[1:].isdigit()):
+        # `int` reads decimal digits only: `str.isdigit` would pass `f²` to it.
+        if not (lhs.startswith("f") and lhs[1:].isdecimal()):
             raise SeriesParseError("component must be named f1..fn", ln, 0)
         idx = int(lhs[1:]) - 1
         if not 0 <= idx < n:

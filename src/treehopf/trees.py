@@ -17,12 +17,17 @@ first; on serializations this is the lexicographic order in which
 ``]`` sorts before ``[``, which makes the single-vertex tree the
 smallest tree of each size class and lists bushy trees before ladders
 (fan first, ladder last within a degree).
+
+An admissible cut is a `Cut`, a frozen record.  The record bases here
+(`_Record`, `_FrozenRecord`), which `growth` uses too, are `__slots__`
+classes that compare, hash, print, copy and pickle as a plain or frozen
+`dataclass` would, without importing `dataclasses` and, through it,
+`inspect` on every start of the command line.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -67,11 +72,8 @@ class TreeParseError(_ParseError):
     """Raised on malformed tree, forest, linear-combination or growth text."""
 
 
-class _Interned:
-    """Immutability and printing of the interned trees and forests.
-
-    Equality and hashing are inherited from `object`: one instance per shape.
-    """
+class _Immutable:
+    """Instances whose attributes are set once, by `object.__setattr__`, and never again."""
 
     __slots__ = ()
 
@@ -80,6 +82,54 @@ class _Interned:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class _Record:
+    """A small value class: what a plain `@dataclass` gives, without importing it.
+
+    A subclass lists its fields, in order, as its `__slots__` and sets them
+    in its own `__init__`, which takes them positionally in that order.
+    Equality holds between instances of one class with equal fields, the
+    repr is `Name(field=value, ...)`, and copies and pickles rebuild the
+    instance through `__init__`.  A mutable record is unhashable.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class _FrozenRecord(_Immutable, _Record):
+    """A `_Record` that is immutable and hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class _Interned(_Immutable):
+    """Immutability and printing of the interned trees and forests.
+
+    Equality and hashing are inherited from `object`: one instance per shape.
+    """
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.serial!r})"
@@ -275,15 +325,19 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(_FrozenRecord):
     """An admissible cut: a set of edges given by root-based child-index paths.
 
-    The two trivial cuts carry no usable edge set; `kind` distinguishes them.
+    The two trivial cuts carry no usable edge set; `kind` ('empty',
+    'proper' or 'full') distinguishes them.  A frozen record: equal and
+    hashed by (edges, kind).
     """
 
-    edges: frozenset[tuple[int, ...]]
-    kind: str  # 'empty' | 'proper' | 'full'
+    __slots__ = ("edges", "kind")
+
+    def __init__(self, edges: frozenset[tuple[int, ...]], kind: str):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "kind", kind)
 
 
 def admissible_cuts(t: RootedTree) -> list[tuple[Cut, Forest, Forest]]:

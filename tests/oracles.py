@@ -13,12 +13,14 @@ by term.  Frame functions keep one series per power of y, and the
 coproduct sides of the frame model take one monomial product per
 coproduct term or cut.  The grafting contraction differentiates the
 target afresh for every index tuple.  The text parsers are kept as they
-were before they shared one scanner.
+were before they shared one scanner, and the six value classes of `trees`
+and `growth` as the dataclasses they were, each name prefixed `Dataclass`.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from treehopf import (Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError,
@@ -785,3 +787,82 @@ def reference_parse_polynomial(text: str, var_names: list[str], trunc: int | Non
             raise SeriesParseError("expected a term", text, pos)
         out = out + MultiSeries(n, {tuple(expo): sign * coeff}, trunc)
     return out
+
+
+# The value classes as dataclasses.  Only the class names differ (and the
+# `isinstance` test in `DataclassGrowthCombo.__str__`, which names its own class).
+
+
+@dataclass(frozen=True)
+class DataclassCut:
+    edges: frozenset[tuple[int, ...]]
+    kind: str
+
+
+class DataclassGrowthExpr:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class DataclassGrowthLeaf(DataclassGrowthExpr):
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return "."
+
+
+@dataclass(frozen=True)
+class DataclassGrowthApply(DataclassGrowthExpr):
+    tree: RootedTree
+    sub: DataclassGrowthExpr
+
+    def __str__(self) -> str:
+        return f"N{{{self.tree.serial}}}({self.sub})"
+
+
+@dataclass(frozen=True)
+class DataclassGrowthCombo(DataclassGrowthExpr):
+    parts: tuple[tuple[Fraction, DataclassGrowthExpr], ...]
+
+    def __str__(self) -> str:
+        bits = []
+        for coeff, expr in self.parts:
+            mag = -coeff if coeff < 0 else coeff
+            body = f"({expr})" if isinstance(expr, DataclassGrowthCombo) else str(expr)
+            piece = f"{mag} {body}"
+            if not bits:
+                bits.append(piece if coeff > 0 else f"- {piece}")
+            else:
+                bits.append(("+ " if coeff > 0 else "- ") + piece)
+        return " ".join(bits) if bits else "0"
+
+
+@dataclass
+class DataclassGradedBasis:
+    generators: tuple[RootedTree, ...]
+    max_degree: int
+    by_degree: dict[int, list[LinComb]]
+
+    def degree_span(self, d: int) -> list[LinComb]:
+        if d == 0:
+            return [LinComb.unit()]
+        return self.by_degree.get(d, [])
+
+
+@dataclass
+class DataclassClosureReport:
+    ok: bool
+    element: LinComb | None = None
+    bidegree: tuple[int, int] | None = None
+    term: tuple[Forest, Forest] | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def __str__(self) -> str:
+        if self.ok:
+            return "closed under the coproduct"
+        return (
+            f"coproduct escapes the span: element {self.element}, "
+            f"bidegree {self.bidegree}, term ({self.term[0]} | {self.term[1]})"
+        )

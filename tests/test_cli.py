@@ -73,12 +73,16 @@ def test_json_round_trip(capsys):
     (["cm", "gamma", "--psi", "x^²", "--Gamma", "x", "--tree", "[]"],
      "malformed exponent at position 2: 'x^²'"),
     (["butcher", "--field", "FIELD", "--tree", "[]"], "malformed rational at position 0: '1/0 x1'"),
+    # `²` passes `str.isdigit`, but `int` rejects it.
+    (["butcher", "--field", "FIELD_NAME", "--tree", "[]"],
+     "component must be named f1..fn at position 0: 'f² = x1'"),
 ], ids=["tree", "lincomb", "lincomb-coefficient", "polynomial", "polynomial-exponent",
-     "vector-field"])
+     "vector-field", "vector-field-name"])
 def test_parse_error_exit_code(capsys, tmp_path, argv, message):
-    field = tmp_path / "field.txt"
-    field.write_text("f1 = x2\nf2 = 1/0 x1\n")
-    argv = [str(field) if arg == "FIELD" else arg for arg in argv]
+    fields = {"FIELD": "f1 = x2\nf2 = 1/0 x1\n", "FIELD_NAME": "f² = x1\n"}
+    for name, text in fields.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in fields else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
