@@ -11,7 +11,10 @@ admissible cuts, is built from the 1-cocycle identity
 Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), children before parents,
 with a per-shape memo; the antipode uses the recursive proper-cut formula
 over the grouped terms of that coproduct, with a per-tree memo; and
-natural growth N_t grafts a copy of t onto every vertex of its argument.
+natural growth N_t grafts a copy of t onto every vertex of its argument,
+with N_t(s) kept once per pair (t, s) of interned trees.  The three memos
+are keyed by interned trees, which live as long as the process, so none
+needs a bound.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort on the forests' serializations.
 
@@ -326,15 +329,22 @@ def grading_Y(x: LinComb | Forest | RootedTree) -> LinComb:
     return LinComb({f: c * f.degree for f, c in x.terms.items()})
 
 
+_graft_memo: dict[tuple[RootedTree, RootedTree], LinComb] = {}
+
+
 def _graft_everywhere(t: RootedTree, s: RootedTree) -> LinComb:
-    """Sum of trees obtained by attaching t's root to each vertex of s."""
+    """Sum of trees obtained by attaching t's root to each vertex of s, memoised per (t, s)."""
+    cached = _graft_memo.get((t, s))
+    if cached is not None:
+        return cached
     out: dict[Forest, int | Fraction] = {Forest((RootedTree(s.children + (t,)),)): 1}
     for i, child in enumerate(s.children):
         grown = _graft_everywhere(t, child)
         for f, c in grown.terms.items():
             new_kids = s.children[:i] + (f.trees[0],) + s.children[i + 1:]
             _acc(out, Forest((RootedTree(new_kids),)), c)
-    return LinComb._raw(out)
+    res = _graft_memo[t, s] = LinComb._raw(out)
+    return res
 
 
 def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
@@ -342,7 +352,11 @@ def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
     if isinstance(x, (RootedTree, Forest)):
         x = LinComb.of(x)
 
+    # `linear` accumulates into a fresh dict, so the memo's own terms never
+    # leave this module.
     def on_forest(f: Forest) -> LinComb:
+        if len(f.trees) == 1:
+            return _graft_everywhere(t, f.trees[0])
         return LinComb((g * rest, c) for i, s in enumerate(f.trees)
                        for rest in (Forest(f.trees[:i] + f.trees[i + 1:]),)
                        for g, c in _graft_everywhere(t, s).terms.items())

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
-the coproduct and the antipode are assembled directly from edge subsets.
+the coproduct and the antipode are assembled directly from edge subsets,
+and natural growth attaches its tree at each vertex path in turn.
 Span tests rerun a Fraction row reduction for every candidate row, and
 the closure check echelons span (x) span afresh for every coproduct
 component.  The univariate jet oracles multiply dicts of Fractions term
@@ -138,6 +139,32 @@ def remove_edges(t: RootedTree, cut: set, path=()) -> RootedTree:
             continue
         kids.append(remove_edges(c, cut, edge))
     return RootedTree(tuple(kids))
+
+
+def attach_at(s: RootedTree, path, t: RootedTree) -> RootedTree:
+    """s with t's root attached as a new child of the vertex at path."""
+    if not path:
+        return RootedTree(s.children + (t,))
+    i = path[0]
+    return RootedTree(s.children[:i] + (attach_at(s.children[i], path[1:], t),)
+                      + s.children[i + 1:])
+
+
+def brute_force_natural_growth(t: RootedTree, s: RootedTree) -> LinComb:
+    """N_t(s): one tree per vertex of s, the root and the end of every edge."""
+    out = LinComb.zero()
+    for path in [()] + list(edge_list(s)):
+        out = out + LinComb.of(attach_at(s, path, t))
+    return out
+
+
+def brute_force_natural_growth_forest(t: RootedTree, f: Forest) -> LinComb:
+    """N_t on a forest by the derivation rule: grow one tree, keep the others."""
+    out = LinComb.zero()
+    for i, s in enumerate(f.trees):
+        rest = LinComb.of(Forest(f.trees[:i] + f.trees[i + 1:]))
+        out = out + brute_force_natural_growth(t, s) * rest
+    return out
 
 
 def brute_force_cut_pairs(t: RootedTree):

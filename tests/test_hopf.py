@@ -14,6 +14,7 @@ from treehopf import (
     Forest,
     LEAF,
     LinComb,
+    RootedTree,
     Tensor2,
     antipode,
     b_plus,
@@ -30,7 +31,9 @@ from treehopf import (
     parse_lincomb,
     parse_tree,
 )
-from oracles import brute_force_coproduct, brute_force_coproduct_tree, total_cut_antipode
+import treehopf.hopf as hopf_module
+from oracles import (brute_force_coproduct, brute_force_coproduct_tree, brute_force_natural_growth,
+                     brute_force_natural_growth_forest, total_cut_antipode)
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -107,6 +110,38 @@ def test_counit_axiom(x):
     assert right == x
 
 
+def _coproduct_twice(x: LinComb, left: bool) -> dict:
+    """(Delta (x) id) Delta(x) if left, else (id (x) Delta) Delta(x), as a triple-keyed dict."""
+    out: dict = {}
+    for (fl, fr), c in coproduct(x).terms.items():
+        for (a, b), d in coproduct(fl if left else fr).terms.items():
+            key = (a, b, fr) if left else (fl, a, b)
+            out[key] = out.get(key, 0) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+def high_degree_lincombs():
+    forests = list(enumerate_forests(7)) + list(enumerate_forests(8))
+    entry = st.tuples(st.sampled_from(forests), st.sampled_from([1, -2, Fraction(1, 3)]))
+    return st.lists(entry, min_size=1, max_size=2).map(LinComb)
+
+
+@given(high_degree_lincombs())
+@settings(max_examples=40)
+def test_coassociativity_at_degree_7_and_8(x):
+    assert _coproduct_twice(x, True) == _coproduct_twice(x, False)
+
+
+@given(high_degree_lincombs())
+@settings(max_examples=40)
+def test_antipode_identity_at_degree_7_and_8(x):
+    # m(S (x) id) Delta(x) = eps(x) 1 = m(id (x) S) Delta(x)
+    target = LinComb.unit().scale(counit(x))
+    d = coproduct(x)
+    assert LinComb.linear(d, lambda p: antipode(p[0]) * LinComb.of(p[1])) == target
+    assert LinComb.linear(d, lambda p: LinComb.of(p[0]) * antipode(p[1])) == target
+
+
 def test_antipode_examples():
     assert antipode(LinComb.of(LEAF)) == LinComb.of(LEAF, -1)
     want = LinComb.of(Forest((LEAF, LEAF))) - LinComb.of(L2)
@@ -166,6 +201,53 @@ def test_growth_is_derivation_on_products():
     lhs = natural_growth(t, u * v)
     rhs = natural_growth(t, u) * v + u * natural_growth(t, v)
     assert lhs == rhs
+
+
+# Every pair of trees (t, s) with |t| + |s| <= 8, and every (t, forest) with
+# |t| <= 3 and |t| + deg <= 7.
+GROWTH_PAIRS = [(t, s) for n in range(1, 8) for t in enumerate_trees(n)
+                for m in range(1, 9 - n) for s in enumerate_trees(m)]
+GROWTH_FORESTS = [(t, f) for n in range(1, 4) for t in enumerate_trees(n)
+                  for d in range(0, 8 - n) for f in enumerate_forests(d)]
+
+
+@pytest.mark.parametrize("fill", ["empty", "shuffled"])
+def test_natural_growth_matches_brute_force_oracle(monkeypatch, fill):
+    # Each run starts on an empty growth memo; "shuffled" first fills it by
+    # growing every pair and forest in a seeded random order.
+    monkeypatch.setattr(hopf_module, "_graft_memo", {})
+    if fill == "shuffled":
+        order = GROWTH_PAIRS + GROWTH_FORESTS
+        random.Random(17).shuffle(order)
+        for t, x in order:
+            natural_growth(t, x)
+        assert len(hopf_module._graft_memo) >= len(GROWTH_PAIRS)
+    assert len(GROWTH_PAIRS) == 312
+    for t, s in GROWTH_PAIRS:
+        assert natural_growth(t, s) == brute_force_natural_growth(t, s), (t.serial, s.serial)
+    for t, f in GROWTH_FORESTS:
+        assert natural_growth(t, f) == brute_force_natural_growth_forest(t, f), (t.serial, f.serial)
+    x = LinComb.of(PAPER_T, Fraction(2, 3)) + LinComb.of(Forest((L2, CHERRY)), -3) + LinComb.unit()
+    want = (brute_force_natural_growth(LADDER3, PAPER_T).scale(Fraction(2, 3))
+            + brute_force_natural_growth_forest(LADDER3, Forest((L2, CHERRY))).scale(-3))
+    assert natural_growth(LADDER3, x) == want
+
+
+def test_growth_memo_is_keyed_by_interned_trees_and_never_handed_out():
+    for x in (PAPER_T, Forest((PAPER_T,)), LinComb.of(PAPER_T, 2), Forest((L2, CHERRY))):
+        first = natural_growth(L2, x)
+        want = str(first)
+        first.terms[Forest((LEAF,))] = 99
+        for f in list(first.terms)[:2]:
+            first.terms[f] = -7
+        second = natural_growth(L2, x)
+        assert second is not first and second.terms is not first.terms
+        assert str(second) == want, x
+        second.terms.clear()
+        assert str(natural_growth(L2, x)) == want, x
+    for (t, s), grown in hopf_module._graft_memo.items():
+        assert RootedTree(t.children) is t and RootedTree(s.children) is s
+        assert grown == brute_force_natural_growth(t, s)
 
 
 def test_delta_k_displays():
@@ -332,20 +414,26 @@ def test_antipode_matches_total_cut_oracle():
             assert antipode(t) == total_cut_antipode(t), t.serial
 
 
-# Renders Delta and S of every tree with n <= 7 in sorted order, after
-# computing them in the order given by argv[1]: "sorted" or a shuffle seed.
+# Renders Delta and S of every tree with n <= 7, then N_t(s) for every pair
+# with |t| + |s| <= 7, in sorted order, after computing all of them in the
+# order given by argv[1]: "sorted" or a shuffle seed.
 _RENDER_ALL = """
 import random, sys
-from treehopf import antipode, coproduct, enumerate_trees
+from treehopf import antipode, coproduct, enumerate_trees, natural_growth
 trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
-order = list(trees)
+jobs = [(t,) for t in trees]
+jobs += [(t, s) for t in trees for s in trees if t.vertex_count + s.vertex_count <= 7]
+order = list(jobs)
 if sys.argv[1] != "sorted":
     random.Random(int(sys.argv[1])).shuffle(order)
 got = {}
-for t in order:
-    got[t] = (coproduct(t), antipode(t))
-for t in trees:
-    print(t.serial, got[t][0], "|", got[t][1])
+for job in order:
+    got[job] = (coproduct(job[0]), antipode(job[0])) if len(job) == 1 else natural_growth(*job)
+for job in jobs:
+    if len(job) == 1:
+        print(job[0].serial, got[job][0], "|", got[job][1])
+    else:
+        print(job[0].serial, job[1].serial, got[job])
 """
 
 
@@ -358,7 +446,8 @@ def test_results_do_not_depend_on_call_order_or_hash_seed():
         proc = subprocess.run([sys.executable, "-c", _RENDER_ALL, order], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
         texts.append(proc.stdout)
-    assert texts[0].count("\n") == 1 + 1 + 2 + 4 + 9 + 20 + 48
+    # 85 trees, and 124 pairs (t, s) with |t| + |s| <= 7
+    assert texts[0].count("\n") == 1 + 1 + 2 + 4 + 9 + 20 + 48 + 124
     assert all(text == texts[0] for text in texts)
 
 
@@ -379,6 +468,32 @@ def test_hopf_suite_reports_the_same_cold_and_warm():
     cold, warm = proc.stdout.splitlines()
     assert json.loads(cold)["ok"] and json.loads(cold)["checks"] > 0
     assert cold == warm
+
+
+# Renders generate_subalgebra(fan:3, 6) and its closure report, either in a
+# fresh process ("cold") or right after generate_subalgebra(fan:3, 7), the
+# order of the subalgebra benchmark ("warm").
+_SUBALGEBRA = """
+import sys
+from treehopf import closure_check, fan_graph, generate_subalgebra
+gens = {fan_graph(i) for i in range(1, 4)}
+if sys.argv[1] == "warm":
+    generate_subalgebra(gens, 7)
+basis = generate_subalgebra(gens, 6)
+for d in sorted(basis.by_degree):
+    print(d, " ; ".join(str(e) for e in basis.by_degree[d]))
+print(repr(closure_check(basis)))
+"""
+
+
+def test_subalgebra_renders_the_same_cold_and_warm():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    texts = [subprocess.run([sys.executable, "-c", _SUBALGEBRA, when], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+                            check=True).stdout for when in ("cold", "warm")]
+    assert texts[0].count("\n") == 7 and "ok=True" in texts[0]
+    assert texts[0] == texts[1]
 
 
 def _double_loop_tensor(a: LinComb, b: LinComb) -> Tensor2:
