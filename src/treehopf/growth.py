@@ -198,13 +198,6 @@ class GradedBasis(_Record):
         return self.by_degree.get(d, [])
 
 
-def _lincomb_vector(x: LinComb, index: dict[Forest, int], size: int) -> list[int | Fraction]:
-    v = [0] * size
-    for f, c in x.terms.items():
-        v[index[f]] = c
-    return v
-
-
 def generate_subalgebra(S, max_degree: int) -> GradedBasis:
     """Spanning bases for A_S = Q[S][iterated N_t growths], degree by degree.
 
@@ -250,14 +243,7 @@ def generate_subalgebra(S, max_degree: int) -> GradedBasis:
     by_degree: dict[int, list[LinComb]] = {}
     for d in range(1, max_degree + 1):
         elems = products[d]
-        if not elems:
-            by_degree[d] = []
-            continue
-        forests = sorted({f for e in elems for f in e.terms}, key=lambda f: f.sort_key())
-        index = {f: i for i, f in enumerate(forests)}
-        rows = [_lincomb_vector(e, index, len(forests)) for e in elems]
-        keep = independent_rows(rows)
-        by_degree[d] = [elems[i] for i in keep]
+        by_degree[d] = [elems[i] for i in independent_rows([e.terms for e in elems])]
     return GradedBasis(generators=gens, max_degree=max_degree, by_degree=by_degree)
 
 
@@ -290,12 +276,12 @@ def closure_check(basis: GradedBasis) -> ClosureReport:
     """Check every basis element's coproduct stays inside span (x) span.
 
     Delta(elem) is split into bidegree components (dl, dr), each tested
-    against span(dl) (x) span(dr).  That span is indexed and echeloned once
-    per bidegree, when a component first needs it, and every later
-    component of the same bidegree is reduced against it; nothing outlives
-    the call.
+    against span(dl) (x) span(dr).  That span is echeloned once per
+    bidegree, keyed by forest pairs, when a component first needs it, and
+    every later component of the same bidegree is reduced against it;
+    nothing outlives the call.
     """
-    spans = {}  # bidegree -> (column index, Span), as `_tensor_span` builds them
+    spans: dict[tuple[int, int], Span] = {}
     for d in range(1, basis.max_degree + 1):
         for elem in basis.degree_span(d):
             delta = coproduct(elem)
@@ -314,35 +300,19 @@ def closure_check(basis: GradedBasis) -> ClosureReport:
     return ClosureReport(True)
 
 
-def _tensor_span(left_basis, right_basis):
-    """Column index over (left, right) forest pairs and the echelon of bl (x) br."""
-    index: dict[tuple[Forest, Forest], int] = {}
-    products = [Tensor2.tensor(bl, br).terms
-                for bl, br in itertools.product(left_basis, right_basis)]
-    for terms in products:
-        for pair in terms:
-            index.setdefault(pair, len(index))
+def _tensor_span(left_basis, right_basis) -> Span:
+    """The echelon of the products bl (x) br, keyed by (left, right) forest pairs."""
     span = Span()
-    for terms in products:
-        v = [0] * len(index)
-        for pair, c in terms.items():
-            v[index[pair]] = c
-        span.add(v)
-    return index, span
+    for bl, br in itertools.product(left_basis, right_basis):
+        span.add(Tensor2.tensor(bl, br).terms)
+    return span
 
 
-def _component_in_span(component, span) -> bool:
-    """True iff the component lies in the tensor span (index, echelon) given."""
-    # Span membership does not depend on the column order.  Coproduct
-    # coefficients are nonzero, so a pair no product reaches escapes.
-    index, echelon = span
-    v = [0] * len(index)
-    for pair, c in component.items():
-        col = index.get(pair)
-        if col is None:
-            return False
-        v[col] = c
-    return echelon.contains(v)
+def _component_in_span(component, span: Span) -> bool:
+    """True iff the component, keyed by forest pairs, lies in the tensor span."""
+    # Coproduct coefficients are nonzero, so a pair that no product reaches
+    # survives the reduction and the component escapes.
+    return span.contains(component)
 
 
 def parse_growth_expr(text: str):

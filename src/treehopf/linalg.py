@@ -1,15 +1,17 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra over the rationals.
 
-`Span` is one incremental, fraction-free echelon over int rows (after
-Bareiss 1968): each row is scaled to integers by the lcm of its
-denominators, reduced against the kept rows in insertion order by
-v = a v - c r with cofactors divided by their gcd, and kept, divided by
-its content, when it does not vanish.  `add` and `contains` cost
-O(kept * columns) integer operations per row, so a caller that tests
-many rows against one span echelons it once.  `independent_rows` and
-`in_span` are one-shot wrappers over a fresh `Span`.  `rref` and
-`solve_consistent` are the general Fraction Gauss-Jordan elimination
-and solver.
+`Span` is one incremental, fraction-free echelon over sparse rows (after
+Bareiss 1968).  A row maps hashable column keys to rational entries; a
+sequence is read as index -> entry.  Each row is scaled to integers by the
+lcm of the denominators of its nonzero entries, reduced against the kept
+rows in insertion order by v = a v - c r with cofactors divided by their
+gcd, but only against those whose pivot key it holds, and kept, divided by
+its content, when it does not vanish; its pivot is the first key that
+survives.  `add` and `contains` cost integer operations in proportion to
+the nonzeros they touch, so a caller that tests many rows against one span
+echelons it once.  `independent_rows` and `in_span` are one-shot wrappers
+over a fresh `Span`.  `rref` and `solve_consistent` are the general dense
+Fraction Gauss-Jordan elimination and solver.
 """
 
 from __future__ import annotations
@@ -51,64 +53,77 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 class Span:
-    """The rational span of the rows added so far, as an int echelon.
+    """The rational span of the rows added so far, as a sparse int echelon.
 
-    Rows are lists of `int` or `Fraction` entries of one common width.
+    A row is a mapping from hashable column keys to `int` or `Fraction`
+    entries, or a sequence, read as index -> entry; keys a row leaves out
+    are zero.  Each kept row is (pivot key, {key: int}), nonzero entries
+    only, divided by its content.  Which rows are kept, and what the span
+    contains, do not depend on the order of the keys.
     """
 
     __slots__ = ("_echelon",)
 
     def __init__(self):
-        self._echelon: list[tuple[int, list[int]]] = []
+        self._echelon: list[tuple[object, dict]] = []
 
-    def _reduce(self, row) -> list[int]:
-        """`row` cleared of denominators and eliminated against every kept pivot."""
+    def _reduce(self, row) -> dict:
+        """The nonzero entries of `row`, cleared of denominators and
+        eliminated against every kept pivot."""
+        nonzero = [(k, x) for k, x in (row.items() if hasattr(row, "items") else enumerate(row))
+                   if x]
         # Pairwise lcm and gcd: star-args would build, and the tuple free
         # lists keep, one argument tuple per row.
         den = 1
-        for x in row:
+        for _, x in nonzero:
             if type(x) is not int:
                 den = lcm(den, x.denominator)
-        v = [x.numerator * (den // x.denominator) for x in row]
+        v = {k: x.numerator * (den // x.denominator) for k, x in nonzero}
+        get = v.get
         for p, r in self._echelon:
-            c = v[p]
+            c = get(p)
             if c:
                 a = r[p]
                 g = gcd(a, c)
                 a //= g
                 c //= g
-                v = [a * x - c * y for x, y in zip(v, r)]
+                if a != 1:
+                    for k in v:
+                        v[k] *= a
+                for k, y in r.items():
+                    x = get(k, 0) - c * y
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
         return v
 
     def add(self, row) -> bool:
         """Keep `row` unless it already lies in the span; True if kept."""
         v = self._reduce(row)
-        for p, x in enumerate(v):
-            if x:
-                g = 0
-                for y in v:
-                    g = gcd(g, y)
-                    if g == 1:
-                        break
-                self._echelon.append((p, [y // g for y in v]))
-                return True
-        return False
+        if not v:
+            return False
+        g = 0
+        for y in v.values():
+            g = gcd(g, y)
+            if g == 1:
+                break
+        self._echelon.append((next(iter(v)), {k: y // g for k, y in v.items()}))
+        return True
 
     def contains(self, row) -> bool:
         """True iff `row` is a rational linear combination of the kept rows."""
-        return not any(self._reduce(row))
+        return not self._reduce(row)
 
 
-def independent_rows(rows: list[list[Fraction]]) -> list[int]:
+def independent_rows(rows) -> list[int]:
     """Indices of a maximal independent subset, scanning in order."""
     span = Span()
     return [i for i, row in enumerate(rows) if span.add(row)]
 
 
-def in_span(rows: list[list[Fraction]], target: list[Fraction]) -> bool:
+def in_span(rows, target) -> bool:
     """True iff target is a rational linear combination of the rows."""
-    if not any(target):
-        return True
     span = Span()
     for row in rows:
         span.add(row)

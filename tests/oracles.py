@@ -28,7 +28,7 @@ from treehopf import (Forest, LinComb, MultiSeries, RootedTree, Tensor2, Truncat
                       coproduct)
 from treehopf.growth import GrowthApply, GrowthCombo, GrowthLeaf
 from treehopf.hopf import _acc
-from treehopf.linalg import in_span, solve_consistent
+from treehopf.linalg import solve_consistent
 from treehopf.series import SeriesParseError, _min_trunc
 from treehopf.trees import EMPTY_FOREST, TreeParseError
 
@@ -260,7 +260,7 @@ def _reference_component_in_span(component, left_basis, right_basis):
         for pair, c in terms.items():
             v[index[pair]] = c
         vectors.append(v)
-    return in_span(vectors[1:], vectors[0])
+    return rref_in_span(vectors[1:], vectors[0])
 
 
 # Univariate jets: the sparse Fraction arithmetic that MultiSeries ran
