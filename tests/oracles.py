@@ -5,7 +5,7 @@ sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets,
 and natural growth attaches its tree at each vertex path in turn.
 Span tests rerun a Fraction row reduction for every candidate row, and
-the closure check echelons span (x) span afresh for every coproduct
+the closure check re-solves span (x) span by it for every coproduct
 component.  The univariate jet oracles multiply dicts of Fractions term
 by term, compose by summing successive powers, and invert by repeated
 composition.  The sparse oracles add, scale, differentiate, compare and
