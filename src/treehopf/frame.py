@@ -17,9 +17,10 @@ FrameFunctions, whose deriv(0) and deriv(1) are d/dx and d/dz.
 
 Diffeomorphisms are jets psi with psi(0) = 0, psi'(0) > 0; the lift to
 the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Each diffeomorphism
-computes psi' once, and the vertex symbol gamma_bullet(psi) once per
-curvature, and the lift reads the powers of psi and of psi' from the power
-tables those series keep (see the series module).
+computes psi' once, and keeps the vertex symbol gamma_bullet(psi) and the
+tree symbols gamma_t(psi) once per curvature; the lift reads the powers of
+psi and of psi' from the power tables those series keep (see the series
+module).
 Crossed-product monomials f U*_psi multiply by
 
     (f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi},
@@ -34,6 +35,8 @@ delta_t for trees and forests t, and phi_s of its function for trees s,
 keyed on the operator, the tree, Gamma and Gamma's truncation order, so a
 relation that applies X_t to the same monomial again reads the first
 result.  As operators X_t = phi_{B+(t)}, so X_t reads the same phi memo.
+A curvature series Gamma keeps, per requested truncation order, the frame
+field and the memo of its phi(t), which every phi-operator on Gamma reads.
 The memos die with their objects; none is a process-wide cache.
 """
 
@@ -319,11 +322,12 @@ class FrameFunction:
 class FormalDiffeo:
     """An orientation-preserving formal diffeomorphism jet fixing 0.
 
-    Keeps psi' and, per curvature, the vertex symbol gamma_bullet(psi),
-    each computed once; the jet is never changed after construction.
+    Keeps psi', and in `_ops`, per curvature, the symbols gamma_bullet(psi)
+    and gamma_t(psi), each computed once (see `_kept`); the jet is never
+    changed after construction.
     """
 
-    __slots__ = ("series", "_d", "_gamma")
+    __slots__ = ("series", "_d", "_ops")
 
     def __init__(self, series: MultiSeries):
         if series.nvars != 1:
@@ -333,7 +337,7 @@ class FormalDiffeo:
         if series.coeff(1) <= 0:
             raise ValueError("diffeomorphism must be orientation preserving")
         self.series = series
-        self._d = self._gamma = None
+        self._d = self._ops = None
 
     @staticmethod
     def identity(trunc: int | None = None) -> "FormalDiffeo":
@@ -439,25 +443,37 @@ def monomial_product(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(a.f * lift_apply(a.psi, b.f), b.psi.compose(a.psi))
 
 
+def _kept(obj, key, compute):
+    """compute(), run once per object and kept in obj._ops under key.
+
+    obj is a Monomial, a FormalDiffeo or a curvature MultiSeries, each
+    never changed once built, so a kept result dies with its object.  Keys
+    that depend on Gamma hold Gamma.trunc too, because series equality
+    ignores truncation.
+    """
+    ops = obj._ops
+    if ops is None:
+        ops = {}
+        object.__setattr__(obj, "_ops", ops)
+    got = ops.get(key)
+    if got is None:
+        got = ops[key] = compute()
+    return got
+
+
 def gamma_bullet(psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
     """The single-vertex symbol, as a function of the source point:
 
     gamma(psi) = y ( psi'(x) Gamma(psi(x)) - Gamma(x) + psi''(x)/psi'(x) ).
 
-    Kept on psi per (Gamma, Gamma.trunc), as psi' is; the key holds
-    Gamma.trunc because series equality ignores truncation.
+    Kept on psi per (Gamma, Gamma.trunc), as psi' is (see `_kept`).
     """
-    kept = psi._gamma
-    if kept is None:
-        kept = psi._gamma = {}
-    key = (Gamma, Gamma.trunc)
-    got = kept.get(key)
-    if got is None:
+    def compute():
         dpsi = psi.d()
         g = dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc) \
             + dpsi.deriv(0) * dpsi.reciprocal()
-        got = kept[key] = FrameFunction.y_times(g)
-    return got
+        return FrameFunction.y_times(g)
+    return _kept(psi, (Gamma, Gamma.trunc), compute)
 
 
 def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunction, FrameFunction]:
@@ -469,52 +485,35 @@ def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunc
     )
 
 
-_phi_cache: dict = {}
+def _frame_phi(Gamma: CurvatureFn, trunc: int | None) -> tuple[tuple, dict]:
+    """The frame field at trunc and its phi memo, kept on Gamma per trunc (see `_kept`).
 
-
-def _frame_phi(Gamma: CurvatureFn, trunc: int | None, memo=None) -> tuple[tuple, dict]:
-    """The frame field at trunc and its phi memo, both kept in one _phi_cache entry.
-
-    A caller's own memo gets a freshly built field and bypasses the cache.
+    Gamma's own truncation order is fixed per object, so trunc is the key.
     """
-    if memo is not None:
-        return frame_field(Gamma, trunc), memo
-    key = (Gamma, Gamma.trunc, trunc)
-    got = _phi_cache.get(key)
-    if got is None:
-        if len(_phi_cache) > 64:
-            _phi_cache.clear()
-        got = _phi_cache[key] = (frame_field(Gamma, trunc), {})
-    return got
+    return _kept(Gamma, trunc, lambda: (frame_field(Gamma, trunc), {}))
 
 
-def phi_frame(t: RootedTree, Gamma: CurvatureFn, trunc: int | None = None, _memo=None):
+def phi_frame(t: RootedTree, Gamma: CurvatureFn, trunc: int | None = None):
     """Elementary differentials (phi^x(t), phi^z(t)) of the frame flow."""
-    field, memo = _frame_phi(Gamma, trunc, _memo)
+    field, memo = _frame_phi(Gamma, trunc)
     return _phi_vec(t, field, memo)
 
 
 def phi_frame_op(t: RootedTree, Gamma: CurvatureFn, h: FrameFunction,
-                 trunc: int | None = None, _memo=None) -> FrameFunction:
+                 trunc: int | None = None) -> FrameFunction:
     """Apply the operator phi_t of the frame flow to h."""
-    field, memo = _frame_phi(Gamma, trunc, _memo)
+    field, memo = _frame_phi(Gamma, trunc)
     return _contract([_phi_vec(c, field, memo) for c in t.children], h, 2)
 
 
-_gamma_cache: dict = {}
-
-
 def gamma_t(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
-    """The tree-indexed symbol phi_t applied to the single-vertex symbol."""
-    key = (t, psi.series, psi.trunc, Gamma, Gamma.trunc)
-    got = _gamma_cache.get(key)
-    if got is not None:
-        return got
-    out = phi_frame_op(t, Gamma, gamma_bullet(psi, Gamma), psi.trunc)
-    if len(_gamma_cache) > 4096:
-        _gamma_cache.clear()
-    _gamma_cache[key] = out
-    return out
+    """The tree-indexed symbol phi_t applied to the single-vertex symbol.
+
+    Kept on psi per (t, Gamma, Gamma.trunc) (see `_kept`); psi's own
+    truncation order is fixed per object, so it is not in the key.
+    """
+    return _kept(psi, (t, Gamma, Gamma.trunc),
+                 lambda: phi_frame_op(t, Gamma, gamma_bullet(psi, Gamma), psi.trunc))
 
 
 def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
@@ -531,22 +530,6 @@ def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> Fram
     for t in trees[1:]:
         out = out * gamma_t(t, psi, Gamma)
     return out
-
-
-def _kept(m: Monomial, key, compute):
-    """compute(), run once per monomial and kept in m._ops under key.
-
-    Keys that depend on Gamma hold Gamma.trunc too, because series
-    equality ignores truncation.
-    """
-    ops = m._ops
-    if ops is None:
-        ops = {}
-        object.__setattr__(m, "_ops", ops)
-    got = ops.get(key)
-    if got is None:
-        got = ops[key] = compute()
-    return got
 
 
 def _phi_on(s: RootedTree, m: Monomial, Gamma: CurvatureFn) -> FrameFunction:
@@ -616,12 +599,6 @@ def _phi_linear(x: LinComb, phi_s) -> FrameFunction:
             raise ValueError("phi extends linearly over single trees only")
         out = out + phi_s(forest.trees[0]).scale(coeff)
     return out
-
-
-def phi_frame_op_lincomb(x: LinComb, Gamma: CurvatureFn, h: FrameFunction,
-                         trunc: int | None = None) -> FrameFunction:
-    """phi as an operator, extended linearly over combinations of single trees."""
-    return _phi_linear(x, lambda s: phi_frame_op(s, Gamma, h, trunc))
 
 
 def first_mismatch(a: FrameFunction, b: FrameFunction):
@@ -935,7 +912,6 @@ def random_frame_function(rng, trunc: int, max_y_degree: int = 2) -> FrameFuncti
 
 
 __all__ += [
-    "phi_frame_op_lincomb",
     "first_mismatch",
     "check_delta_coproduct",
     "check_delta_coproduct_lincomb",

@@ -115,12 +115,14 @@ class MultiSeries:
     # _powers: rows of the power table of a composition's inner series,
     # row k holding the numerators of self^k over _den^k.
     # _hash: the hash, computed on first use (a series is never mutated).
-    __slots__ = ("nvars", "trunc", "_terms", "_nums", "_den", "_powers", "_hash")
+    # _ops: what the frame module keeps on a curvature series, made on first
+    # use (see frame._kept).
+    __slots__ = ("nvars", "trunc", "_terms", "_nums", "_den", "_powers", "_hash", "_ops")
 
     def __init__(self, nvars: int, terms=None, trunc: int | None = None):
         self.nvars = nvars
         self.trunc = trunc
-        self._nums = self._powers = self._hash = None
+        self._nums = self._powers = self._hash = self._ops = None
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
@@ -143,7 +145,7 @@ class MultiSeries:
         """Internal constructor: normalized terms, or a reduced working form nums over den."""
         out = cls.__new__(cls)
         out.nvars, out.trunc, out._terms, out._nums, out._den = nvars, trunc, terms, nums, den
-        out._powers = out._hash = None
+        out._powers = out._hash = out._ops = None
         return out
 
     @classmethod

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treehopf import (
     EMPTY_FOREST,
@@ -151,6 +152,34 @@ def test_gamma_cocycle():
         assert check_cocycle(psi, eta, gamma)
 
 
+COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def cocycle_instances(draw):
+    """(psi, eta, Gamma), each at its own truncation order."""
+    def jet(min_degree):
+        trunc = draw(st.integers(2, 6))
+        coeffs = draw(st.lists(COEFFS, min_size=trunc + 1 - min_degree,
+                               max_size=trunc + 1 - min_degree))
+        return trunc, {(k,): c for k, c in enumerate(coeffs, min_degree)}
+
+    def diffeo_jet():
+        trunc, terms = jet(2)
+        terms[(1,)] = draw(st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3))
+        return FormalDiffeo(MultiSeries(1, terms, trunc))
+
+    trunc, terms = jet(0)
+    return diffeo_jet(), diffeo_jet(), MultiSeries(1, terms, trunc)
+
+
+@given(cocycle_instances())
+@settings(max_examples=40)
+def test_gamma_cocycle_on_random_jets(instance):
+    # the left side reads gamma_bullet on the freshly composed eta o psi
+    assert check_cocycle(*instance)
+
+
 def test_gamma_t_base_cases():
     gb = gamma_bullet(PSI, GAMMA_X)
     assert gamma_t(LEAF, PSI, GAMMA_X).eq_retained(gb)
@@ -221,18 +250,23 @@ def test_gamma_t_cache_honours_truncation_orders():
     short = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): 1}, 4))   # PSI at order 4
     assert gamma_t(L2, short, GAMMA_X).trunc == 1
     got = gamma_t(L2, PSI, GAMMA_X)
-    want = phi_frame_op(L2, GAMMA_X, gamma_bullet(PSI, GAMMA_X), D, _memo={})
+    assert gamma_t(L2, PSI, GAMMA_X) is got
+    # fresh equal-valued psi and Gamma hold no memo
+    psi, gamma = FormalDiffeo(xs(PSI.series.terms)), xs(GAMMA_X.terms)
+    want = phi_frame_op(L2, gamma, gamma_bullet(psi, gamma), D)
     assert got.trunc == want.trunc == 5
-    assert str(got) == str(want)
+    assert grid(got) == grid(want)
 
 
 def test_phi_memo_honours_curvature_truncation():
     short = MultiSeries(1, {(1,): 1}, 4)   # GAMMA_X at order 4
     assert [h.trunc for h in phi_frame(CHERRY, short, D)] == [4, 3]
     got = phi_frame(CHERRY, GAMMA_X, D)
-    want = phi_frame(CHERRY, GAMMA_X, D, _memo={})
+    assert phi_frame(CHERRY, GAMMA_X, D) is got
+    want = phi_frame(CHERRY, xs(GAMMA_X.terms), D)     # a fresh, equal Gamma
     assert [h.trunc for h in got] == [h.trunc for h in want] == [8, 7]
-    assert [str(h) for h in got] == [str(h) for h in want]
+    assert [grid(h) for h in got] == [grid(h) for h in want]
+    assert [h.trunc for h in phi_frame(CHERRY, short, D)] == [4, 3]
 
 
 def test_delta_t_examples():
@@ -478,19 +512,68 @@ def test_monomial_keeps_Y_and_phi_per_curvature_order():
     assert grid(X_t_apply(L2, m, GAMMA_X).f) == grid(fr._phi_on(LADDER3, m, GAMMA_X))
 
 
-def test_psi_keeps_its_vertex_symbol_per_curvature_order():
+def test_psi_keeps_its_vertex_symbol_per_curvature_order(monkeypatch):
     from treehopf import frame as fr
 
     short = GAMMA_X.with_trunc(5)
     psi = diffeo({(1,): 1, (2,): Fraction(1, 2), (3,): -1})
-    cached = len(fr._gamma_cache)
     got = [gamma_bullet(psi, g) for g in (GAMMA_X, short, GAMMA_X, short)]
-    assert got[0] is got[2] and got[1] is got[3] and len(psi._gamma) == 2
+    assert got[0] is got[2] and got[1] is got[3] and got[0] is not got[1]
     assert got[0].trunc == 6 and got[1].trunc == 5       # psi'' is cut at 6
     for g, out in zip((GAMMA_X, short), got):
-        assert grid(out) == grid(gamma_bullet(FormalDiffeo(psi.series), g))
-    assert len(fr._gamma_cache) == cached               # gamma_bullet is not in _gamma_cache
-    assert gamma_t(LEAF, psi, GAMMA_X) is got[0]
+        fresh = gamma_bullet(FormalDiffeo(psi.series), g)
+        assert fresh is not out and grid(out) == grid(fresh)
+    # gamma_t is kept on psi too: one phi_frame_op per tree and curvature order
+    calls = []
+    phi_frame_op = fr.phi_frame_op
+    monkeypatch.setattr(fr, "phi_frame_op", lambda *args: calls.append(args) or phi_frame_op(*args))
+    for g in (GAMMA_X, short, GAMMA_X, short):
+        assert gamma_t(LEAF, psi, g) is gamma_bullet(psi, g)
+        assert gamma_t(L2, psi, g) is gamma_t(L2, psi, g)
+    assert [(t, g.trunc) for t, g, _, _ in calls] == [(LEAF, 8), (L2, 8), (LEAF, 5), (L2, 5)]
+
+
+def test_no_result_depends_on_call_order_or_on_what_a_memo_holds():
+    # gamma_t and delta_t are kept on psi and on the monomial, and phi_frame
+    # on Gamma; each result must be what fresh equal-valued objects compute.
+    # Gamma has degree 4, so it is equal, as a series, at orders D and 5.
+    rng = random.Random(16)
+    trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    f, psi, eta = random_frame_function(rng, D), random_diffeo(rng, D), random_diffeo(rng, D)
+    gamma = random_xseries(rng, 4)
+
+    def copy(s, trunc=None):
+        return MultiSeries(1, s.terms, s.trunc if trunc is None else trunc)
+
+    def objects(product_psi):
+        # psi, eta o psi and Gamma at two truncation orders
+        psis = (FormalDiffeo(copy(psi.series)), product_psi)
+        return {"psi": [(p, Monomial(FrameFunction(f.coeffs), p)) for p in psis],
+                "gamma": (copy(gamma, D), copy(gamma, 5))}
+
+    def run(call, objs):
+        op, t, i, j = call
+        (p, m), g = objs["psi"][i], objs["gamma"][j]
+        if op == "gamma_t":
+            out = (gamma_t(t, p, g),)
+        elif op == "phi_frame":                     # i picks the requested order
+            out = phi_frame(t, g, (D, 6)[i])
+        else:
+            out = (delta_t_apply(t, m, g).f,)
+        return [(h._rows, h._den, h.trunc) for h in out]
+
+    product = monomial_product(Monomial(f, psi), Monomial(f, eta)).psi
+    assert copy(gamma, D) == copy(gamma, 5)
+    assert product.series.eq_retained(eta.series.compose1(psi.series))
+    calls = [(op, t, i, j) for op in ("gamma_t", "phi_frame", "delta_t_apply")
+             for t in trees for i in (0, 1) for j in (0, 1)]
+    results = []
+    for product_psi in (product, FormalDiffeo(copy(product.series))):
+        objs, order = objects(product_psi), calls[:]
+        rng.shuffle(order)
+        results.append({call: run(call, objs) for call in order})
+    fresh = {call: run(call, objects(FormalDiffeo(copy(product.series)))) for call in calls}
+    assert results[0] == results[1] == fresh
 
 
 def test_gamma_forest_needs_no_constant_factor():

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     series_add,
@@ -245,7 +246,7 @@ def test_cached_hash_equals_a_fresh_hash_and_ignores_trunc():
             assert (a + b)._hash is None and (-a)._hash is None       # results start empty
 
 
-def test_gamma_cache_keys_keep_the_truncation_orders():
+def test_gamma_cache_keys_keep_the_truncation_orders(monkeypatch):
     """Equal series that differ only in trunc hash alike, so the keys hold trunc."""
     from treehopf import FormalDiffeo, gamma_t, parse_tree
     from treehopf import frame as fr
@@ -256,10 +257,42 @@ def test_gamma_cache_keys_keep_the_truncation_orders():
     g5 = MultiSeries(1, {(1,): 1}, 5)
     assert hash(psi8.series) == hash(psi5.series) and hash(g8) == hash(g5)
     t = parse_tree("[[]]")
-    fr._gamma_cache.clear()
+    calls = []
+    phi_frame_op = fr.phi_frame_op
+    monkeypatch.setattr(fr, "phi_frame_op", lambda *args: calls.append(args) or phi_frame_op(*args))
     pairs = ((psi8, g8), (psi5, g8), (psi8, g5), (psi5, g5))
     got = [gamma_t(t, p, g) for p, g in pairs]
-    assert len(fr._gamma_cache) == 4
-    assert {(pt, gt) for _, _, pt, _, gt in fr._gamma_cache} == {(8, 8), (5, 8), (8, 5), (5, 5)}
+    assert [(trunc, g.trunc) for _, g, _, trunc in calls] == [(8, 8), (5, 8), (8, 5), (5, 5)]
     assert all(gamma_t(t, p, g) is out for (p, g), out in zip(pairs, got))
-    assert got[0].trunc > got[1].trunc
+    assert len(calls) == 4                                  # each computed once
+    assert [out.trunc for out in got] == [5, 2, 4, 2]
+    for (p, g), out in zip(pairs, got):                     # fresh objects agree
+        want = gamma_t(t, FormalDiffeo(MultiSeries(1, terms, p.trunc)),
+                       MultiSeries(1, {(1,): 1}, g.trunc))
+        assert (out._rows, out._den, out.trunc) == (want._rows, want._den, want.trunc)
+
+
+COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def jets(draw, trunc, min_degree):
+    coeffs = draw(st.lists(COEFFS, min_size=trunc + 1 - min_degree, max_size=trunc + 1 - min_degree))
+    return MultiSeries(1, {(k,): c for k, c in enumerate(coeffs, min_degree)}, trunc)
+
+
+def power_matrix(s):
+    """M(s): row k holds the coefficients of s^k up to s.trunc, read from the power table."""
+    rows, d = s._power_rows(s.trunc)
+    return [[Fraction(v, d ** k) for v in rows[k]] for k in range(s.trunc + 1)]
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(jets(n, 0), jets(n, 1))))
+@settings(max_examples=40)
+def test_power_tables_are_multiplicative_under_composition(pair):
+    # (psi o eta)^k = sum_j [psi^k]_j eta^j, and eta^j starts at x^j
+    psi, eta = pair
+    got = power_matrix(psi.compose1(eta))
+    a, b = power_matrix(psi), power_matrix(eta)
+    n = psi.trunc + 1
+    assert got == [[sum(a[k][j] * b[j][i] for j in range(n)) for i in range(n)] for k in range(n)]

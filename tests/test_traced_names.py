@@ -5,18 +5,26 @@ module-level reference to it, so a renamed function fails a traced run, and
 a call that bypasses the module-level name is silently not counted.
 """
 
+from functools import reduce
+
 import pytest
 
-from treehopf import growth, linalg
+from treehopf import frame, growth, linalg
+from treehopf.frame import FormalDiffeo, _gamma_forest, gamma_t
 from treehopf.growth import closure_check, fan_graph, generate_subalgebra
+from treehopf.series import MultiSeries
+from treehopf.trees import Forest, parse_tree
 
 TRACED = [(growth, "_component_in_span"), (linalg, "independent_rows"), (linalg, "rref"),
-          (linalg, "solve_consistent")]
+          (linalg, "solve_consistent"), (frame, "lift_apply"), (frame, "monomial_product"),
+          (frame, "X_t_apply"), (frame, "delta_t_apply"), (frame, "phi_frame_op"),
+          (frame, "gamma_t"), (frame, "FrameFunction.__mul__")]
 
 
 @pytest.mark.parametrize("module, name", TRACED, ids=[name for _, name in TRACED])
 def test_traced_name_exists(module, name):
-    assert callable(getattr(module, name))
+    # "Class.method" names a method, which the tracer patches on the class
+    assert callable(reduce(getattr, name.split("."), module))
 
 
 def counting(monkeypatch, module, name):
@@ -43,3 +51,18 @@ def test_closure_check_reaches_component_in_span_through_growth(monkeypatch):
     calls = counting(monkeypatch, growth, "_component_in_span")
     assert closure_check(basis)
     assert calls
+
+
+def test_gamma_forest_reaches_gamma_t_and_gamma_t_reaches_phi_frame_op_through_frame(monkeypatch):
+    psi = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): 1}, 6))     # fresh: nothing kept on it
+    gamma = MultiSeries(1, {(1,): 1}, 6)
+    ladder, cherry = parse_tree("[[]]"), parse_tree("[[][]]")
+    gammas = counting(monkeypatch, frame, "gamma_t")
+    phis = counting(monkeypatch, frame, "phi_frame_op")
+    forest = Forest((ladder, cherry))
+    _gamma_forest(forest, psi, gamma)
+    assert [t for t, _, _ in gammas] == list(forest.trees)
+    assert [t for t, *_ in phis] == list(forest.trees)
+    # once kept on psi, gamma_t is still called by name but computes nothing
+    assert gamma_t(ladder, psi, gamma) is gamma_t(ladder, psi, gamma)
+    assert len(phis) == 2
