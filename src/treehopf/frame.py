@@ -49,7 +49,7 @@ from math import gcd, lcm
 from .butcher import _contract, _phi_vec
 from .hopf import LinComb, coproduct
 from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc
-from .trees import Forest, LEAF, RootedTree, b_plus
+from .trees import Forest, LEAF, RootedTree, _Immutable, b_plus
 
 __all__ = [
     "FrameFunction",
@@ -290,17 +290,11 @@ class FrameFunction:
         return degs.pop() if len(degs) == 1 else None
 
     def eq_retained(self, other: "FrameFunction") -> bool:
-        """Equality of all coefficients retained at the common truncation."""
-        trunc = _min_trunc(self.trunc, other.trunc)
-        n = None if trunc is None else trunc + 1
-        ra, rb = self._rows, other._rows
-        da, db = self._den, other._den
-        for k in ra.keys() | rb.keys():
-            a = ra[k][1][:n] if k in ra else ()
-            b = rb[k][1][:n] if k in rb else ()
-            if any(x * db != y * da for x, y in itertools.zip_longest(a, b, fillvalue=0)):
-                return False
-        return True
+        """Equality of all coefficients retained at the common truncation.
+
+        Reads `first_mismatch`, which does the one walk over the two grids.
+        """
+        return first_mismatch(self, other) is None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FrameFunction) and self.coeffs == other.coeffs
@@ -404,7 +398,7 @@ def lift_apply(psi: FormalDiffeo, h: FrameFunction) -> FrameFunction:
     return FrameFunction._reduced(rows, h._den * den)
 
 
-class Monomial:
+class Monomial(_Immutable):
     """A crossed-product element f U*_psi.
 
     Immutable once built.  `_ops` memoizes Y of this monomial, X_t and
@@ -418,12 +412,6 @@ class Monomial:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "_ops", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
 
     def scale(self, c) -> "Monomial":
         return Monomial(self.f.scale(c), self.psi)
@@ -534,11 +522,11 @@ def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> Fram
 
 def _phi_on(s: RootedTree, m: Monomial, Gamma: CurvatureFn) -> FrameFunction:
     """phi_s(m.f) for the frame field cut at m's order, kept on m."""
-    def compute():
-        trunc = m.f.trunc if m.f.trunc is not None else m.psi.trunc
-        field, memo = _frame_phi(Gamma, trunc)
-        return _contract([_phi_vec(c, field, memo) for c in s.children], m.f, 2)
-    return _kept(m, (_phi_on, s, Gamma, Gamma.trunc), compute)
+    trunc = m.f.trunc
+    if trunc is None:
+        trunc = m.psi.trunc
+    return _kept(m, (_phi_on, s, Gamma, Gamma.trunc),
+                 lambda: phi_frame_op(s, Gamma, m.f, trunc))
 
 
 def delta_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
@@ -602,22 +590,24 @@ def _phi_linear(x: LinComb, phi_s) -> FrameFunction:
 
 
 def first_mismatch(a: FrameFunction, b: FrameFunction):
-    """First differing retained jet coefficient, or None: (y_deg, x_order, got, want)."""
-    trunc = None
-    for t in (a.trunc, b.trunc):
-        if t is not None:
-            trunc = t if trunc is None else min(trunc, t)
-    keys = sorted(set(a.coeffs) | set(b.coeffs))
-    for k in keys:
-        ga = a.coeffs.get(k, MultiSeries.zero(1, trunc))
-        gb = b.coeffs.get(k, MultiSeries.zero(1, trunc))
-        orders = sorted({e[0] for e in ga.terms} | {e[0] for e in gb.terms})
-        for o in orders:
-            if trunc is not None and o > trunc:
-                continue
-            ca, cb = ga.coeff(o), gb.coeff(o)
-            if ca != cb:
-                return (k, o, ca, cb)
+    """The first retained jet coefficient where a and b differ, or None.
+
+    This is the one walk that compares two frame functions; `eq_retained`,
+    `CommutatorReport` and the cm suite all read it.  Each row of the two
+    int grids is cut at the common truncation order; y-degrees are visited
+    in ascending order, and within each the x-orders, and a row present on
+    one side only is compared against zeros.  The first difference comes
+    back as (y_deg, x_order, got, want), got from a and want from b.
+    """
+    trunc = _min_trunc(a.trunc, b.trunc)
+    n = None if trunc is None else trunc + 1
+    ra, rb, da, db = a._rows, b._rows, a._den, b._den
+    for k in sorted(ra.keys() | rb.keys()):
+        x = ra[k][1][:n] if k in ra else ()
+        y = rb[k][1][:n] if k in rb else ()
+        for o, (p, q) in enumerate(itertools.zip_longest(x, y, fillvalue=0)):
+            if p * db != q * da:
+                return (k, o, Fraction(p, da), Fraction(q, db))
     return None
 
 
@@ -709,10 +699,11 @@ class CommutatorReport:
         self.mismatches: dict[str, tuple] = {}
 
     def record(self, relation: str, lhs: FrameFunction, rhs: FrameFunction):
-        ok = lhs.eq_retained(rhs)
-        self.results[relation] = ok
-        if not ok:
-            self.mismatches[relation] = first_mismatch(lhs, rhs)
+        """One `first_mismatch` walk gives both the result and the mismatch."""
+        mismatch = first_mismatch(lhs, rhs)
+        self.results[relation] = mismatch is None
+        if mismatch is not None:
+            self.mismatches[relation] = mismatch
 
     @property
     def ok(self) -> bool:
@@ -896,10 +887,6 @@ def random_diffeo(rng, trunc: int) -> FormalDiffeo:
     return FormalDiffeo(s)
 
 
-def random_curvature(rng, trunc: int) -> CurvatureFn:
-    return random_xseries(rng, trunc)
-
-
 def random_frame_function(rng, trunc: int, max_y_degree: int = 2) -> FrameFunction:
     coeffs = {}
     for k in range(max_y_degree + 1):
@@ -929,7 +916,6 @@ __all__ += [
     "check_coprodcontrib",
     "random_xseries",
     "random_diffeo",
-    "random_curvature",
     "random_frame_function",
 ]
 

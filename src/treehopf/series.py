@@ -24,7 +24,7 @@ from itertools import zip_longest
 from math import gcd, inf, lcm
 from operator import add
 
-from .trees import _ParseError, _digits_end, _rational_at, _sign_at, _skip_ws
+from .trees import _Immutable, _ParseError, _digits_end, _rational_at, _sign_at, _skip_ws
 
 __all__ = [
     "MultiSeries",
@@ -425,7 +425,7 @@ class MultiSeries:
         return f"MultiSeries({str(self)!r}, trunc={self.trunc})"
 
 
-class VectorField:
+class VectorField(_Immutable):
     """An ODE right-hand side: one series per coordinate.
 
     Immutable once built.  `_phi` memoizes the elementary differentials of
@@ -444,12 +444,6 @@ class VectorField:
             raise ValueError(f"{len(components)} components for {n} variables")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_phi", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"VectorField is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"VectorField is immutable; cannot delete {name!r}")
 
     @property
     def nvars(self) -> int:

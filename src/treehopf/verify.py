@@ -61,6 +61,15 @@ class _Suite:
             "first_mismatch": None if ok else _json_safe(mismatch),
         })
 
+    def sides(self, relation: str, instance: str, lhs: fr.FrameFunction, rhs: fr.FrameFunction):
+        """Check that two frame functions agree at their common order.
+
+        One `frame.first_mismatch` walk gives both the status and the
+        mismatch that a failing result carries.
+        """
+        mismatch = fr.first_mismatch(lhs, rhs)
+        self.check(relation, instance, mismatch is None, mismatch)
+
     def report(self) -> dict:
         return {
             "suite": self.name,
@@ -252,8 +261,8 @@ def verify_growth(max_degree: int = 5, seed: int = 0) -> dict:
         for _ in range(k - 1):
             acc = natural_growth(LEAF, acc)
         s.check("iterated growth gives delta_k", f"k={k}", acc == delta_k(k))
-    for n in range(1, 8):
-        rep = fan_closed_form_report(n)
+    fans = [fan_closed_form_report(n) for n in range(1, 8)]
+    for n, rep in enumerate(fans, 1):
         s.check("fan binomial coefficients", f"n={n}",
                 all(rep["binomial_coefficients"].get(i, 0) == rep["expected_binomials"][i]
                     for i in rep["expected_binomials"]))
@@ -261,9 +270,8 @@ def verify_growth(max_degree: int = 5, seed: int = 0) -> dict:
     s.check(
         "fan subscript report",
         "right leg realizes F_{n-i}, not F_{n-i-1}",
-        all(fan_closed_form_report(n)["matches_f_n_minus_i"]
-            and not fan_closed_form_report(n)["matches_paper_f_n_minus_i_minus_1"]
-            for n in range(3, 8)),
+        all(rep["matches_f_n_minus_i"] and not rep["matches_paper_f_n_minus_i_minus_1"]
+            for rep in fans[2:]),
     )
     for k in (1, 2, 3):
         gens = {fan_graph(i) for i in range(1, k + 1)}
@@ -427,11 +435,9 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
             s.check("pushforward product formula", f"trial={i} t={t.serial}",
                     fr.check_pushforward(t, psi, gamma_x, fb))
             lhs, rhs = fr.delta_coproduct_sides(LinComb.of(t), a, b, gamma_x)
-            s.check("Delta delta_t", f"trial={i} t={t.serial}",
-                    lhs.eq_retained(rhs), fr.first_mismatch(lhs, rhs))
+            s.sides("Delta delta_t", f"trial={i} t={t.serial}", lhs, rhs)
             lhs, rhs = fr.X_coproduct_sides(t, a, b, gamma_x)
-            s.check("Delta X_t", f"trial={i} t={t.serial}",
-                    lhs.eq_retained(rhs), fr.first_mismatch(lhs, rhs))
+            s.sides("Delta X_t", f"trial={i} t={t.serial}", lhs, rhs)
         for k in range(1, min(4, max_degree) + 1):
             s.check("Delta delta over delta_k", f"trial={i} k={k}",
                     fr.check_delta_coproduct_lincomb(delta_k(k), a, b, gamma_x))
@@ -440,9 +446,8 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
     # and the two-vertex transfer force symbols differing by the flat cocycle
     for i, psi, _eta, _fa, _fb in instances[:3]:
         full, curvature_only, flat = fr.forced_vertex_symbols(psi, gamma_x)
-        s.check("forced vertex symbols differ by the flat cocycle",
-                f"trial={i}", (curvature_only + flat).eq_retained(full),
-                fr.first_mismatch(curvature_only + flat, full))
+        s.sides("forced vertex symbols differ by the flat cocycle",
+                f"trial={i}", curvature_only + flat, full)
 
     for i, psi, eta, fa, fb in instances:
         m = fr.Monomial(fa, psi)
@@ -460,12 +465,11 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
         for t in trees:
             got = fr.delta_from_commutators(t, m, gamma_x)
             want = fr.delta_t_apply(t, m, gamma_x)
-            s.check("delta from commutators", f"trial={i} t={t.serial}",
-                    got.f.eq_retained(want.f),
-                    fr.first_mismatch(got.f, want.f))
+            s.sides("delta from commutators", f"trial={i} t={t.serial}", got.f, want.f)
 
     # degeneration at Gamma = 0, plus simple Gamma = 1 spot case
     gamma0 = MultiSeries.zero(1, order)
+    gamma1 = MultiSeries.constant(1, 1, order)
     for t in trees:
         if t.vertex_count >= 2:
             fx, fz = fr.phi_frame(t, gamma0, order)
@@ -473,7 +477,7 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
                     fx.is_zero() and fz.is_zero())
     for i, psi, eta, fa, fb in instances[:3]:
         m = fr.Monomial(fa, psi)
-        for g in (gamma0, MultiSeries.constant(1, 1, order)):
+        for g in (gamma0, gamma1):
             tag = "Gamma=0" if g.is_zero() else "Gamma=1"
             rep = fr.check_commutators(LEAF, LEAF, m, g)
             s.check("classical relations persist", f"trial={i} {tag}", rep.ok,

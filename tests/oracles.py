@@ -10,7 +10,8 @@ component.  The univariate jet oracles multiply dicts of Fractions term
 by term, compose by summing successive powers, and invert by repeated
 composition.  The sparse oracles add, scale, differentiate, compare and
 multiply series in any number of variables as dicts of Fractions, term
-by term.  Frame functions keep one series per power of y, and the
+by term.  Frame functions keep one series per power of y, and are
+compared by a walk over those series.  The
 coproduct sides of the frame model take one monomial product per
 coproduct term or cut.  The grafting contraction differentiates the
 target afresh for every index tuple.  The text parsers are kept as they
@@ -508,6 +509,30 @@ def series_lift_apply(psi, h: SeriesFrameFunction) -> SeriesFrameFunction:
             term = series_mul(term, dpsi)
         out[k] = term
     return SeriesFrameFunction(out)
+
+
+def reference_first_mismatch(a, b):
+    """First differing retained jet coefficient, or None: (y_deg, x_order, got, want).
+
+    The walk over `coeffs`, one MultiSeries per row, that the library used
+    before `first_mismatch` read the int grid.
+    """
+    trunc = None
+    for t in (a.trunc, b.trunc):
+        if t is not None:
+            trunc = t if trunc is None else min(trunc, t)
+    keys = sorted(set(a.coeffs) | set(b.coeffs))
+    for k in keys:
+        ga = a.coeffs.get(k, MultiSeries.zero(1, trunc))
+        gb = b.coeffs.get(k, MultiSeries.zero(1, trunc))
+        orders = sorted({e[0] for e in ga.terms} | {e[0] for e in gb.terms})
+        for o in orders:
+            if trunc is not None and o > trunc:
+                continue
+            ca, cb = ga.coeff(o), gb.coeff(o)
+            if ca != cb:
+                return (k, o, ca, cb)
+    return None
 
 
 # The coproduct sides of the frame model, one monomial product per

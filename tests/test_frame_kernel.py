@@ -5,9 +5,10 @@ its own truncation order, over one denominator for the whole function.
 Each operation must give the coefficients, the truncation order of every
 row and the row order of `SeriesFrameFunction` in `oracles.py`, and must
 store the least common denominator: the lcm of the denominators of its
-reduced coefficients.  The coproduct sides of the frame model, summed
-over the grouped coproduct, must agree with one monomial product per
-coproduct term or cut.
+reduced coefficients.  `first_mismatch` must find what the walk over
+`coeffs` in `oracles.py` finds.  The coproduct sides of the frame model,
+summed over the grouped coproduct, must agree with one monomial product
+per coproduct term or cut.
 """
 
 import random
@@ -21,6 +22,7 @@ from oracles import (
     SeriesFrameFunction,
     X_coproduct_sides_per_term,
     delta_coproduct_sides_per_term,
+    reference_first_mismatch,
     series_lift_apply,
 )
 from treehopf import (
@@ -196,6 +198,46 @@ def test_retained_equality_matches_the_oracle():
             (a, oa), (b, ob) = both(rows), both(other)
             assert a.eq_retained(b) == oa.eq_retained(ob)
             assert b.eq_retained(a) == ob.eq_retained(oa)
+
+
+def comparison_pairs(rng):
+    """Pairs of frame functions with rows exact or cut at 0..8, rows on one
+    side only, y-degrees up to 12, equal pairs and pairs that differ only
+    beyond the common order."""
+    truncs = (None,) + tuple(range(9))
+    ra = random_rows(rng, truncs)
+    a = FrameFunction(ra)
+    yield a, FrameFunction(random_rows(rng, truncs))
+    yield a, a
+    yield a, FrameFunction(ra)
+    yield a, FrameFunction([(k, g.with_trunc(rng.randint(0, 8))) for k, g in ra])
+    yield a, FrameFunction(ra + [(4, s1({(rng.randint(0, 3),): 1}, rng.choice(truncs)))])
+    yield a, FrameFunction([(k + 9, g) for k, g in ra])     # a set of these keys is unsorted
+    t = rng.randint(0, 6)
+    yield (FrameFunction([(k, g.with_trunc(t)) for k, g in ra]),
+           FrameFunction(ra + [(k, s1({(t + 1,): 1}, 8)) for k, _ in ra]))
+    yield a, FrameFunction(ra + [(rng.randint(0, 3), s1({(rng.randint(0, 8),): Fraction(1, 3)},
+                                                         rng.choice(truncs)))])
+
+
+def test_first_mismatch_matches_the_series_walk():
+    """One walk over the int grids gives what the walk over `coeffs` gives."""
+    rng = random.Random(9)
+    seen = {"equal": 0, "beyond": 0, "one side": 0, "differ": 0}
+    for _ in range(600):
+        for a, b in comparison_pairs(rng):
+            for x, y in ((a, b), (b, a)):
+                got = first_mismatch(x, y)          # before coeffs is read
+                want = reference_first_mismatch(x, y)
+                assert got == want
+                assert x.eq_retained(y) == (want is None)
+                if got is None:
+                    same_grid = (x._rows, x._den) == (y._rows, y._den)
+                    seen["equal" if same_grid else "beyond"] += 1
+                else:
+                    one_side = (got[0] in x._rows) != (got[0] in y._rows)
+                    seen["one side" if one_side else "differ"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_lift_matches_the_oracle_lift():
