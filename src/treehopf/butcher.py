@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .hopf import LinComb, natural_growth
 from .series import MultiSeries, TruncationError, VectorField
-from .trees import Forest, RootedTree
+from .trees import LEAF, Forest, RootedTree
 
 __all__ = [
     "elementary_differential",
@@ -37,7 +37,6 @@ __all__ = [
     "phi_at_origin",
     "check_growth_derivative",
     "check_generalized_growth",
-    "flow_derivative",
 ]
 
 
@@ -123,18 +122,12 @@ def phi_at_origin(x: LinComb, f: VectorField) -> list[Fraction]:
     return [c.eval0() for c in elementary_differential_lincomb(x, f)]
 
 
-def flow_derivative(vec, f: VectorField):
-    """The flow derivative sum_j f^j d_j applied componentwise."""
-    return tuple(_contract([f.components], c, f.nvars) for c in vec)
-
-
 def check_growth_derivative(t: RootedTree, f: VectorField) -> bool:
-    """phi(N(t)) equals the flow derivative of phi(t), as retained jets."""
-    from .trees import LEAF
+    """phi(N(t)) equals the flow derivative sum_j f^j d_j phi(t), as retained jets.
 
-    lhs = elementary_differential_lincomb(natural_growth(LEAF, LinComb.of(t)), f)
-    rhs = flow_derivative(elementary_differential(t, f), f)
-    return all(a.eq_retained(b) for a, b in zip(lhs, rhs))
+    This is the generalized lemma at the single vertex, whose phi is f.
+    """
+    return check_generalized_growth(LEAF, t, f)
 
 
 def check_generalized_growth(t: RootedTree, s: RootedTree, f: VectorField) -> bool:

@@ -47,9 +47,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .butcher import _contract, _phi_vec
-from .hopf import LinComb, coproduct
-from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc
-from .trees import Forest, LEAF, RootedTree, _Immutable, b_plus
+from .hopf import LinComb, coproduct, delta_k, natural_growth
+from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc, parse_polynomial
+from .trees import Forest, LEAF, RootedTree, _Immutable, admissible_cuts, b_plus
 
 __all__ = [
     "FrameFunction",
@@ -66,6 +66,31 @@ __all__ = [
     "delta_t_apply",
     "X_t_apply",
     "Y_apply",
+    "first_mismatch",
+    "check_delta_coproduct",
+    "check_delta_coproduct_lincomb",
+    "delta_coproduct_sides",
+    "check_X_coproduct",
+    "X_coproduct_sides",
+    "forced_vertex_symbols",
+    "CommutatorReport",
+    "commutator_sides",
+    "check_commutators",
+    "delta_chain_sides",
+    "check_delta_chain",
+    "delta_from_commutators",
+    "cocycle_sides",
+    "check_cocycle",
+    "transferred_base_field",
+    "transferred_side",
+    "pushforward_rhs",
+    "check_pushforward",
+    "coprodcontrib_rhs",
+    "check_coprodcontrib",
+    "random_xseries",
+    "random_diffeo",
+    "random_frame_function",
+    "parse_frame_function",
 ]
 
 
@@ -592,12 +617,14 @@ def _phi_linear(x: LinComb, phi_s) -> FrameFunction:
 def first_mismatch(a: FrameFunction, b: FrameFunction):
     """The first retained jet coefficient where a and b differ, or None.
 
-    This is the one walk that compares two frame functions; `eq_retained`,
-    `CommutatorReport` and the cm suite all read it.  Each row of the two
-    int grids is cut at the common truncation order; y-degrees are visited
-    in ascending order, and within each the x-orders, and a row present on
-    one side only is compared against zeros.  The first difference comes
-    back as (y_deg, x_order, got, want), got from a and want from b.
+    This is the one walk that compares two frame functions, and so the one
+    comparison of a relation's two sides: `eq_retained`, every `check_*`
+    predicate, `CommutatorReport` and the cm suite read it.  Each row of
+    the two int grids is cut at the common truncation order; y-degrees are
+    visited in ascending order, and within each the x-orders, and a row
+    present on one side only is compared against zeros.  The first
+    difference comes back as (y_deg, x_order, got, want), got from a and
+    want from b.
     """
     trunc = _min_trunc(a.trunc, b.trunc)
     n = None if trunc is None else trunc + 1
@@ -619,7 +646,7 @@ def check_delta_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: Curvat
     delta_k-generated subalgebra; fails tree-by-tree from three vertices
     on (see check_delta_coproduct_lincomb for the statement that holds).
     """
-    return check_delta_coproduct_lincomb(LinComb.of(t), a, b, Gamma)
+    return first_mismatch(*delta_coproduct_sides(LinComb.of(t), a, b, Gamma)) is None
 
 
 def _cut_sum(x: LinComb, psi: FormalDiffeo, right, Gamma: CurvatureFn,
@@ -658,8 +685,7 @@ def delta_coproduct_sides(x: LinComb, a: Monomial, b: Monomial,
 def check_delta_coproduct_lincomb(x: LinComb, a: Monomial, b: Monomial,
                                   Gamma: CurvatureFn) -> bool:
     """The coproduct identity for delta over a linear combination of forests."""
-    lhs, rhs = delta_coproduct_sides(x, a, b, Gamma)
-    return lhs.eq_retained(rhs)
+    return first_mismatch(*delta_coproduct_sides(x, a, b, Gamma)) is None
 
 
 def check_X_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: CurvatureFn) -> bool:
@@ -671,8 +697,7 @@ def check_X_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: CurvatureF
     z-components of the transfer force incompatible values), so this
     returns False from two vertices on.
     """
-    lhs, rhs = X_coproduct_sides(t, a, b, Gamma)
-    return lhs.eq_retained(rhs)
+    return first_mismatch(*X_coproduct_sides(t, a, b, Gamma)) is None
 
 
 def X_coproduct_sides(t: RootedTree, a: Monomial, b: Monomial,
@@ -692,18 +717,17 @@ def X_coproduct_sides(t: RootedTree, a: Monomial, b: Monomial,
 
 
 class CommutatorReport:
-    """Outcome of the commutator-table checks on one instance."""
+    """Outcome of the commutator-table checks on one instance, from its
+    (relation, lhs, rhs) triples: one `first_mismatch` walk per relation."""
 
-    def __init__(self):
+    def __init__(self, sides):
         self.results: dict[str, bool] = {}
         self.mismatches: dict[str, tuple] = {}
-
-    def record(self, relation: str, lhs: FrameFunction, rhs: FrameFunction):
-        """One `first_mismatch` walk gives both the result and the mismatch."""
-        mismatch = first_mismatch(lhs, rhs)
-        self.results[relation] = mismatch is None
-        if mismatch is not None:
-            self.mismatches[relation] = mismatch
+        for relation, lhs, rhs in sides:
+            mismatch = first_mismatch(lhs, rhs)
+            self.results[relation] = mismatch is None
+            if mismatch is not None:
+                self.mismatches[relation] = mismatch
 
     @property
     def ok(self) -> bool:
@@ -716,55 +740,47 @@ class CommutatorReport:
         return [r for r, v in self.results.items() if not v]
 
 
+def commutator_sides(t: RootedTree, tp: RootedTree, m: Monomial,
+                     Gamma: CurvatureFn) -> list[tuple[str, FrameFunction, FrameFunction]]:
+    """The commutation relations of Y, X_t and delta_t on m, as (relation, lhs, rhs)."""
+    xt = lambda mm: X_t_apply(t, mm, Gamma)
+    xtp = lambda mm: X_t_apply(tp, mm, Gamma)
+    dt = lambda mm: delta_t_apply(t, mm, Gamma)
+    dtp = lambda mm: delta_t_apply(tp, mm, Gamma)
+    phi_m = lambda x: _phi_linear(x, lambda s: _phi_on(s, m, Gamma))
+
+    return [
+        ("[Y, X_t] = |t| X_t",
+         Y_apply(xt(m)).f - xt(Y_apply(m)).f, xt(m).f.scale(t.vertex_count)),
+        ("[X_t, delta_t'] = delta_{N_t(t')}",
+         xt(dtp(m)).f - dtp(xt(m)).f, delta_t_apply(natural_growth(t, LinComb.of(tp)), m, Gamma).f),
+        ("[Y, delta_t] = |t| delta_t",
+         Y_apply(dt(m)).f - dt(Y_apply(m)).f, dt(m).f.scale(t.vertex_count)),
+        ("[X_t, X_t'] = phi_{N_t(B+(t'))} - phi_{N_t'(B+(t))}",
+         xt(xtp(m)).f - xtp(xt(m)).f,
+         phi_m(natural_growth(t, LinComb.of(b_plus(Forest((tp,))))))
+         - phi_m(natural_growth(tp, LinComb.of(b_plus(Forest((t,))))))),
+        ("[delta_t, delta_t'] = 0", dt(dtp(m)).f - dtp(dt(m)).f, FrameFunction.zero()),
+    ]
+
+
 def check_commutators(t: RootedTree, tp: RootedTree, m: Monomial,
                       Gamma: CurvatureFn) -> CommutatorReport:
     """Verify the commutation relations of Y, X_t and delta_t on m."""
-    from .hopf import natural_growth
+    return CommutatorReport(commutator_sides(t, tp, m, Gamma))
 
-    rep = CommutatorReport()
 
-    xt = lambda mm: X_t_apply(t, mm, Gamma)
-    dt = lambda mm: delta_t_apply(t, mm, Gamma)
-    dtp = lambda mm: delta_t_apply(tp, mm, Gamma)
-
-    rep.record(
-        "[Y, X_t] = |t| X_t",
-        Y_apply(xt(m)).f - xt(Y_apply(m)).f,
-        xt(m).f.scale(t.vertex_count),
-    )
-    rep.record(
-        "[X_t, delta_t'] = delta_{N_t(t')}",
-        xt(dtp(m)).f - dtp(xt(m)).f,
-        delta_t_apply(natural_growth(t, LinComb.of(tp)), m, Gamma).f,
-    )
-    rep.record(
-        "[Y, delta_t] = |t| delta_t",
-        Y_apply(dt(m)).f - dt(Y_apply(m)).f,
-        dt(m).f.scale(t.vertex_count),
-    )
-    xtp = lambda mm: X_t_apply(tp, mm, Gamma)
-    phi_m = lambda x: _phi_linear(x, lambda s: _phi_on(s, m, Gamma))
-    lhs_xx = xt(xtp(m)).f - xtp(xt(m)).f
-    rhs_xx = phi_m(natural_growth(t, LinComb.of(b_plus(Forest((tp,)))))) \
-        - phi_m(natural_growth(tp, LinComb.of(b_plus(Forest((t,))))))
-    rep.record("[X_t, X_t'] = phi_{N_t(B+(t'))} - phi_{N_t'(B+(t))}", lhs_xx, rhs_xx)
-    rep.record(
-        "[delta_t, delta_t'] = 0",
-        dt(dtp(m)).f - dtp(dt(m)).f,
-        FrameFunction.zero(),
-    )
-    return rep
+def delta_chain_sides(k: int, m: Monomial,
+                      Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
+    """Both sides of [X, delta-of-delta_k] = delta-of-delta_{k+1} (the classical ladder)."""
+    lhs = X_t_apply(LEAF, delta_t_apply(delta_k(k), m, Gamma), Gamma).f \
+        - delta_t_apply(delta_k(k), X_t_apply(LEAF, m, Gamma), Gamma).f
+    return lhs, delta_t_apply(delta_k(k + 1), m, Gamma).f
 
 
 def check_delta_chain(k: int, m: Monomial, Gamma: CurvatureFn) -> bool:
     """[X, delta-of-delta_k] = delta-of-delta_{k+1} (the classical ladder)."""
-    from .hopf import delta_k as dk
-    from .trees import LEAF as dot
-
-    lhs = X_t_apply(dot, delta_t_apply(dk(k), m, Gamma), Gamma).f \
-        - delta_t_apply(dk(k), X_t_apply(dot, m, Gamma), Gamma).f
-    rhs = delta_t_apply(dk(k + 1), m, Gamma).f
-    return lhs.eq_retained(rhs)
+    return first_mismatch(*delta_chain_sides(k, m, Gamma)) is None
 
 
 def delta_from_commutators(t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Monomial:
@@ -776,11 +792,8 @@ def delta_from_commutators(t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Mo
         delta_t = [X_{t_n}, delta_{B_+(rest)}]
                   - sum_i delta_{B_+(rest with rest_i grown by t_n)}.
     """
-    from .hopf import natural_growth
-    from .trees import Forest, LEAF as dot, b_plus
-
-    if t == dot:
-        return delta_t_apply(dot, m, Gamma)
+    if t == LEAF:
+        return delta_t_apply(LEAF, m, Gamma)
     t_n = t.children[0]
     rest = t.children[1:]
     base = b_plus(Forest(rest))
@@ -796,11 +809,16 @@ def delta_from_commutators(t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Mo
     return Monomial(out, m.psi)
 
 
+def cocycle_sides(psi: FormalDiffeo, eta: FormalDiffeo,
+                  Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
+    """Both sides of gamma(eta o psi) = gamma(psi) + gamma(eta) o lift(psi)."""
+    lhs = gamma_bullet(eta.compose(psi), Gamma)
+    return lhs, gamma_bullet(psi, Gamma) + lift_apply(psi, gamma_bullet(eta, Gamma))
+
+
 def check_cocycle(psi: FormalDiffeo, eta: FormalDiffeo, Gamma: CurvatureFn) -> bool:
     """gamma(eta o psi) = gamma(psi) + gamma(eta) o lift(psi)."""
-    lhs = gamma_bullet(eta.compose(psi), Gamma)
-    rhs = gamma_bullet(psi, Gamma) + lift_apply(psi, gamma_bullet(eta, Gamma))
-    return lhs.eq_retained(rhs)
+    return first_mismatch(*cocycle_sides(psi, eta, Gamma)) is None
 
 
 def transferred_base_field(psi: FormalDiffeo, Gamma: CurvatureFn):
@@ -813,20 +831,23 @@ def transferred_base_field(psi: FormalDiffeo, Gamma: CurvatureFn):
     )
 
 
-def check_pushforward(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
-                      h: FrameFunction) -> bool:
-    """phi_t(h o lift(psi)) against the product formula over the transferred field.
+def transferred_side(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
+                     h: FrameFunction) -> FrameFunction:
+    """phi_t(h o lift(psi)), the left side of the pushforward and cut expansions."""
+    return phi_frame_op(t, Gamma, lift_apply(psi, h), psi.trunc)
 
-    The right side contracts each branch's phi-operator applied to the
-    transferred base field into target derivatives of h.  Exact for trees
-    with at most two vertices; the transfer of deeper branch functions
-    picks up non-tensorial cross terms, so this fails from three vertices
-    on.
+
+def pushforward_rhs(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
+                    h: FrameFunction) -> FrameFunction:
+    """The product formula for phi_t(h o lift(psi)) over the transferred field.
+
+    Contracts each branch's phi-operator applied to the transferred base
+    field into target derivatives of h.  Exact for trees with at most two
+    vertices; the transfer of deeper branch functions picks up
+    non-tensorial cross terms, so it fails from three vertices on.
     """
-    trunc = psi.trunc
-    lhs = phi_frame_op(t, Gamma, lift_apply(psi, h), trunc)
     star = transferred_base_field(psi, Gamma)
-    field, memo = _frame_phi(Gamma, trunc)
+    field, memo = _frame_phi(Gamma, psi.trunc)
     rhs = FrameFunction.zero()
     m = len(t.children)
     for ks in itertools.product((0, 1), repeat=m):
@@ -838,22 +859,26 @@ def check_pushforward(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
             children = [_phi_vec(c, field, memo) for c in t.children[j].children]
             term = term * _contract(children, star[k], 2)
         rhs = rhs + term
-    return lhs.eq_retained(rhs)
+    return rhs
 
 
-def check_coprodcontrib(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
-                        h: FrameFunction) -> bool:
-    """Cut expansion of the transferred operator phi_t.
+def check_pushforward(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
+                      h: FrameFunction) -> bool:
+    """phi_t(h o lift(psi)) against the product formula over the transferred field."""
+    return first_mismatch(transferred_side(t, psi, Gamma, h),
+                          pushforward_rhs(t, psi, Gamma, h)) is None
 
-    phi_t(h o lift(psi)) = sum over non-full admissible cuts of
-    gamma_{P_c}(psi) (phi_{R_c} Y^{k_c} h) o lift(psi), where k_c counts
-    cut edges at the root (the empty-forest leg acting as Y).  Exact for
-    trees with at most two vertices; fails from three vertices on.
+
+def coprodcontrib_rhs(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
+                      h: FrameFunction) -> FrameFunction:
+    """The cut expansion of the transferred operator phi_t(h o lift(psi)):
+
+    the sum over non-full admissible cuts of gamma_{P_c}(psi)
+    (phi_{R_c} Y^{k_c} h) o lift(psi), where k_c counts cut edges at the
+    root (the empty-forest leg acting as Y).  Exact for trees with at most
+    two vertices; fails from three vertices on.
     """
-    from .trees import admissible_cuts
-
     trunc = psi.trunc
-    lhs = phi_frame_op(t, Gamma, lift_apply(psi, h), trunc)
     rhs = FrameFunction.zero()
     for cut, pruned, root in admissible_cuts(t):
         if cut.kind == "full":
@@ -865,7 +890,14 @@ def check_coprodcontrib(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
         term = phi_frame_op(root.trees[0], Gamma, term, trunc)
         term = lift_apply(psi, term)
         rhs = rhs + _gamma_forest(pruned, psi, Gamma) * term
-    return lhs.eq_retained(rhs)
+    return rhs
+
+
+def check_coprodcontrib(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
+                        h: FrameFunction) -> bool:
+    """Cut expansion of the transferred operator phi_t."""
+    return first_mismatch(transferred_side(t, psi, Gamma, h),
+                          coprodcontrib_rhs(t, psi, Gamma, h)) is None
 
 
 def random_xseries(rng, trunc: int, min_degree: int = 0,
@@ -898,28 +930,6 @@ def random_frame_function(rng, trunc: int, max_y_degree: int = 2) -> FrameFuncti
     return FrameFunction(coeffs)
 
 
-__all__ += [
-    "first_mismatch",
-    "check_delta_coproduct",
-    "check_delta_coproduct_lincomb",
-    "delta_coproduct_sides",
-    "check_X_coproduct",
-    "X_coproduct_sides",
-    "forced_vertex_symbols",
-    "CommutatorReport",
-    "check_commutators",
-    "check_delta_chain",
-    "delta_from_commutators",
-    "check_cocycle",
-    "transferred_base_field",
-    "check_pushforward",
-    "check_coprodcontrib",
-    "random_xseries",
-    "random_diffeo",
-    "random_frame_function",
-]
-
-
 def forced_vertex_symbols(psi: FormalDiffeo, Gamma: CurvatureFn):
     """The two values the single-vertex symbol would have to take.
 
@@ -938,8 +948,6 @@ def forced_vertex_symbols(psi: FormalDiffeo, Gamma: CurvatureFn):
 
 def parse_frame_function(text: str, trunc: int | None = None) -> FrameFunction:
     """Parse a polynomial in x and y, e.g. `y^2 x - y`, into a FrameFunction."""
-    from .series import parse_polynomial
-
     two_var = parse_polynomial(text, ["x", "y"], None)
     coeffs: dict[int, dict] = {}
     for (ex, ey), c in two_var.terms.items():
@@ -947,6 +955,3 @@ def parse_frame_function(text: str, trunc: int | None = None) -> FrameFunction:
     return FrameFunction(
         {k: MultiSeries(1, terms, trunc) for k, terms in coeffs.items()}
     )
-
-
-__all__.append("parse_frame_function")

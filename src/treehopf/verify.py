@@ -94,15 +94,11 @@ def _json_safe(value):
 # -- Hopf suite ------------------------------------------------------------
 
 
-def _tensor3_left(t2: Tensor2) -> _FreeModule:
-    """(Delta (x) id) applied to a Tensor2, keyed by forest triples."""
-    return _FreeModule(((gl, gr, fr), c * d) for (fl, fr), c in t2.terms.items()
-                       for (gl, gr), d in coproduct(fl).terms.items())
-
-
-def _tensor3_right(t2: Tensor2) -> _FreeModule:
-    return _FreeModule(((fl, gl, gr), c * d) for (fl, fr), c in t2.terms.items()
-                       for (gl, gr), d in coproduct(fr).terms.items())
+def _tensor3(t2: Tensor2, leg: int) -> _FreeModule:
+    """Delta applied to leg 0 or 1 of a Tensor2, keyed by forest triples."""
+    return _FreeModule((pair[:leg] + split + pair[leg + 1:], c * d)
+                       for pair, c in t2.terms.items()
+                       for split, d in coproduct(pair[leg]).terms.items())
 
 
 def _convolve_antipode(x: LinComb, antipode_left: bool) -> LinComb:
@@ -184,7 +180,7 @@ def verify_hopf(max_degree: int = 5, seed: int = 0) -> dict:
     for f in forests:
         x = LinComb.of(f)
         d = coproduct(x)
-        s.check("coassociativity", f.serial, _tensor3_left(d) == _tensor3_right(d))
+        s.check("coassociativity", f.serial, _tensor3(d, 0) == _tensor3(d, 1))
         left = LinComb.linear(d, lambda p: LinComb.of(p[1], counit(LinComb.of(p[0]))))
         right = LinComb.linear(d, lambda p: LinComb.of(p[0], counit(LinComb.of(p[1]))))
         s.check("counit law (eps x id)", f.serial, left == x)
@@ -424,23 +420,25 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
         instances.append((i, psi, eta, fa, fb))
 
     for i, psi, eta, fa, fb in instances:
-        s.check("gamma cocycle", f"trial={i}", fr.check_cocycle(psi, eta, gamma_x))
+        s.sides("gamma cocycle", f"trial={i}", *fr.cocycle_sides(psi, eta, gamma_x))
 
     for i, psi, eta, fa, fb in instances:
         a = fr.Monomial(fa, psi)
         b = fr.Monomial(fb, eta)
         for t in trees:
-            s.check("coprodcontrib cut expansion", f"trial={i} t={t.serial}",
-                    fr.check_coprodcontrib(t, psi, gamma_x, fb))
-            s.check("pushforward product formula", f"trial={i} t={t.serial}",
-                    fr.check_pushforward(t, psi, gamma_x, fb))
-            lhs, rhs = fr.delta_coproduct_sides(LinComb.of(t), a, b, gamma_x)
-            s.sides("Delta delta_t", f"trial={i} t={t.serial}", lhs, rhs)
-            lhs, rhs = fr.X_coproduct_sides(t, a, b, gamma_x)
-            s.sides("Delta X_t", f"trial={i} t={t.serial}", lhs, rhs)
+            inst = f"trial={i} t={t.serial}"
+            # Schema 1 records the two transfer families without a mismatch and
+            # its bytes are pinned, so these stay bare checks until schema 2.
+            lhs = fr.transferred_side(t, psi, gamma_x, fb)
+            s.check("coprodcontrib cut expansion", inst,
+                    fr.first_mismatch(lhs, fr.coprodcontrib_rhs(t, psi, gamma_x, fb)) is None)
+            s.check("pushforward product formula", inst,
+                    fr.first_mismatch(lhs, fr.pushforward_rhs(t, psi, gamma_x, fb)) is None)
+            s.sides("Delta delta_t", inst, *fr.delta_coproduct_sides(LinComb.of(t), a, b, gamma_x))
+            s.sides("Delta X_t", inst, *fr.X_coproduct_sides(t, a, b, gamma_x))
         for k in range(1, min(4, max_degree) + 1):
-            s.check("Delta delta over delta_k", f"trial={i} k={k}",
-                    fr.check_delta_coproduct_lincomb(delta_k(k), a, b, gamma_x))
+            s.sides("Delta delta over delta_k", f"trial={i} k={k}",
+                    *fr.delta_coproduct_sides(delta_k(k), a, b, gamma_x))
 
     # structural explanation of the coproduct failures: the one-vertex rule
     # and the two-vertex transfer force symbols differing by the flat cocycle
@@ -455,13 +453,11 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
             for u in trees:
                 if t.vertex_count + u.vertex_count > pair_bound:
                     continue
-                rep = fr.check_commutators(t, u, m, gamma_x)
-                for relation, ok in rep.results.items():
-                    s.check(relation, f"trial={i} t={t.serial} t'={u.serial}", ok,
-                            rep.mismatches.get(relation))
+                for relation, lhs, rhs in fr.commutator_sides(t, u, m, gamma_x):
+                    s.sides(relation, f"trial={i} t={t.serial} t'={u.serial}", lhs, rhs)
         for k in (1, 2, 3):
-            s.check("[X, delta_k] = delta_{k+1}", f"trial={i} k={k}",
-                    fr.check_delta_chain(k, m, gamma_x))
+            s.sides("[X, delta_k] = delta_{k+1}", f"trial={i} k={k}",
+                    *fr.delta_chain_sides(k, m, gamma_x))
         for t in trees:
             got = fr.delta_from_commutators(t, m, gamma_x)
             want = fr.delta_t_apply(t, m, gamma_x)
@@ -482,8 +478,8 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
             rep = fr.check_commutators(LEAF, LEAF, m, g)
             s.check("classical relations persist", f"trial={i} {tag}", rep.ok,
                     rep.mismatches)
-            s.check("[X, delta_1] = delta_2 persists", f"trial={i} {tag}",
-                    fr.check_delta_chain(1, m, g))
+            s.sides("[X, delta_1] = delta_2 persists", f"trial={i} {tag}",
+                    *fr.delta_chain_sides(1, m, g))
 
     for t in trees:
         fx, fz = fr.phi_frame(t, gamma_x, order)
@@ -509,26 +505,23 @@ def verify_cm(max_degree: int = 4, seed: int = 0, order: int = 8, trials: int = 
         s.check("U* psi then psi^{-1} lands at identity", f"trial={i}",
                 prod.psi.is_identity())
 
-    s.check("frame flow bridge", "Gamma=x, K=6", _frame_flow_bridge(order))
+    s.check("frame flow bridge", "Gamma=x, K=6", _frame_flow_bridge(gamma_x, order))
     return s.report()
 
 
-def _frame_flow_bridge(order: int) -> bool:
+def _frame_flow_bridge(gamma_x: MultiSeries, order: int) -> bool:
     """Cross-check frame differentials against the polynomial-field solver.
 
     In coordinates (x, u) with u = y - 1 the frame flow for Gamma(x) = x
     is polynomial: dx/ds = 1 + u, du/ds = -(1+u)^2 x.  Its exact Taylor
     solution must match the flow derivatives delta_k |-> phi(delta_k)
     evaluated at the frame origin (x, y) = (0, 1), with the fiber side
-    re-exponentiated from the z-jet.
+    re-exponentiated from the z-jet.  gamma_x is Gamma = x at `order`.
     """
-    from .series import MultiSeries as MS
-
-    one_plus_u = MS(2, {(0, 0): 1, (0, 1): 1})
-    f = VectorField([one_plus_u, -(one_plus_u * one_plus_u) * MS(2, {(1, 0): 1})])
+    one_plus_u = MultiSeries(2, {(0, 0): 1, (0, 1): 1})
+    f = VectorField([one_plus_u, -(one_plus_u * one_plus_u) * MultiSeries(2, {(1, 0): 1})])
     K = 6
     sol = series_solve(ODEProblem(f, K))
-    gamma_x = MS(1, {(1,): 1}, order)
     # x-side and z-side jets from the tree expansion
     x_jet = [Fraction(0)]
     z_jet = [Fraction(0)]

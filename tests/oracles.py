@@ -14,7 +14,8 @@ by term.  Frame functions keep one series per power of y, and are
 compared by a walk over those series.  The
 coproduct sides of the frame model take one monomial product per
 coproduct term or cut.  The grafting contraction differentiates the
-target afresh for every index tuple.  The text parsers are kept as they
+target afresh for every index tuple, and the growth lemma takes the flow
+derivative of phi(t) through it.  The text parsers are kept as they
 were before they shared one scanner, and the six value classes of `trees`
 and `growth` as the dataclasses they were, each name prefixed `Dataclass`.
 """
@@ -25,8 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from treehopf import (Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError,
-                      coproduct)
+from treehopf import (LEAF, Forest, LinComb, MultiSeries, RootedTree, Tensor2, TruncationError,
+                      coproduct, elementary_differential, elementary_differential_lincomb,
+                      natural_growth)
 from treehopf.growth import GrowthApply, GrowthCombo, GrowthLeaf
 from treehopf.hopf import _acc
 from treehopf.linalg import solve_consistent
@@ -590,6 +592,19 @@ def reference_phi_vec(t: RootedTree, field: tuple) -> tuple:
         return field
     children = [reference_phi_vec(c, field) for c in t.children]
     return tuple(reference_contract(children, comp, len(field)) for comp in field)
+
+
+def reference_growth_derivative(t: RootedTree, f) -> bool:
+    """phi(N(t)) against the flow derivative sum_j f^j d_j phi(t), as retained jets.
+
+    The growth lemma as it was checked before it became the single-vertex
+    case of `check_generalized_growth`: the flow derivative is applied to
+    each component of `elementary_differential(t, f)`, which checks the
+    field's depth for t, after the left side is built.
+    """
+    lhs = elementary_differential_lincomb(natural_growth(LEAF, LinComb.of(t)), f)
+    rhs = [reference_contract([f.components], c, f.nvars) for c in elementary_differential(t, f)]
+    return all(a.eq_retained(b) for a, b in zip(lhs, rhs))
 
 
 # The five text parsers as they were before they shared one scanner, kept

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -32,6 +33,8 @@ from treehopf import (
     series_solve,
 )
 from treehopf.verify import random_quadratic_field
+
+from oracles import reference_growth_derivative
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -164,6 +167,36 @@ def test_growth_derivative_lemma():
     for n in range(1, 6):
         for t in enumerate_trees(n):
             assert check_growth_derivative(t, FIELD), t.serial
+
+
+# sha256 of the repr of the outcome list below, recorded before the growth
+# lemma became the single-vertex case of the generalized one
+GROWTH_OUTCOMES = "6ed9615d0efb135959d3b4a640ec76eb6b9fc95b3e6524bead80648847320960"
+
+
+def test_growth_derivative_matches_the_flow_derivative_oracle():
+    # on exact fields and on the same fields cut at orders 1-3: the same
+    # result, or the same TruncationError text, as the flow-derivative formula
+    def outcome(check, t, f):
+        try:
+            return check(t, f)
+        except TruncationError as err:
+            return str(err)
+
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
+    outcomes = []
+    for seed in range(3):
+        for trunc in (None, 1, 2, 3):
+            for t in trees:
+                got = outcome(check_growth_derivative, t,
+                              random_quadratic_field(2, seed).with_trunc(trunc))
+                want = outcome(reference_growth_derivative, t,
+                               random_quadratic_field(2, seed).with_trunc(trunc))
+                assert got == want, (seed, trunc, t.serial)
+                outcomes.append(got)
+    assert outcomes.count(True) == 108
+    assert outcomes.count("derivative exhausted the retained orders") == 96
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == GROWTH_OUTCOMES
 
 
 def test_generalized_growth_lemma():

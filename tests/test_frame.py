@@ -10,6 +10,7 @@ from treehopf import (
     Forest,
     FrameFunction,
     LEAF,
+    LinComb,
     Monomial,
     MultiSeries,
     TruncationError,
@@ -37,10 +38,19 @@ from treehopf import (
     phi_frame_op,
 )
 from treehopf.frame import (
+    CommutatorReport,
+    X_coproduct_sides,
+    cocycle_sides,
+    commutator_sides,
+    coprodcontrib_rhs,
+    delta_chain_sides,
+    delta_coproduct_sides,
     first_mismatch,
+    pushforward_rhs,
     random_diffeo,
     random_frame_function,
     random_xseries,
+    transferred_side,
 )
 
 D = 8
@@ -369,6 +379,61 @@ def test_pushforward_and_coprodcontrib_small():
     assert check_coprodcontrib(L2, psi, GAMMA_X, h)
     assert not check_coprodcontrib(CHERRY, psi, GAMMA_X, h)
     assert not check_pushforward(LADDER3, psi, GAMMA_X, h)
+
+
+def test_every_check_is_first_mismatch_over_its_sides():
+    # on these seeds the trees with three or more vertices fail the
+    # coproduct and transfer relations, so both outcomes are compared
+    trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    outcomes = []
+
+    def agree(ok, sides, t=LEAF):
+        assert ok == (first_mismatch(*sides) is None)
+        outcomes.append((ok, t.vertex_count))
+
+    for seed in range(2):
+        psi, eta, a, b = rand_instance(seed + 120)
+        h = b.f
+        agree(check_cocycle(psi, eta, GAMMA_X), cocycle_sides(psi, eta, GAMMA_X))
+        for k in (1, 2, 3):
+            agree(check_delta_chain(k, a, GAMMA_X), delta_chain_sides(k, a, GAMMA_X))
+            agree(check_delta_coproduct_lincomb(delta_k(k), a, b, GAMMA_X),
+                  delta_coproduct_sides(delta_k(k), a, b, GAMMA_X))
+        for t in trees:
+            agree(check_delta_coproduct(t, a, b, GAMMA_X),
+                  delta_coproduct_sides(LinComb.of(t), a, b, GAMMA_X), t)
+            agree(check_X_coproduct(t, a, b, GAMMA_X), X_coproduct_sides(t, a, b, GAMMA_X), t)
+            # the shared left side of the two transferred-operator relations
+            lhs = transferred_side(t, psi, GAMMA_X, h)
+            want = phi_frame_op(t, GAMMA_X, lift_apply(psi, h), psi.trunc)
+            assert (lhs._den, lhs._rows) == (want._den, want._rows), t.serial
+            agree(check_coprodcontrib(t, psi, GAMMA_X, h),
+                  (lhs, coprodcontrib_rhs(t, psi, GAMMA_X, h)), t)
+            agree(check_pushforward(t, psi, GAMMA_X, h),
+                  (lhs, pushforward_rhs(t, psi, GAMMA_X, h)), t)
+    assert any(ok for ok, _ in outcomes)
+    assert any(not ok and n >= 3 for ok, n in outcomes)
+
+
+def test_commutator_report_reads_commutator_sides():
+    trees = [t for n in range(1, 4) for t in enumerate_trees(n)]
+    _, _, m, _ = rand_instance(53)
+    for t in trees:
+        for u in trees:
+            if t.vertex_count + u.vertex_count > 5:
+                continue
+            sides = commutator_sides(t, u, m, GAMMA_X)
+            rep = check_commutators(t, u, m, GAMMA_X)
+            mismatches = [(r, first_mismatch(lhs, rhs)) for r, lhs, rhs in sides]
+            assert list(rep.results.items()) == [(r, mm is None) for r, mm in mismatches]
+            assert list(rep.mismatches.items()) == [(r, mm) for r, mm in mismatches if mm]
+    # a failing relation keeps its place and its mismatch
+    a = FrameFunction.y_times(xs({(1,): 1}))
+    b = FrameFunction.y_times(xs({(1,): 1, (2,): 1}))
+    rep = CommutatorReport([("differ", a, b), ("same", a, a)])
+    assert list(rep.results.items()) == [("differ", False), ("same", True)]
+    assert rep.mismatches == {"differ": (1, 2, Fraction(0), Fraction(1))}
+    assert not rep and rep.failing() == ["differ"]
 
 
 def test_classical_relations_survive_flat_curvature():

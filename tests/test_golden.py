@@ -6,7 +6,9 @@ coefficient, a truncation order or a verify report changes them.  The
 growth digests were recorded with the Fraction rref path, before the
 subalgebra bases and closure checks moved to the int echelon; they pin
 every basis element, in order, and the element, bidegree and term that a
-failing closure check reports.
+failing closure check reports.  The whole v1 report of `verify --suite all`
+(every suite at its defaults, 2,007 results) is pinned twice: as sorted
+JSON, and as the text the CLI prints for it.
 """
 
 import hashlib
@@ -23,15 +25,19 @@ from treehopf import (
     generate_subalgebra,
     parse_tree,
     phi_frame,
+    run_suites,
     verify_butcher,
     verify_cm,
 )
+from treehopf import cli
 
 GAMMA = MultiSeries(1, {(1,): 1}, 8)
 PSI = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): Fraction(1, 2), (3,): -1}, 8))
 TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
 
 VERIFY_CM = "661adde44de059cdb023d38910a24d044f65664f4bf262a5f2d1b96592000a7c"
+VERIFY_ALL = "6df11c22f3ae460bc163a69ec4dc95de5fb7d4f2387df751f4f891121e09a780"
+VERIFY_ALL_TEXT = "396d9c4583ace31a08930f470b773bbb0fe55708ed24ed7c3d9dbd57c3666ccd"
 VERIFY_BUTCHER = "62c0d295c30d9853559a656377c0b27844753a5f66db91d23cfa2958a97b06f9"
 PHI_FRAME = {
     "[]": "577c362b13a2af47",
@@ -70,6 +76,17 @@ def test_verify_cm_report_is_unchanged():
 
 def test_verify_butcher_report_is_unchanged():
     assert sha(json.dumps(verify_butcher(5, 0), sort_keys=True)) == VERIFY_BUTCHER
+
+
+def test_verify_all_report_is_unchanged():
+    report = run_suites("all")
+    assert sum(len(suite["results"]) for suite in report["suites"]) == 2007
+    assert sha(json.dumps(report, sort_keys=True)) == VERIFY_ALL
+
+
+def test_verify_all_text_is_unchanged(capsys):
+    assert cli.run(["verify", "--suite", "all"]) == 1
+    assert sha(capsys.readouterr().out) == VERIFY_ALL_TEXT
 
 
 def test_phi_frame_is_unchanged():

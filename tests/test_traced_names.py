@@ -9,16 +9,19 @@ from functools import reduce
 
 import pytest
 
-from treehopf import frame, growth, linalg
+from treehopf import butcher, frame, growth, linalg
+from treehopf.butcher import check_growth_derivative
 from treehopf.frame import FormalDiffeo, _gamma_forest, gamma_t
 from treehopf.growth import closure_check, fan_graph, generate_subalgebra
 from treehopf.series import MultiSeries
-from treehopf.trees import Forest, parse_tree
+from treehopf.trees import LEAF, Forest, parse_tree
+from treehopf.verify import random_quadratic_field
 
 TRACED = [(growth, "_component_in_span"), (linalg, "independent_rows"), (linalg, "rref"),
           (linalg, "solve_consistent"), (frame, "lift_apply"), (frame, "monomial_product"),
           (frame, "X_t_apply"), (frame, "delta_t_apply"), (frame, "phi_frame_op"),
-          (frame, "gamma_t"), (frame, "FrameFunction.__mul__")]
+          (frame, "gamma_t"), (frame, "FrameFunction.__mul__"),
+          (butcher, "check_generalized_growth")]
 
 
 @pytest.mark.parametrize("module, name", TRACED, ids=[name for _, name in TRACED])
@@ -66,3 +69,11 @@ def test_gamma_forest_reaches_gamma_t_and_gamma_t_reaches_phi_frame_op_through_f
     # once kept on psi, gamma_t is still called by name but computes nothing
     assert gamma_t(ladder, psi, gamma) is gamma_t(ladder, psi, gamma)
     assert len(phis) == 2
+
+
+def test_growth_derivative_reaches_check_generalized_growth_through_butcher(monkeypatch):
+    calls = counting(monkeypatch, butcher, "check_generalized_growth")
+    field = random_quadratic_field(2, 0)
+    ladder = parse_tree("[[]]")
+    assert check_growth_derivative(ladder, field)
+    assert calls == [(LEAF, ladder, field)]
