@@ -15,6 +15,13 @@ per sorted index tuple ks; it keeps the order of every product and sum,
 because a truncated product that vanishes drops its row, and with it that
 row's truncation order, so regrouping could change a result's orders.
 
+A jet-valued map on forests (phi here; delta_t, X_t and phi_s in
+`treehopf.frame`) extends over a linear combination through one function,
+`_linear_sum`: it adds c fn(F) onto a given zero, left to right in term
+order, so every such sum keeps one fold order and its zero's truncation
+order; `_single_tree` refuses the forests a map defined on trees cannot
+take.
+
 Each phi(t) of a field is computed once: the recursion memoizes by tree
 in the field's own `VectorField._phi`, which every function here reads,
 and which dies with the field.  It is not a process-wide cache.
@@ -105,16 +112,29 @@ def phi_forest_apply(forest: Forest, f: VectorField, h: MultiSeries) -> MultiSer
     return out
 
 
+def _single_tree(forest: Forest, what: str) -> RootedTree:
+    """The one tree of forest; what extends linearly over single trees only."""
+    if len(forest.trees) != 1:
+        raise ValueError(f"{what} extends linearly over single trees only")
+    return forest.trees[0]
+
+
+def _linear_sum(x: LinComb, fn, zero):
+    """zero + sum of c fn(F) over the terms c F of x: the one linear extension
+    of a jet-valued map, added left to right in term order."""
+    out = zero
+    for forest, c in x.terms.items():
+        out = out + fn(forest).scale(c)
+    return out
+
+
 def elementary_differential_lincomb(x: LinComb, f: VectorField) -> tuple[MultiSeries, ...]:
-    """Linear extension of phi to a combination of single trees."""
-    n = f.nvars
-    acc = [MultiSeries.zero(n, f.trunc) for _ in range(n)]
-    for forest, coeff in x.terms.items():
-        if len(forest.trees) != 1:
-            raise ValueError("phi extends linearly over single trees only")
-        vec = _phi_vec(forest.trees[0], f.components, f._phi)
-        acc = [a + v.scale(coeff) for a, v in zip(acc, vec)]
-    return tuple(acc)
+    """Linear extension of phi to a combination of single trees, per component."""
+    def phi(forest: Forest) -> tuple[MultiSeries, ...]:
+        return _phi_vec(_single_tree(forest, "phi"), f.components, f._phi)
+
+    zero = MultiSeries.zero(f.nvars, f.trunc)
+    return tuple(_linear_sum(x, lambda forest, i=i: phi(forest)[i], zero) for i in range(f.nvars))
 
 
 def phi_at_origin(x: LinComb, f: VectorField) -> list[Fraction]:

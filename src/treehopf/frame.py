@@ -46,7 +46,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .butcher import _contract, _phi_vec
+from .butcher import _contract, _linear_sum, _phi_vec, _single_tree
 from .hopf import LinComb, coproduct, delta_k, natural_growth
 from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc, parse_polynomial
 from .trees import Forest, LEAF, RootedTree, _Immutable, admissible_cuts, b_plus
@@ -186,10 +186,6 @@ class FrameFunction:
     @staticmethod
     def zero() -> "FrameFunction":
         return FrameFunction._raw({}, 1)
-
-    @staticmethod
-    def of_x(g: MultiSeries) -> "FrameFunction":
-        return FrameFunction({0: g})
 
     @staticmethod
     def y_times(g: MultiSeries, power: int = 1) -> "FrameFunction":
@@ -554,22 +550,25 @@ def _phi_on(s: RootedTree, m: Monomial, Gamma: CurvatureFn) -> FrameFunction:
                  lambda: phi_frame_op(s, Gamma, m.f, trunc))
 
 
+def _on_monomial(apply, x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
+    """apply(x, m, Gamma) for a combination x; for a tree or a forest x the
+    result is kept on m (see `_kept`)."""
+    if isinstance(x, (RootedTree, Forest)):
+        return _kept(m, (apply, x, Gamma, Gamma.trunc), lambda: apply(LinComb.of(x), m, Gamma))
+    return apply(x, m, Gamma)
+
+
 def delta_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """delta over a tree, forest, or linear combination; multiplication by gamma.
 
     Over a tree or a forest the result is kept on m (see `_kept`).
     """
-    if isinstance(x, (RootedTree, Forest)):
-        return _kept(m, (_delta_apply, x, Gamma, Gamma.trunc),
-                     lambda: _delta_apply(LinComb.of(x), m, Gamma))
-    return _delta_apply(x, m, Gamma)
+    return _on_monomial(_delta_apply, x, m, Gamma)
 
 
 def _delta_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
-    total = FrameFunction.zero()
-    for forest, coeff in x.terms.items():
-        total = total + _gamma_forest(forest, m.psi, Gamma).scale(coeff)
-    return Monomial(total * m.f, m.psi)
+    gamma = lambda forest: _gamma_forest(forest, m.psi, Gamma)
+    return Monomial(_linear_sum(x, gamma, FrameFunction.zero()) * m.f, m.psi)
 
 
 def X_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
@@ -580,38 +579,21 @@ def X_t_apply(x, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     acts as the grading field Y.  Over a tree or a forest the result is kept
     on m (see `_kept`).
     """
-    if isinstance(x, (RootedTree, Forest)):
-        return _kept(m, (_X_apply, x, Gamma, Gamma.trunc),
-                     lambda: _X_apply(LinComb.of(x), m, Gamma))
-    return _X_apply(x, m, Gamma)
+    return _on_monomial(_X_apply, x, m, Gamma)
 
 
 def _X_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
-    out = FrameFunction.zero()
-    for forest, coeff in x.terms.items():
+    def on_forest(forest: Forest) -> FrameFunction:
         if forest.is_empty():
-            term = Y_apply(m).f
-        elif len(forest.trees) != 1:
-            raise ValueError("X extends linearly over single trees only")
-        else:
-            term = _phi_on(b_plus(forest), m, Gamma)
-        out = out + term.scale(coeff)
-    return Monomial(out, m.psi)
+            return Y_apply(m).f
+        return _phi_on(RootedTree((_single_tree(forest, "X"),)), m, Gamma)    # B+(s)
+
+    return Monomial(_linear_sum(x, on_forest, FrameFunction.zero()), m.psi)
 
 
 def Y_apply(m: Monomial) -> Monomial:
     """The grading field Y = y d/dy, kept on m."""
     return _kept(m, Y_apply, lambda: Monomial(m.f.dz(), m.psi))
-
-
-def _phi_linear(x: LinComb, phi_s) -> FrameFunction:
-    """sum c phi_s(s) over the terms c s of x, which must be single trees."""
-    out = FrameFunction.zero()
-    for forest, coeff in x.terms.items():
-        if len(forest.trees) != 1:
-            raise ValueError("phi extends linearly over single trees only")
-        out = out + phi_s(forest.trees[0]).scale(coeff)
-    return out
 
 
 def first_mismatch(a: FrameFunction, b: FrameFunction):
@@ -747,7 +729,8 @@ def commutator_sides(t: RootedTree, tp: RootedTree, m: Monomial,
     xtp = lambda mm: X_t_apply(tp, mm, Gamma)
     dt = lambda mm: delta_t_apply(t, mm, Gamma)
     dtp = lambda mm: delta_t_apply(tp, mm, Gamma)
-    phi_m = lambda x: _phi_linear(x, lambda s: _phi_on(s, m, Gamma))
+    phi_m = lambda x: _linear_sum(x, lambda forest: _phi_on(_single_tree(forest, "phi"), m, Gamma),
+                                  FrameFunction.zero())
 
     return [
         ("[Y, X_t] = |t| X_t",

@@ -40,6 +40,7 @@ from .trees import (
     _skip_ws,
     _sort_key,
     admissible_cuts,
+    b_plus,
 )
 
 __all__ = [
@@ -179,10 +180,6 @@ class LinComb(_FreeModule):
             for f2, c2 in other.terms.items():
                 _acc(out, f1 * f2, c1 * c2)
         return LinComb._raw(out)
-
-    def map_forests(self, fn) -> "LinComb":
-        """Linear extension of a map Forest -> LinComb."""
-        return LinComb.linear(self, fn)
 
     def degrees(self) -> set[int]:
         return {f.degree for f in self.terms}
@@ -403,24 +400,16 @@ def ntcoprod_identity(t: RootedTree, s: RootedTree) -> bool:
     return lhs == rhs
 
 
-def b_plus_lin(x: LinComb) -> LinComb:
-    """Linear extension of the grafting operator B_+ to linear combinations."""
-    from .trees import b_plus
-
-    return LinComb.linear(x, lambda f: LinComb.of(b_plus(f)))
-
-
 def nbrel_identity(t0: RootedTree, parts: Forest) -> bool:
     """Check N_{t0}(B_+(parts)) = B_+(t0 parts) + sum_i B_+(parts with part_i grown)."""
-    from .trees import b_plus
-
     host = b_plus(parts)
     lhs = natural_growth(t0, LinComb.of(host))
     rhs = LinComb.of(b_plus(Forest(parts.trees + (t0,))))
     for i, part in enumerate(parts.trees):
         rest = parts.trees[:i] + parts.trees[i + 1:]
         grown = natural_growth(t0, LinComb.of(part))
-        rhs = rhs + b_plus_lin(grown * LinComb.of(Forest(rest)))
+        rhs = rhs + LinComb.linear(grown * LinComb.of(Forest(rest)),
+                                   lambda f: LinComb.of(b_plus(f)))
     return lhs == rhs
 
 

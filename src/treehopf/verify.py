@@ -7,6 +7,7 @@ are exact rational identities; there are no tolerances anywhere.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -252,7 +253,6 @@ def verify_growth(max_degree: int = 5, seed: int = 0) -> dict:
             ok = eval_growth_expr(decompose(t)) == LinComb.of(t)
             s.check("decompose round-trip", t.serial, ok)
     for k in range(1, min(5, max_degree) + 1):
-        expr = eval_growth_expr(decompose(LEAF))
         acc = LinComb.of(LEAF)
         for _ in range(k - 1):
             acc = natural_growth(LEAF, acc)
@@ -289,7 +289,7 @@ def random_quadratic_field(nvars: int, seed: int) -> VectorField:
     """Polynomial field with all monomials of total degree <= 2, seeded."""
     rng = random.Random(seed)
     comps = []
-    exps = [e for e in _exponents(nvars, 2)]
+    exps = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
     for _ in range(nvars):
         terms = {}
         for e in exps:
@@ -298,15 +298,6 @@ def random_quadratic_field(nvars: int, seed: int) -> VectorField:
                 terms[e] = c
         comps.append(MultiSeries(nvars, terms))
     return VectorField(comps)
-
-
-def _exponents(nvars: int, max_total: int):
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for rest in _exponents(nvars - 1, max_total - head):
-            yield (head,) + rest
 
 
 def verify_butcher(max_degree: int = 5, seed: int = 0) -> dict:
@@ -350,7 +341,10 @@ def verify_butcher(max_degree: int = 5, seed: int = 0) -> dict:
         for u in small_trees:
             if t.vertex_count + u.vertex_count > 5:
                 continue
-            lhs = _phi_growth_apply(t, u, f, h)
+            # phi over the growth sum N_t(t'), extended linearly
+            lhs = bu._linear_sum(natural_growth(t, LinComb.of(u)),
+                                 lambda forest: bu.phi_forest_apply(forest, f, h),
+                                 MultiSeries.zero(f.nvars, f.trunc))
             rhs = bu.phi_t_apply(u, f, h)
             rhs = bu.phi_t_apply(b_plus(Forest((t,))), f, rhs)
             s.check("phi_{N_t} phi_{t'} = phi_{N_t(t')}",
@@ -386,18 +380,6 @@ def _phi_forest_vector(forest: Forest, f: VectorField):
             acc = acc * bu.elementary_differential(t, f)[i]
         out.append(acc)
     return out
-
-
-def _phi_growth_apply(t, u, f, h):
-    """phi_{N_t(t')} applied to h, extended linearly over the growth sum."""
-    return _lincomb_phi_apply(natural_growth(t, LinComb.of(u)), f, h)
-
-
-def _lincomb_phi_apply(x: LinComb, f: VectorField, h: MultiSeries) -> MultiSeries:
-    acc = MultiSeries.zero(f.nvars, f.trunc)
-    for forest, c in x.terms.items():
-        acc = acc + bu.phi_forest_apply(forest, f, h).scale(c)
-    return acc
 
 
 # -- cm suite ---------------------------------------------------------------
@@ -523,15 +505,14 @@ def _frame_flow_bridge(gamma_x: MultiSeries, order: int) -> bool:
     K = 6
     sol = series_solve(ODEProblem(f, K))
     # x-side and z-side jets from the tree expansion
+    def phi(forest: Forest):
+        return fr.phi_frame(bu._single_tree(forest, "phi"), gamma_x, order)
+
     x_jet = [Fraction(0)]
     z_jet = [Fraction(0)]
     for k in range(1, K + 1):
-        fx = fr.FrameFunction.zero()
-        fz = fr.FrameFunction.zero()
-        for forest, c in delta_k(k).terms.items():
-            px, pz = fr.phi_frame(forest.trees[0], gamma_x, order)
-            fx = fx + px.scale(c)
-            fz = fz + pz.scale(c)
+        fx, fz = (bu._linear_sum(delta_k(k), lambda forest, i=i: phi(forest)[i],
+                                 fr.FrameFunction.zero()) for i in range(2))
         x_jet.append(_frame_origin(fx) / factorial(k))
         z_jet.append(_frame_origin(fz) / factorial(k))
     if any(x_jet[k] != sol[k][0] for k in range(K + 1)):

@@ -82,13 +82,20 @@ def test_scalar_linear_field_kills_branching():
 
 
 def test_phi_linear_extension_matches_termwise():
-    x = delta_k(3)
-    got = elementary_differential_lincomb(x, FIELD)
-    want = [MultiSeries.zero(2) for _ in range(2)]
-    for forest, c in x.terms.items():
-        vec = elementary_differential(forest.trees[0], FIELD)
-        want = [w + v.scale(c) for w, v in zip(want, vec)]
-    assert all(a.eq_retained(b) for a, b in zip(got, want))
+    # each component folds from the zero at f.trunc, term by term in term order
+    grown = natural_growth(L2, LinComb.of(CHERRY))
+    for field in (FIELD, FIELD.with_trunc(4)):
+        for x in (delta_k(3), grown, grown.scale(Fraction(1, 3)) - delta_k(2), LinComb.zero()):
+            got = elementary_differential_lincomb(x, field)
+            want = [MultiSeries.zero(2, field.trunc) for _ in range(2)]
+            for forest, c in x.terms.items():
+                vec = elementary_differential(forest.trees[0], field)
+                want = [w + v.scale(c) for w, v in zip(want, vec)]
+            assert [(str(a), a.trunc) for a in got] == [(str(b), b.trunc) for b in want], str(x)
+    assert [a.trunc for a in elementary_differential_lincomb(LinComb.zero(), FIELD.with_trunc(4))] \
+        == [4, 4]
+    with pytest.raises(ValueError, match="^phi extends linearly over single trees only$"):
+        elementary_differential_lincomb(delta_k(2) + LinComb.of(Forest((LEAF, L2))), FIELD)
 
 
 def test_phi_t_identity_and_field_consistency():

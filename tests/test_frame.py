@@ -33,6 +33,7 @@ from treehopf import (
     gamma_t,
     lift_apply,
     monomial_product,
+    natural_growth,
     parse_tree,
     phi_frame,
     phi_frame_op,
@@ -222,7 +223,7 @@ def test_phi_frame_homogeneity_and_degeneration():
 
 def test_X_and_Y_actions():
     psi = PSI
-    m = Monomial(FrameFunction.of_x(xs({(1,): 1})), psi)   # f = x
+    m = Monomial(FrameFunction({0: xs({(1,): 1})}), psi)   # f = x
     flat = X_t_apply(LEAF, Monomial(m.f, psi), GAMMA_0)
     assert flat.f.eq_retained(FrameFunction.y_times(MultiSeries.constant(1, 1, D)))
     g = FrameFunction({3: xs({(2,): 1})})
@@ -516,6 +517,32 @@ def test_X_and_delta_from_a_warm_monomial_equal_a_fresh_one():
         for p in pairs:
             with pytest.raises(ValueError, match="single trees only"):
                 X_t_apply(p, m, GAMMA_X)
+
+
+def test_delta_and_X_over_a_combination_fold_term_by_term():
+    # the linear extension adds c (term of F) left to right in term order,
+    # from the zero frame function; delta multiplies the sum by m.f once
+    from treehopf.frame import _gamma_forest
+
+    rng = random.Random(5)
+    m = Monomial(random_frame_function(rng, D), random_diffeo(rng, D))
+    grown = natural_growth(L2, LinComb.of(CHERRY))
+    with_unit = delta_k(2) + LinComb.unit().scale(Fraction(-2, 3))
+    for x in (delta_k(3), grown, with_unit):
+        total = FrameFunction.zero()
+        for forest, c in x.terms.items():
+            total = total + _gamma_forest(forest, m.psi, GAMMA_X).scale(c)
+        got = delta_t_apply(x, m, GAMMA_X).f
+        want = total * m.f
+        assert (str(got), got.trunc) == (str(want), want.trunc), str(x)
+    for x in (delta_k(3), grown, with_unit, grown + with_unit):
+        want = FrameFunction.zero()
+        for forest, c in x.terms.items():
+            want = want + X_t_apply(forest, m, GAMMA_X).f.scale(c)
+        got = X_t_apply(x, m, GAMMA_X).f
+        assert (str(got), got.trunc) == (str(want), want.trunc), str(x)
+    with pytest.raises(ValueError, match="^X extends linearly over single trees only$"):
+        X_t_apply(grown + LinComb.of(Forest((LEAF, L2))), m, GAMMA_X)
 
 
 def test_monomial_memo_keeps_curvature_truncation_orders_apart():

@@ -385,12 +385,12 @@ def test_coefficients_are_int_first():
     _exact_coeffs(antipode(LinComb.of(CHERRY, 0.5)).terms.values())
 
 
-def test_map_forests_drops_cancelled_terms():
+def test_linear_drops_cancelled_terms():
     x = LinComb.of(L2) + LinComb.of(Forest((LEAF, LEAF)))
     # both forests map to the single vertex with opposite signs
-    out = x.map_forests(lambda f: LinComb.of(LEAF, 1 if f.trees[0] == L2 else -1))
+    out = LinComb.linear(x, lambda f: LinComb.of(LEAF, 1 if f.trees[0] == L2 else -1))
     assert out == LinComb.zero() and not out.terms
-    out = x.map_forests(lambda f: LinComb.of(LEAF, Fraction(1, 2)) + LinComb.of(f))
+    out = LinComb.linear(x, lambda f: LinComb.of(LEAF, Fraction(1, 2)) + LinComb.of(f))
     assert out.terms == {Forest((LEAF,)): 1, Forest((L2,)): 1, Forest((LEAF, LEAF)): 1}
 
 

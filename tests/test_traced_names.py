@@ -11,9 +11,10 @@ import pytest
 
 from treehopf import butcher, frame, growth, linalg
 from treehopf.butcher import check_growth_derivative
-from treehopf.frame import FormalDiffeo, _gamma_forest, gamma_t
+from treehopf.frame import FormalDiffeo, FrameFunction, Monomial, _gamma_forest, gamma_t
 from treehopf.growth import closure_check, fan_graph, generate_subalgebra
 from treehopf.series import MultiSeries
+from treehopf.hopf import delta_k
 from treehopf.trees import LEAF, Forest, parse_tree
 from treehopf.verify import random_quadratic_field
 
@@ -77,3 +78,45 @@ def test_growth_derivative_reaches_check_generalized_growth_through_butcher(monk
     ladder = parse_tree("[[]]")
     assert check_growth_derivative(ladder, field)
     assert calls == [(LEAF, ladder, field)]
+
+
+def test_cm_sides_reach_X_t_apply_and_delta_t_apply_through_frame(monkeypatch):
+    # every X_t and delta_t that the sides functions of verify_cm compute must
+    # run inside a call of the module-level name, the one the tracer wraps
+    gamma = MultiSeries(1, {(1,): 1}, 6)
+    f = FrameFunction({0: MultiSeries(1, {(1,): 1}, 6), 1: MultiSeries(1, {(0,): 2}, 6)})
+    psi = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): 1}, 6))
+    eta = FormalDiffeo(MultiSeries(1, {(1,): 1, (3,): 1}, 6))
+    a, b = lambda: Monomial(f, psi), lambda: Monomial(f, eta)    # fresh: nothing kept
+    ladder = parse_tree("[[]]")
+    active, applied = [], []
+
+    def entering(name):
+        fn = getattr(frame, name)
+
+        def wrapper(*args):
+            active.append(name)
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+        monkeypatch.setattr(frame, name, wrapper)
+
+    def applying(name, through):
+        fn = getattr(frame, name)
+
+        def wrapper(*args):
+            applied.append((through, through in active))
+            return fn(*args)
+        monkeypatch.setattr(frame, name, wrapper)
+
+    for name, through in (("_X_apply", "X_t_apply"), ("_delta_apply", "delta_t_apply")):
+        entering(through)
+        applying(name, through)
+    frame.commutator_sides(LEAF, ladder, a(), gamma)
+    frame.delta_chain_sides(1, a(), gamma)
+    frame.delta_from_commutators(ladder, a(), gamma)
+    frame.X_coproduct_sides(ladder, a(), b(), gamma)
+    frame.delta_coproduct_sides(delta_k(2), a(), b(), gamma)
+    assert {through for through, _ in applied} == {"X_t_apply", "delta_t_apply"}
+    assert all(inside for _, inside in applied), applied
