@@ -131,7 +131,9 @@ def _linear_sum(x: LinComb, fn, zero):
 def elementary_differential_lincomb(x: LinComb, f: VectorField) -> tuple[MultiSeries, ...]:
     """Linear extension of phi to a combination of single trees, per component."""
     def phi(forest: Forest) -> tuple[MultiSeries, ...]:
-        return _phi_vec(_single_tree(forest, "phi"), f.components, f._phi)
+        tree = _single_tree(forest, "phi")
+        _require_depth(tree, f)
+        return _phi_vec(tree, f.components, f._phi)
 
     zero = MultiSeries.zero(f.nvars, f.trunc)
     return tuple(_linear_sum(x, lambda forest, i=i: phi(forest)[i], zero) for i in range(f.nvars))

@@ -47,6 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .butcher import _contract, _linear_sum, _phi_vec, _single_tree
+from .growth import GrowthApply, GrowthExpr, GrowthLeaf, decompose
 from .hopf import LinComb, coproduct, delta_k, natural_growth
 from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc, parse_polynomial
 from .trees import Forest, LEAF, RootedTree, _Immutable, admissible_cuts, b_plus
@@ -92,12 +93,6 @@ __all__ = [
     "random_frame_function",
     "parse_frame_function",
 ]
-
-
-def _xseries(value, trunc=None) -> MultiSeries:
-    if isinstance(value, MultiSeries):
-        return value
-    return MultiSeries.constant(1, value, trunc)
 
 
 def _row(trunc: int | None, nums: list[int]):
@@ -193,7 +188,7 @@ class FrameFunction:
 
     @staticmethod
     def constant(value, trunc=None) -> "FrameFunction":
-        return FrameFunction({0: _xseries(Fraction(value), trunc)})
+        return FrameFunction({0: MultiSeries.constant(1, Fraction(value), trunc)})
 
     @property
     def trunc(self) -> int | None:
@@ -769,27 +764,24 @@ def check_delta_chain(k: int, m: Monomial, Gamma: CurvatureFn) -> bool:
 def delta_from_commutators(t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     """Compute delta_t(m) using only delta of the single vertex and commutators.
 
-    Recursion on the root fertility: with t = B_+(rest, t_n), t_n the
-    largest root child,
-
-        delta_t = [X_{t_n}, delta_{B_+(rest)}]
-                  - sum_i delta_{B_+(rest with rest_i grown by t_n)}.
+    Reads t's growth expression from `growth.decompose` and evaluates it
+    through [X_u, delta_s] = delta_{N_u(s)}: the leaf is delta of the
+    single vertex, N_u(e) is X_u delta_e - delta_e X_u, and a combination
+    is summed in the order of its parts.
     """
-    if t == LEAF:
-        return delta_t_apply(LEAF, m, Gamma)
-    t_n = t.children[0]
-    rest = t.children[1:]
-    base = b_plus(Forest(rest))
-    lhs = X_t_apply(t_n, delta_from_commutators(base, m, Gamma), Gamma).f \
-        - delta_from_commutators(base, X_t_apply(t_n, m, Gamma), Gamma).f
-    out = lhs
-    for i, part in enumerate(rest):
-        others = rest[:i] + rest[i + 1:]
-        grown = natural_growth(t_n, LinComb.of(part))
-        for forest, c in grown.terms.items():
-            corr = b_plus(Forest(others) * forest)
-            out = out - delta_from_commutators(corr, m, Gamma).f.scale(c)
-    return Monomial(out, m.psi)
+    def delta(e: GrowthExpr, mm: Monomial) -> Monomial:
+        if isinstance(e, GrowthLeaf):
+            return delta_t_apply(LEAF, mm, Gamma)
+        if isinstance(e, GrowthApply):
+            out = X_t_apply(e.tree, delta(e.sub, mm), Gamma).f \
+                - delta(e.sub, X_t_apply(e.tree, mm, Gamma)).f
+        else:
+            out = FrameFunction.zero()
+            for c, sub in e.parts:
+                out = out + delta(sub, mm).f.scale(c)
+        return Monomial(out, mm.psi)
+
+    return delta(decompose(t), m)
 
 
 def cocycle_sides(psi: FormalDiffeo, eta: FormalDiffeo,
@@ -830,7 +822,6 @@ def pushforward_rhs(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
     non-tensorial cross terms, so it fails from three vertices on.
     """
     star = transferred_base_field(psi, Gamma)
-    field, memo = _frame_phi(Gamma, psi.trunc)
     rhs = FrameFunction.zero()
     m = len(t.children)
     for ks in itertools.product((0, 1), repeat=m):
@@ -839,8 +830,7 @@ def pushforward_rhs(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
             term = term.deriv(k)
         term = lift_apply(psi, term)
         for j, k in enumerate(ks):
-            children = [_phi_vec(c, field, memo) for c in t.children[j].children]
-            term = term * _contract(children, star[k], 2)
+            term = term * phi_frame_op(t.children[j], Gamma, star[k], psi.trunc)
         rhs = rhs + term
     return rhs
 

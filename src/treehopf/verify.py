@@ -34,7 +34,7 @@ from .hopf import (
     nbrel_identity,
     ntcoprod_identity,
 )
-from .series import MultiSeries, ODEProblem, VectorField, series_solve
+from .series import MultiSeries, ODEProblem, VectorField, _conv, series_solve
 from .trees import (
     LEAF,
     Forest,
@@ -529,13 +529,7 @@ def _exp_jet(jet: list[Fraction], K: int) -> list[Fraction]:
     out = [Fraction(1)] + [Fraction(0)] * K
     power = [Fraction(1)] + [Fraction(0)] * K
     for n in range(1, K + 1):
-        new_power = [Fraction(0)] * (K + 1)
-        for i, a in enumerate(power):
-            if a:
-                for j, b in enumerate(jet):
-                    if i + j <= K and b:
-                        new_power[i + j] += a * b
-        power = new_power
+        power = _conv(power, jet, K + 1, [Fraction(0)] * (K + 1))
         for k in range(K + 1):
             out[k] += power[k] / factorial(n)
     return out

@@ -157,6 +157,13 @@ def test_truncation_error_names_required_depth():
     assert "order 2" in str(err.value)
 
 
+def test_linear_phi_truncation_error_names_required_depth():
+    # delta_3 holds [[][]], whose phi takes second derivatives of the field
+    with pytest.raises(TruncationError,
+                       match=r"^tree \[\[\]\[\]\] needs derivatives of order 2, field truncated at 1$"):
+        phi_at_origin(delta_k(3), FIELD.with_trunc(1))
+
+
 def test_taylor_bridge_seed0():
     sol = series_solve(ODEProblem(FIELD, 6))
     for k in range(1, 7):
@@ -176,9 +183,12 @@ def test_growth_derivative_lemma():
             assert check_growth_derivative(t, FIELD), t.serial
 
 
-# sha256 of the repr of the outcome list below, recorded before the growth
-# lemma became the single-vertex case of the generalized one
-GROWTH_OUTCOMES = "6ed9615d0efb135959d3b4a640ec76eb6b9fc95b3e6524bead80648847320960"
+# sha256 of the repr of the outcome list below.  First recorded before the
+# growth lemma became the single-vertex case of the generalized one; re-recorded
+# when phi's linear extension began to check the field's depth tree by tree,
+# which turned each of the 96 "derivative exhausted the retained orders"
+# outcomes into the message naming the tree and the order it needs.
+GROWTH_OUTCOMES = "c0daa8d50660d2284acc523655bd3f71e67f24f969aa263c26b4782b75da0d97"
 
 
 def test_growth_derivative_matches_the_flow_derivative_oracle():
@@ -202,7 +212,8 @@ def test_growth_derivative_matches_the_flow_derivative_oracle():
                 assert got == want, (seed, trunc, t.serial)
                 outcomes.append(got)
     assert outcomes.count(True) == 108
-    assert outcomes.count("derivative exhausted the retained orders") == 96
+    errors = [o for o in outcomes if o is not True]
+    assert len(errors) == 96 and all(" needs derivatives of order " in e for e in errors)
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == GROWTH_OUTCOMES
 
 

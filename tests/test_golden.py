@@ -9,16 +9,25 @@ every basis element, in order, and the element, bidegree and term that a
 failing closure check reports.  The whole v1 report of `verify --suite all`
 (every suite at its defaults, 2,007 results) is pinned twice: as sorted
 JSON, and as the text the CLI prints for it.
+
+The v1 report keeps the two transfer families as pass/fail only, and the
+frame digests above go through `str`, which drops each row's truncation
+order.  So delta_t from commutators and the two transfer right sides are
+pinned in the CLI's JSON form, which keeps every row's order; both digests
+were recorded before delta_from_commutators read `growth.decompose`.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 from treehopf import (
     FormalDiffeo,
+    Monomial,
     MultiSeries,
     closure_check,
+    delta_from_commutators,
     enumerate_trees,
     fan_graph,
     gamma_t,
@@ -30,6 +39,7 @@ from treehopf import (
     verify_cm,
 )
 from treehopf import cli
+from treehopf.frame import coprodcontrib_rhs, pushforward_rhs, random_diffeo, random_frame_function
 
 GAMMA = MultiSeries(1, {(1,): 1}, 8)
 PSI = FormalDiffeo(MultiSeries(1, {(1,): 1, (2,): Fraction(1, 2), (3,): -1}, 8))
@@ -59,6 +69,14 @@ GAMMA_T = {
     "[[[][]]]": "1161214b1d9fe700",
     "[[[[]]]]": "cea4398385d7e8a3",
 }
+
+# The trees up to 5 vertices, and the three trees up to 9 vertices whose
+# natural growth lists its terms in another order than `decompose` lists
+# its parts, so the two fold their corrections in different orders.
+COMMUTATOR_TREES = [t for n in range(1, 6) for t in enumerate_trees(n)] + [
+    parse_tree(s) for s in ("[[[[]][]][[[]][]]]", "[[[[][]]][[[]][]]]", "[[[[[]]]][[[]][]]]")]
+DELTA_FROM_COMMUTATORS = "3b27baf3155c424e8382c4699271cdade3431068ed5623cb9af05cc591a93450"
+TRANSFER_RHS = "8a8aa1e5571c4e7b2175979f404564b84c0d4fdcf480d05f0dd834c733bc0bc9"
 
 FAN3_DEGREE7 = "b9712382858aa098245814aac108003bd2d04c52e08f97a7b1b5d80a48234568"
 CHERRY_DEGREE6 = "14bb9aedc43a27169acc7867b0ce8ad596313a2013e0043f78eeda22a459e80a"
@@ -97,6 +115,29 @@ def test_phi_frame_is_unchanged():
 def test_gamma_t_is_unchanged():
     got = {t.serial: sha(str(gamma_t(t, PSI, GAMMA)))[:16] for t in TREES}
     assert got == GAMMA_T
+
+
+def frame_digest(functions):
+    return sha("\n".join(json.dumps(cli._frame_json(h)) for h in functions))
+
+
+def test_delta_from_commutators_is_unchanged():
+    gamma = MultiSeries(1, {(1,): 1}, 12)
+    rng = random.Random(0)
+    monomials = [Monomial(random_frame_function(rng, 12), random_diffeo(rng, 12))
+                 for _ in range(4)]
+    got = [delta_from_commutators(t, m, gamma).f for m in monomials for t in COMMUTATOR_TREES]
+    assert frame_digest(got) == DELTA_FROM_COMMUTATORS
+
+
+def test_transfer_right_sides_are_unchanged():
+    rng = random.Random(0)
+    got = []
+    for _ in range(3):
+        psi, h = random_diffeo(rng, 8), random_frame_function(rng, 8)
+        for t in TREES:
+            got += [pushforward_rhs(t, psi, GAMMA, h), coprodcontrib_rhs(t, psi, GAMMA, h)]
+    assert frame_digest(got) == TRANSFER_RHS
 
 
 def render(basis):
