@@ -3,6 +3,15 @@
 Exit codes: 0 on success, 1 on verification failure, 2 on parse or
 usage errors and on input nested too deeply to process.  All output goes
 to stdout unless --out is given.
+
+Every request is a fresh interpreter, so the module imports at top level
+only what every subcommand needs: `trees` and `hopf`, which `import
+treehopf` loads anyway.  A subcommand imports the other layers it uses
+when it runs: `decompose` and `subalgebra` load `growth` (and with it
+`linalg`), `butcher` loads `series` and `butcher`, `cm gamma` loads
+`frame` (and the layers it builds on, but not `verify`), and `verify`
+loads every layer.  `json.dumps`, `run` and the `_*_json` renderers stay
+module-level names, so a tracer can rebind them.
 """
 
 from __future__ import annotations
@@ -11,24 +20,8 @@ import argparse
 import json
 import sys
 
-from .growth import (
-    closure_check,
-    decompose,
-    fan_graph,
-    generate_subalgebra,
-)
 from .hopf import LinComb, antipode, coproduct, delta_k, multiply, natural_growth, parse_lincomb
-from .series import (
-    MultiSeries,
-    ODEProblem,
-    series_solve,
-    parse_polynomial,
-    parse_vector_field,
-)
-from .trees import enumerate_trees, parse_tree
-from .verify import SCHEMA_VERSION, _require_order, run_suites
-from . import butcher as bu
-from . import frame as fr
+from .trees import SCHEMA_VERSION, enumerate_trees, parse_tree
 
 SUITES = ("hopf", "growth", "butcher", "cm", "all")
 
@@ -113,7 +106,7 @@ def _tensor_json(t) -> dict:
     }
 
 
-def _series_json(ms: MultiSeries) -> dict:
+def _series_json(ms) -> dict:
     return {
         "terms": [
             {"exponents": list(e), "coeff": str(c)}
@@ -187,6 +180,8 @@ def _dispatch(args) -> tuple[int, str]:
         return 0, json.dumps(_lincomb_json(x)) if args.json else str(x)
 
     if cmd == "decompose":
+        from .growth import decompose
+
         t = parse_tree(args.tree)
         expr = decompose(t)
         if args.json:
@@ -195,6 +190,8 @@ def _dispatch(args) -> tuple[int, str]:
         return 0, str(expr)
 
     if cmd == "subalgebra":
+        from .growth import closure_check, generate_subalgebra
+
         gens = _parse_generators(args.gens)
         basis = generate_subalgebra(gens, args.max_degree)
         payload = {
@@ -222,11 +219,14 @@ def _dispatch(args) -> tuple[int, str]:
         return code, "\n".join(lines)
 
     if cmd == "butcher":
+        from .butcher import elementary_differential
+        from .series import ODEProblem, parse_vector_field, series_solve
+
         with open(args.field) as fh:
             field = parse_vector_field(fh.read())
         if args.tree is not None:
             t = parse_tree(args.tree)
-            vec = bu.elementary_differential(t, field)
+            vec = elementary_differential(t, field)
             if args.json:
                 return 0, json.dumps({
                     "schema": SCHEMA_VERSION, "tree": t.serial,
@@ -246,20 +246,25 @@ def _dispatch(args) -> tuple[int, str]:
 
     if cmd == "cm":
         if args.cm_command == "gamma":
+            from .frame import FormalDiffeo, _require_order, gamma_t
+            from .series import parse_polynomial
+
             _require_order(args.order)
-            psi = fr.FormalDiffeo(parse_polynomial(args.psi, ["x"], args.order))
+            psi = FormalDiffeo(parse_polynomial(args.psi, ["x"], args.order))
             gamma = parse_polynomial(args.Gamma, ["x"], args.order)
             if gamma.is_zero():
                 print("note: Gamma = 0 is the degenerate flat case; the "
                       "operators of every tree beyond the single vertex vanish",
                       file=sys.stderr)
             t = parse_tree(args.tree)
-            out = fr.gamma_t(t, psi, gamma)
+            out = gamma_t(t, psi, gamma)
             if args.json:
                 return 0, json.dumps(_frame_json(out))
             return 0, str(out)
 
     if cmd == "verify":
+        from .verify import run_suites
+
         report = run_suites(
             args.suite, max_degree=args.max_degree, seed=args.seed,
             order=args.order, trials=args.trials,
@@ -287,6 +292,8 @@ def _dispatch(args) -> tuple[int, str]:
 
 def _parse_generators(spec: str):
     if spec.startswith("fan:"):
+        from .growth import fan_graph
+
         k = int(spec[4:])
         return {fan_graph(i) for i in range(1, k + 1)}
     return {parse_tree(part.strip()) for part in spec.split(",") if part.strip()}

@@ -465,6 +465,12 @@ def _kept(obj, key, compute):
     return got
 
 
+def _require_order(order: int) -> None:
+    """Reject a truncation order below 2: the single-vertex symbol needs psi''."""
+    if order < 2:
+        raise ValueError(f"order must be >= 2 (the single-vertex symbol needs psi''), got {order}")
+
+
 def gamma_bullet(psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
     """The single-vertex symbol, as a function of the source point:
 

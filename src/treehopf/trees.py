@@ -50,6 +50,11 @@ __all__ = [
     "parse_forest",
 ]
 
+# Version of every JSON document the command line and the verification
+# suites emit.  It lives here, in the layer every module imports, so that a
+# subcommand can stamp it without loading the layer that does the work.
+SCHEMA_VERSION = 1
+
 # Collation used everywhere a deterministic order on serializations is
 # needed: identical to ASCII except that ']' compares below '['.
 _COLLATE = str.maketrans({"[": "\x01", "]": "\x00"})

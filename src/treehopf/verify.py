@@ -14,6 +14,7 @@ from math import factorial
 
 from . import butcher as bu
 from . import frame as fr
+from .frame import _require_order
 from .growth import (
     closure_check,
     decompose,
@@ -37,6 +38,7 @@ from .hopf import (
 from .series import MultiSeries, ODEProblem, VectorField, _conv, series_solve
 from .trees import (
     LEAF,
+    SCHEMA_VERSION,
     Forest,
     RootedTree,
     b_plus,
@@ -45,8 +47,6 @@ from .trees import (
 )
 
 __all__ = ["verify_hopf", "verify_growth", "verify_butcher", "verify_cm", "run_suites"]
-
-SCHEMA_VERSION = 1
 
 
 class _Suite:
@@ -115,12 +115,6 @@ def _require_degree(max_degree: int, least: int = 1, why: str = "") -> None:
     """Reject a degree bound below the least one a suite can run at."""
     if max_degree < least:
         raise ValueError(f"max_degree must be >= {least}{why}, got {max_degree}")
-
-
-def _require_order(order: int) -> None:
-    """Reject a truncation order below 2: the single-vertex symbol needs psi''."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2 (the single-vertex symbol needs psi''), got {order}")
 
 
 def _cm_trees(max_degree: int) -> tuple[list[RootedTree], int]:
