@@ -587,7 +587,8 @@ def _X_apply(x: LinComb, m: Monomial, Gamma: CurvatureFn) -> Monomial:
     def on_forest(forest: Forest) -> FrameFunction:
         if forest.is_empty():
             return Y_apply(m).f
-        return _phi_on(RootedTree((_single_tree(forest, "X"),)), m, Gamma)    # B+(s)
+        _single_tree(forest, "X")    # refuses a forest of several trees
+        return _phi_on(b_plus(forest), m, Gamma)    # B+(s)
 
     return Monomial(_linear_sum(x, on_forest, FrameFunction.zero()), m.psi)
 
@@ -742,8 +743,8 @@ def commutator_sides(t: RootedTree, tp: RootedTree, m: Monomial,
          Y_apply(dt(m)).f - dt(Y_apply(m)).f, dt(m).f.scale(t.vertex_count)),
         ("[X_t, X_t'] = phi_{N_t(B+(t'))} - phi_{N_t'(B+(t))}",
          xt(xtp(m)).f - xtp(xt(m)).f,
-         phi_m(natural_growth(t, LinComb.of(b_plus(Forest((tp,))))))
-         - phi_m(natural_growth(tp, LinComb.of(b_plus(Forest((t,))))))),
+         phi_m(natural_growth(t, LinComb.of(b_plus(tp.forest))))
+         - phi_m(natural_growth(tp, LinComb.of(b_plus(t.forest))))),
         ("[delta_t, delta_t'] = 0", dt(dtp(m)).f - dtp(dt(m)).f, FrameFunction.zero()),
     ]
 

@@ -155,14 +155,14 @@ def fan_closed_form_report(n: int) -> dict:
     computed = fan_coproduct(n)
 
     def closed(sub: int) -> Tensor2 | None:
-        out = Tensor2.of(EMPTY_FOREST, Forest((fan_graph(n),)))
-        out = out + Tensor2.of(Forest((fan_graph(n),)), EMPTY_FOREST)
+        out = Tensor2.of(EMPTY_FOREST, fan_graph(n).forest)
+        out = out + Tensor2.of(fan_graph(n).forest, EMPTY_FOREST)
         for i in range(1, n):
             k = n - i if sub == 0 else n - i - 1
             if k < 1:
                 return None
             dots = Forest((LEAF,) * i)
-            out = out + Tensor2.of(dots, Forest((fan_graph(k),)), comb(n - 1, i))
+            out = out + Tensor2.of(dots, fan_graph(k).forest, comb(n - 1, i))
         return out
 
     with_n_minus_i = closed(0)

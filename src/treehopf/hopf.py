@@ -14,7 +14,10 @@ over the grouped terms of that coproduct, with a per-tree memo; and
 natural growth N_t grafts a copy of t onto every vertex of its argument,
 with N_t(s) kept once per pair (t, s) of interned trees.  The three memos
 are keyed by interned trees, which live as long as the process, so none
-needs a bound.
+needs a bound.  The structural maps live on the interned objects
+themselves (see `trees`): the loops read a tree's one-tree forest
+`t.forest`, a forest's B+ tree `f.b_plus`, and, in the antipode, the
+product table of the pruned forest, instead of rebuilding any of them.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort on the forests' serializations.
 
@@ -79,7 +82,7 @@ def _acc(out: dict, key, c) -> None:
 
 def _as_forest(x) -> Forest:
     if isinstance(x, RootedTree):
-        return Forest((x,))
+        return x.forest
     if isinstance(x, Forest):
         return x
     raise TypeError(f"expected tree or forest, got {type(x).__name__}")
@@ -258,9 +261,9 @@ def _coproduct_tree(t: RootedTree) -> Tensor2:
                 stack.append(c)
     # A subtree has fewer vertices than its parent, so it sorts first.
     for s in sorted(todo, key=_sort_key):
-        out: dict[tuple[Forest, Forest], int] = {(Forest((s,)), EMPTY_FOREST): 1}
+        out: dict[tuple[Forest, Forest], int] = {(s.forest, EMPTY_FOREST): 1}
         for (left, right), c in _coproduct_forest(Forest(s.children)).terms.items():
-            out[left, Forest((RootedTree(right.trees),))] = c
+            out[left, right.b_plus.forest] = c
         _coproduct_memo[s] = Tensor2._raw(out)
     return _coproduct_memo[t]
 
@@ -295,12 +298,14 @@ def _antipode_tree(t: RootedTree) -> LinComb:
     cached = _antipode_memo.get(t)
     if cached is not None:
         return cached
-    out: dict[Forest, int] = {Forest((t,)): -1}
+    out: dict[Forest, int] = {t.forest: -1}
     for (pruned, root_part), c in _coproduct_tree(t).terms.items():
         if not (pruned.trees and root_part.trees):
             continue
+        # The product table of pruned, read here without a call per term.
+        products = pruned._products
         for f, d in _antipode_tree(root_part.trees[0]).terms.items():
-            _acc(out, pruned * f, -c * d)
+            _acc(out, products.get(f) or pruned * f, -c * d)
     res = _antipode_memo[t] = LinComb._raw(out)
     return res
 
@@ -334,12 +339,12 @@ def _graft_everywhere(t: RootedTree, s: RootedTree) -> LinComb:
     cached = _graft_memo.get((t, s))
     if cached is not None:
         return cached
-    out: dict[Forest, int | Fraction] = {Forest((RootedTree(s.children + (t,)),)): 1}
+    out: dict[Forest, int | Fraction] = {RootedTree(s.children + (t,)).forest: 1}
     for i, child in enumerate(s.children):
         grown = _graft_everywhere(t, child)
         for f, c in grown.terms.items():
             new_kids = s.children[:i] + (f.trees[0],) + s.children[i + 1:]
-            _acc(out, Forest((RootedTree(new_kids),)), c)
+            _acc(out, RootedTree(new_kids).forest, c)
     res = _graft_memo[t, s] = LinComb._raw(out)
     return res
 

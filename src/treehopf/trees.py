@@ -5,9 +5,11 @@ shape and every forest is interned: building one from children (or
 trees) in any order returns the single shared instance of that shape,
 which lives as long as the process.  Trees are interned on their
 canonical children tuple and forests on their canonical tree tuple, so
-a lookup builds no string.  A product of two forests is looked up in a
-table of interned products, keyed on the two factors and filled on
-first use, so a repeated product neither concatenates nor sorts.
+a lookup builds no string.  Each interned object also keeps the
+structural maps the Hopf layer asks of it, each filled on first use: a
+tree keeps its one-tree forest (`forest`), and a forest keeps its B+
+tree (`b_plus`) and its own product table, keyed by the other factor, so
+a repeated product neither concatenates nor sorts.
 Equality and hashing are object identity, which is sound because no two
 instances share a shape; hash order is therefore address order and
 never reaches output.  Every order that does is the sort key (vertex
@@ -143,21 +145,20 @@ class _Interned(_Immutable):
         return self.serial
 
 
-# Intern tables: every tree by its sorted children, every forest by its sorted trees,
-# and every product of two non-empty forests by its (left, right) factors.
+# Intern tables: every tree by its sorted children, every forest by its sorted trees.
 _TREES: dict[tuple, "RootedTree"] = {}
 _FORESTS: dict[tuple, "Forest"] = {}
-_PRODUCTS: dict[tuple["Forest", "Forest"], "Forest"] = {}
 
 
 class RootedTree(_Interned):
     """A non-planar rooted tree; children are kept in canonical order.
 
     There is one instance per shape: `RootedTree(children)` returns the
-    interned tree whatever the order of `children`.
+    interned tree whatever the order of `children`.  The tree keeps its
+    one-tree forest, `forest`, built on first read.
     """
 
-    __slots__ = ("children", "vertex_count", "serial", "_key")
+    __slots__ = ("children", "vertex_count", "serial", "_key", "_forest")
 
     def __new__(cls, children=()):
         kids = tuple(children)
@@ -179,6 +180,16 @@ class RootedTree(_Interned):
         object.__setattr__(self, "vertex_count", 1 + sum(c.vertex_count for c in kids))
         object.__setattr__(self, "serial", "[" + "".join([c.serial for c in kids]) + "]")
         object.__setattr__(self, "_key", (self.vertex_count, _collate(self.serial)))
+        object.__setattr__(self, "_forest", None)
+
+    @property
+    def forest(self) -> "Forest":
+        """The forest whose one tree is this one."""
+        forest = self._forest
+        if forest is None:
+            forest = Forest((self,))
+            object.__setattr__(self, "_forest", forest)
+        return forest
 
     def __reduce__(self):
         return (RootedTree, (self.children,))
@@ -205,9 +216,12 @@ class Forest(_Interned):
     """A commutative product (multiset) of rooted trees; may be empty.
 
     There is one instance per multiset of trees, whatever their order.
+    The forest keeps its B+ tree, `b_plus`, built on first read, and its
+    own product table, `_products`, which maps each other factor to the
+    product and is filled by `*`.
     """
 
-    __slots__ = ("trees", "degree", "serial", "_key")
+    __slots__ = ("trees", "degree", "serial", "_key", "_products", "_b_plus")
 
     def __new__(cls, trees=()):
         ts = tuple(trees)
@@ -228,6 +242,18 @@ class Forest(_Interned):
         object.__setattr__(self, "degree", sum(t.vertex_count for t in ts))
         object.__setattr__(self, "serial", "*".join([t.serial for t in ts]) or "1")
         object.__setattr__(self, "_key", (self.degree, _collate(self.serial)))
+        object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_b_plus", None)
+
+    @property
+    def b_plus(self) -> RootedTree:
+        """The tree whose root children are these trees."""
+        tree = self._b_plus
+        if tree is None:
+            # The canonical tree tuple is the canonical children tuple.
+            tree = RootedTree(self.trees)
+            object.__setattr__(self, "_b_plus", tree)
+        return tree
 
     def __reduce__(self):
         return (Forest, (self.trees,))
@@ -236,14 +262,12 @@ class Forest(_Interned):
         return not self.trees
 
     def __mul__(self, other: "Forest") -> "Forest":
-        if not other.trees:
-            return self
-        if not self.trees:
-            return other
-        # Both factors are interned, so the pair names the product for good.
-        product = _PRODUCTS.get((self, other))
+        # Both factors are interned, so the other factor names the product
+        # for good.  A product with the empty forest interns to the other
+        # factor.
+        product = self._products.get(other)
         if product is None:
-            product = _PRODUCTS[self, other] = Forest(self.trees + other.trees)
+            product = self._products[other] = Forest(self.trees + other.trees)
         return product
 
     def sort_key(self):
@@ -274,8 +298,8 @@ def canonicalize(children_lists) -> RootedTree:
 
 
 def b_plus(f: Forest) -> RootedTree:
-    """Graft every root of the forest onto one new root vertex."""
-    return RootedTree(f.trees)
+    """Graft every root of the forest onto one new root vertex; kept on the forest."""
+    return f.b_plus
 
 
 def b_minus(t: RootedTree) -> Forest:
@@ -294,9 +318,10 @@ def enumerate_trees(n: int) -> tuple[RootedTree, ...]:
     for k in range(1, n):
         smaller.extend(enumerate_trees(k))
     # Children multisets chosen non-increasing in the canonical order, so
-    # each tree with n vertices is produced exactly once.
+    # each tree with n vertices is produced exactly once.  No forest is
+    # built: a caller that needs one gets it through `forest` or `b_minus`.
     smaller.sort(key=_sort_key, reverse=True)
-    out = [b_plus(Forest(kids)) for kids in _multisets(smaller, 0, n - 1)]
+    out = [RootedTree(kids) for kids in _multisets(smaller, 0, n - 1)]
     out.sort(key=_sort_key)
     return tuple(out)
 
@@ -354,11 +379,11 @@ def admissible_cuts(t: RootedTree) -> list[tuple[Cut, Forest, Forest]]:
     """
     options = _cut_options(t, ())
     out: list[tuple[Cut, Forest, Forest]] = []
-    out.append((Cut(frozenset(), "empty"), EMPTY_FOREST, Forest((t,))))
+    out.append((Cut(frozenset(), "empty"), EMPTY_FOREST, t.forest))
     for edges, pruned, kept in options:
         if edges:
-            out.append((Cut(frozenset(edges), "proper"), Forest(tuple(pruned)), Forest((kept,))))
-    out.append((Cut(frozenset(), "full"), Forest((t,)), EMPTY_FOREST))
+            out.append((Cut(frozenset(edges), "proper"), Forest(tuple(pruned)), kept.forest))
+    out.append((Cut(frozenset(), "full"), t.forest, EMPTY_FOREST))
     return out
 
 

@@ -340,7 +340,7 @@ def verify_butcher(max_degree: int = 5, seed: int = 0) -> dict:
                                  lambda forest: bu.phi_forest_apply(forest, f, h),
                                  MultiSeries.zero(f.nvars, f.trunc))
             rhs = bu.phi_t_apply(u, f, h)
-            rhs = bu.phi_t_apply(b_plus(Forest((t,))), f, rhs)
+            rhs = bu.phi_t_apply(b_plus(t.forest), f, rhs)
             s.check("phi_{N_t} phi_{t'} = phi_{N_t(t')}",
                     f"t={t.serial} t'={u.serial}", lhs.eq_retained(rhs))
 

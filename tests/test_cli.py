@@ -33,6 +33,31 @@ def test_trees_listing(capsys):
     assert out.splitlines() == ["[[][][]]", "[[[]][]]", "[[[][]]]", "[[[[]]]]"]
 
 
+def test_oversized_trees_and_delta_k_exit_2_before_any_work(capsys, monkeypatch):
+    from treehopf import cli
+
+    # Above every size the tests, the README and the benchmark ask for.
+    assert cli.MAX_VERTICES >= 10 and cli.MAX_DELTA_K >= 10
+
+    def must_not_run(*args):
+        raise AssertionError("the work started before the size was checked")
+
+    monkeypatch.setattr(cli, "enumerate_trees", must_not_run)
+    monkeypatch.setattr(cli, "delta_k", must_not_run)
+    for argv, what, bound in ((("trees", "--vertices"), "--vertices", cli.MAX_VERTICES),
+                              (("delta-k",), "k", cli.MAX_DELTA_K)):
+        for size in (bound + 1, 20):
+            code, out, err = run_cli(capsys, *argv, str(size))
+            assert code == 2, (argv, size)
+            assert err == f"error: {what} must be <= {bound}, got {size}\n", (argv, size)
+            assert out == "", (argv, size)
+    # At the bound the guard lets the request through.
+    monkeypatch.setattr(cli, "enumerate_trees", lambda n: ())
+    monkeypatch.setattr(cli, "delta_k", lambda k: LinComb.zero())
+    assert run_cli(capsys, "trees", "--vertices", str(cli.MAX_VERTICES)) == (0, "(none)", "")
+    assert run_cli(capsys, "delta-k", str(cli.MAX_DELTA_K)) == (0, "0", "")
+
+
 def test_antipode_and_multiply(capsys):
     code, out, _ = run_cli(capsys, "antipode", "[[]]")
     assert code == 0

@@ -1,8 +1,11 @@
 import copy
 import functools
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,13 +270,39 @@ def test_copy_and_pickle_return_the_interned_instance():
         assert copy.copy(x) is x
         assert copy.deepcopy(x) is x
         assert pickle.loads(pickle.dumps(x)) is x
+    # Still so once the kept maps are filled.
+    assert f * t.forest is f * t.forest and f.b_plus is b_plus(f)
+    for x in (t, t.forest, f, f * t.forest, f.b_plus, b_plus(f).forest):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
+
+def test_each_tree_keeps_its_one_tree_forest():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            assert t.forest is Forest((t,)), t.serial
+            assert t.forest.trees == (t,) and t.forest is t.forest
+            assert t.forest.serial == t.serial and t.forest.degree == t.vertex_count
+
+
+def test_each_forest_keeps_its_b_plus_tree():
+    for f in FORESTS_TO_6:
+        grafted = b_plus(f)
+        assert grafted is RootedTree(f.trees), f.serial
+        assert b_plus(f) is grafted and f.b_plus is grafted
+        assert grafted.children == f.trees and b_minus(grafted) is f
+    assert b_plus(EMPTY_FOREST) is LEAF
 
 
 def test_trees_and_forests_are_immutable():
     t = parse_tree("[[]]")
     f = Forest((t,))
+    assert t.forest is f and f.b_plus is parse_tree("[[[]]]") and f * f is Forest((t, t))
     for obj, name in ((t, "children"), (t, "serial"), (t, "vertex_count"),
-                      (f, "trees"), (f, "serial"), (f, "degree")):
+                      (t, "forest"), (t, "_forest"),
+                      (f, "trees"), (f, "serial"), (f, "degree"),
+                      (f, "b_plus"), (f, "_b_plus"), (f, "_products")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
@@ -281,6 +310,7 @@ def test_trees_and_forests_are_immutable():
     with pytest.raises(AttributeError):
         t.extra = 1
     assert t.serial == "[[]]" and f.serial == "[[]]"
+    assert t.forest is f and f.b_plus is parse_tree("[[[]]]") and f * f is Forest((t, t))
 
 
 def test_hash_is_identity_and_order_follows_the_serial():
@@ -304,3 +334,41 @@ def test_hash_is_identity_and_order_follows_the_serial():
     assert f.sort_key() == (4, f.serial.translate(collate))
     assert f.sort_key() is f.sort_key()
     assert LEAF != EMPTY_FOREST and Forest((LEAF,)) != LEAF
+
+
+# Multiplies every pair of forests up to degree 4, in enumeration order or
+# the reverse, then renders the coproduct and antipode of every tree with at
+# most 7 vertices, computed in the same order, and prints them in
+# enumeration order.
+_PRODUCTS_IN_ORDER = """
+import sys
+from treehopf import Forest, antipode, coproduct, enumerate_forests, enumerate_trees
+forests = [f for n in range(5) for f in enumerate_forests(n)]
+pairs = [(a, b) for a in forests for b in forests]
+trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+if sys.argv[1] == "reverse":
+    pairs.reverse()
+    trees.reverse()
+for a, b in pairs:
+    product = a * b
+    assert product is Forest(a.trees + b.trees) and product is b * a, (a, b)
+got = {t: (coproduct(t), antipode(t)) for t in trees}
+for a, b in sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+    print(a.serial, b.serial, (a * b).serial)
+for t in sorted(trees):
+    print(t.serial, got[t][0], "|", got[t][1])
+"""
+
+
+def test_products_first_built_in_reverse_give_the_same_forests_and_results():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    texts = []
+    for order, hash_seed in (("forward", "0"), ("reverse", "1")):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _PRODUCTS_IN_ORDER, order],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        texts.append(proc.stdout)
+    # 17 forests of degree at most 4, so 289 pairs, and 85 trees
+    assert texts[0].count("\n") == 17 * 17 + 85
+    assert texts[0] == texts[1]
