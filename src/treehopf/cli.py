@@ -2,8 +2,11 @@
 
 Exit codes: 0 on success, 1 on verification failure, 2 on parse or
 usage errors, on input nested too deeply to process, and on a size above
-the bound of `trees --vertices` (`MAX_VERTICES`) or `delta-k`
-(`MAX_DELTA_K`).  All output goes to stdout unless --out is given.
+its bound: `trees --vertices` (`MAX_VERTICES`), `delta-k` (`MAX_DELTA_K`),
+`subalgebra --max-degree` (`MAX_SUBALGEBRA_DEGREE`), `cm gamma --order`
+(`MAX_GAMMA_ORDER`), and `verify --max-degree` and `--order`
+(`MAX_VERIFY_DEGREE`, `MAX_VERIFY_ORDER`).  All output goes to stdout
+unless --out is given.
 
 Every request is a fresh interpreter, so the module imports at top level
 only what every subcommand needs: `trees` and `hopf`, which `import
@@ -33,6 +36,17 @@ SUITES = ("hopf", "growth", "butcher", "cm", "all")
 # million trees.
 MAX_VERTICES = 14
 MAX_DELTA_K = 14
+# The largest `subalgebra --max-degree`: `--gens fan:3 --check-closure` takes
+# about 3.5 s at 10 and 14 s at 11.
+MAX_SUBALGEBRA_DEGREE = 10
+# The largest `cm gamma --order`: a 7-vertex tree takes about 2 s at 512, and
+# the single vertex 8 s at 1,000.
+MAX_GAMMA_ORDER = 512
+# The largest `verify --max-degree` and `--order`: the hopf suite takes about
+# 4.5 s at degree 9 and 13 s at 10; the cm suite at its default degree and
+# trials about 5 s at order 32 and 14 s at 64.
+MAX_VERIFY_DEGREE = 9
+MAX_VERIFY_ORDER = 32
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -203,6 +217,7 @@ def _dispatch(args) -> tuple[int, str]:
     if cmd == "subalgebra":
         from .growth import closure_check, generate_subalgebra
 
+        _require_at_most("--max-degree", args.max_degree, MAX_SUBALGEBRA_DEGREE)
         gens = _parse_generators(args.gens)
         basis = generate_subalgebra(gens, args.max_degree)
         payload = {
@@ -261,6 +276,7 @@ def _dispatch(args) -> tuple[int, str]:
             from .series import parse_polynomial
 
             _require_order(args.order)
+            _require_at_most("--order", args.order, MAX_GAMMA_ORDER)
             psi = FormalDiffeo(parse_polynomial(args.psi, ["x"], args.order))
             gamma = parse_polynomial(args.Gamma, ["x"], args.order)
             if gamma.is_zero():
@@ -276,6 +292,8 @@ def _dispatch(args) -> tuple[int, str]:
     if cmd == "verify":
         from .verify import run_suites
 
+        _require_at_most("--max-degree", args.max_degree, MAX_VERIFY_DEGREE)
+        _require_at_most("--order", args.order, MAX_VERIFY_ORDER)
         report = run_suites(
             args.suite, max_degree=args.max_degree, seed=args.seed,
             order=args.order, trials=args.trials,

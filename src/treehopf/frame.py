@@ -294,6 +294,20 @@ class FrameFunction:
                 self._den)
         return self._dz
 
+    def with_trunc(self, trunc: int | None) -> "FrameFunction":
+        """Every row cut at order trunc; a row zero through it is dropped."""
+        if trunc is None or all(t is not None and t <= trunc for t, _ in self._rows.values()):
+            return self
+        n = trunc + 1
+        rows = {}
+        for k, (t, nums) in self._rows.items():
+            if t is None or t > trunc:
+                t, nums = trunc, nums[:n] + [0] * (n - len(nums))
+            row = _row(t, nums)
+            if row:
+                rows[k] = row
+        return FrameFunction._reduced(rows, self._den)
+
     def deriv(self, axis: int) -> "FrameFunction":
         """The derivation along coordinate `axis` of (x, z): dx() for 0, dz() for 1."""
         return self.dx() if axis == 0 else self.dz()
@@ -791,11 +805,27 @@ def delta_from_commutators(t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Mo
     return delta(decompose(t), m)
 
 
+def _vertex_symbol_order(psi: FormalDiffeo, Gamma: CurvatureFn) -> int | None:
+    """The x-order through which gamma_bullet(psi) is known: psi'' and Gamma bound it.
+
+    A frame function drops a row that is zero through its order, and the
+    order with it, so a vanishing vertex symbol reads as an exact zero.
+    """
+    t = psi.trunc
+    return _min_trunc(None if t is None else t - 2, Gamma.trunc)
+
+
 def cocycle_sides(psi: FormalDiffeo, eta: FormalDiffeo,
                   Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
-    """Both sides of gamma(eta o psi) = gamma(psi) + gamma(eta) o lift(psi)."""
-    lhs = gamma_bullet(eta.compose(psi), Gamma)
-    return lhs, gamma_bullet(psi, Gamma) + lift_apply(psi, gamma_bullet(eta, Gamma))
+    """Both sides of gamma(eta o psi) = gamma(psi) + gamma(eta) o lift(psi).
+
+    The right side is cut at the order the left side is known to, which
+    its frame function loses when the symbol vanishes through that order.
+    """
+    comp = eta.compose(psi)
+    lhs = gamma_bullet(comp, Gamma)
+    rhs = gamma_bullet(psi, Gamma) + lift_apply(psi, gamma_bullet(eta, Gamma))
+    return lhs, rhs.with_trunc(_vertex_symbol_order(comp, Gamma))
 
 
 def check_cocycle(psi: FormalDiffeo, eta: FormalDiffeo, Gamma: CurvatureFn) -> bool:

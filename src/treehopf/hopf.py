@@ -14,10 +14,12 @@ over the grouped terms of that coproduct, with a per-tree memo; and
 natural growth N_t grafts a copy of t onto every vertex of its argument,
 with N_t(s) kept once per pair (t, s) of interned trees.  The three memos
 are keyed by interned trees, which live as long as the process, so none
-needs a bound.  The structural maps live on the interned objects
-themselves (see `trees`): the loops read a tree's one-tree forest
-`t.forest`, a forest's B+ tree `f.b_plus`, and, in the antipode, the
-product table of the pruned forest, instead of rebuilding any of them.
+needs a bound; `antipode` and `coproduct` hand out a copy of a memoised
+element, never its terms.  The structural maps live on the interned
+objects themselves (see `trees`): the loops read a tree's one-tree forest
+`t.forest`, a forest's B+ tree `f.b_plus`, and, in both `__mul__` loops
+and the antipode, the left factor's product table, instead of rebuilding
+any of them.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort on the forests' serializations.
 
@@ -180,8 +182,10 @@ class LinComb(_FreeModule):
     def __mul__(self, other: "LinComb") -> "LinComb":
         out: dict[Forest, int | Fraction] = {}
         for f1, c1 in self.terms.items():
+            # The product table of f1, read here without a call per term.
+            products = f1._products
             for f2, c2 in other.terms.items():
-                _acc(out, f1 * f2, c1 * c2)
+                _acc(out, products.get(f2) or f1 * f2, c1 * c2)
         return LinComb._raw(out)
 
     def degrees(self) -> set[int]:
@@ -217,8 +221,11 @@ class Tensor2(_FreeModule):
     def __mul__(self, other: "Tensor2") -> "Tensor2":
         out: dict[tuple[Forest, Forest], int | Fraction] = {}
         for (l1, r1), c1 in self.terms.items():
+            # The product tables of both legs of the left term, read without a
+            # call per term.
+            lp, rp = l1._products, r1._products
             for (l2, r2), c2 in other.terms.items():
-                _acc(out, (l1 * l2, r1 * r2), c1 * c2)
+                _acc(out, (lp.get(l2) or l1 * l2, rp.get(r2) or r1 * r2), c1 * c2)
         return Tensor2._raw(out)
 
     def map_legs(self, left_fn=None, right_fn=None) -> "Tensor2":
@@ -269,19 +276,21 @@ def _coproduct_tree(t: RootedTree) -> Tensor2:
 
 
 def _coproduct_forest(f: Forest) -> Tensor2:
+    """Delta(f); for a one-tree forest, the memo's own element."""
     if not f.trees:
         return Tensor2.of(EMPTY_FOREST, EMPTY_FOREST)
     out = _coproduct_tree(f.trees[0])
     for t in f.trees[1:]:
         out = out * _coproduct_tree(t)
-    # A fresh element: the memo's own terms never leave this module.
-    return out if len(f.trees) > 1 else Tensor2._raw(dict(out.terms))
+    return out
 
 
 def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
     """Coproduct: sum of P_c (x) R_c over admissible cuts, multiplicative on forests."""
+    # A fresh element, or `linear`'s fresh dict: the memo's own terms never
+    # leave this module.
     if isinstance(x, (RootedTree, Forest)):
-        return _coproduct_forest(_as_forest(x))
+        return Tensor2._raw(dict(_coproduct_forest(_as_forest(x)).terms))
     return Tensor2.linear(x, _coproduct_forest)
 
 
@@ -310,18 +319,23 @@ def _antipode_tree(t: RootedTree) -> LinComb:
     return res
 
 
+def _antipode_forest(f: Forest) -> LinComb:
+    """S(f); for a one-tree forest, the memo's own element."""
+    if not f.trees:
+        return LinComb.unit()
+    out = _antipode_tree(f.trees[0])
+    for t in f.trees[1:]:
+        out = out * _antipode_tree(t)
+    return out
+
+
 def antipode(x: LinComb | Forest | RootedTree) -> LinComb:
     """Antipode: S(t) = -t - sum over proper cuts of P_c(t) S(R_c(t))."""
+    # A fresh element, or `linear`'s fresh dict: the memo's own terms never
+    # leave this module.
     if isinstance(x, (RootedTree, Forest)):
-        x = LinComb.of(x)
-
-    def on_forest(f: Forest) -> LinComb:
-        out = LinComb.unit()
-        for t in f.trees:
-            out = out * _antipode_tree(t)
-        return out
-
-    return LinComb.linear(x, on_forest)
+        return LinComb._raw(dict(_antipode_forest(_as_forest(x)).terms))
+    return LinComb.linear(x, _antipode_forest)
 
 
 def grading_Y(x: LinComb | Forest | RootedTree) -> LinComb:

@@ -9,9 +9,9 @@ gcd, but only against those whose pivot key it holds, and kept, divided by
 its content, when it does not vanish; its pivot is the first key that
 survives.  `add` and `contains` cost integer operations in proportion to
 the nonzeros they touch, so a caller that tests many rows against one span
-echelons it once.  `independent_rows` and `in_span` are one-shot wrappers
-over a fresh `Span`.  `rref` and `solve_consistent` are the general dense
-Fraction Gauss-Jordan elimination and solver.
+echelons it once.  `independent_rows` is a one-shot wrapper over a fresh
+`Span`.  `rref` and `solve_consistent` are the general dense Fraction
+Gauss-Jordan elimination and solver.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["rref", "Span", "independent_rows", "in_span", "solve_consistent"]
+__all__ = ["rref", "Span", "independent_rows", "solve_consistent"]
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -120,14 +120,6 @@ def independent_rows(rows) -> list[int]:
     """Indices of a maximal independent subset, scanning in order."""
     span = Span()
     return [i for i, row in enumerate(rows) if span.add(row)]
-
-
-def in_span(rows, target) -> bool:
-    """True iff target is a rational linear combination of the rows."""
-    span = Span()
-    for row in rows:
-        span.add(row)
-    return span.contains(target)
 
 
 def solve_consistent(a: list[list[Fraction]], b: list[Fraction]):

@@ -209,11 +209,6 @@ class MultiSeries:
             rows.append(_conv(rows[-1], a, n))
         return rows, d
 
-    def _power(self, k: int) -> "MultiSeries":
-        """self^k, read from the power table."""
-        rows, d = self._power_rows(k)
-        return MultiSeries._from_nums(1, rows[k], d ** k, self.trunc)
-
     @staticmethod
     def zero(nvars: int, trunc: int | None = None) -> "MultiSeries":
         return MultiSeries(nvars, {}, trunc)

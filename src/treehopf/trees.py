@@ -9,7 +9,9 @@ a lookup builds no string.  Each interned object also keeps the
 structural maps the Hopf layer asks of it, each filled on first use: a
 tree keeps its one-tree forest (`forest`), and a forest keeps its B+
 tree (`b_plus`) and its own product table, keyed by the other factor, so
-a repeated product neither concatenates nor sorts.
+a repeated product neither concatenates nor sorts; the Hopf layer's
+`__mul__` loops and antipode read that table directly and call `*` only
+on a miss.
 Equality and hashing are object identity, which is sound because no two
 instances share a shape; hash order is therefore address order and
 never reaches output.  Every order that does is the sort key (vertex
@@ -218,7 +220,8 @@ class Forest(_Interned):
     There is one instance per multiset of trees, whatever their order.
     The forest keeps its B+ tree, `b_plus`, built on first read, and its
     own product table, `_products`, which maps each other factor to the
-    product and is filled by `*`.
+    product and is filled by `*`.  The `__mul__` loops of `LinComb` and
+    `Tensor2` and the antipode read the table directly.
     """
 
     __slots__ = ("trees", "degree", "serial", "_key", "_products", "_b_plus")

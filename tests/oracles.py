@@ -3,7 +3,11 @@
 These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets,
-and natural growth attaches its tree at each vertex path in turn.
+and natural growth attaches its tree at each vertex path in turn.  The
+products of `LinComb` and `Tensor2` build each product forest from the
+concatenated trees and sum in Fraction.  `in_span` (one `Span` over the
+rows) and `series_power` (a row of a series' power table) are wrappers
+that only the tests use.
 Span tests rerun a Fraction row reduction for every candidate row, and
 the closure check re-solves span (x) span by it for every coproduct
 component.  The univariate jet oracles multiply dicts of Fractions term
@@ -31,7 +35,7 @@ from treehopf import (LEAF, Forest, LinComb, MultiSeries, RootedTree, Tensor2, T
                       natural_growth)
 from treehopf.growth import GrowthApply, GrowthCombo, GrowthLeaf
 from treehopf.hopf import _acc
-from treehopf.linalg import solve_consistent
+from treehopf.linalg import Span, solve_consistent
 from treehopf.series import SeriesParseError, _min_trunc
 from treehopf.trees import EMPTY_FOREST, TreeParseError
 
@@ -210,6 +214,35 @@ def total_cut_antipode(t: RootedTree) -> LinComb:
     return out
 
 
+def _fraction_sum(pairs) -> dict:
+    """The nonzero sums of the (key, coefficient) pairs, accumulated in Fraction."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_lincomb_product(a: LinComb, b: LinComb) -> dict:
+    """The terms of a * b, each product forest built from its concatenated trees."""
+    return _fraction_sum((Forest(f1.trees + f2.trees), Fraction(c1) * c2)
+                         for f1, c1 in a.terms.items() for f2, c2 in b.terms.items())
+
+
+def reference_tensor_product(a: Tensor2, b: Tensor2) -> dict:
+    """The terms of a * b, both legs built from their concatenated trees."""
+    return _fraction_sum(((Forest(l1.trees + l2.trees), Forest(r1.trees + r2.trees)),
+                          Fraction(c1) * c2)
+                         for (l1, r1), c1 in a.terms.items() for (l2, r2), c2 in b.terms.items())
+
+
+def in_span(rows, target) -> bool:
+    """True iff target is a rational linear combination of the rows, by one `Span`."""
+    span = Span()
+    for row in rows:
+        span.add(row)
+    return span.contains(target)
+
+
 def rref_independent_rows(rows):
     """Indices of a maximal independent subset, re-solving for every row."""
     kept = []
@@ -264,6 +297,12 @@ def _reference_component_in_span(component, left_basis, right_basis):
             v[index[pair]] = c
         vectors.append(v)
     return rref_in_span(vectors[1:], vectors[0])
+
+
+def series_power(s: MultiSeries, k: int) -> MultiSeries:
+    """s^k of a one-variable series, read from its power table."""
+    rows, d = s._power_rows(k)
+    return MultiSeries._from_nums(1, rows[k], d ** k, s.trunc)
 
 
 # Univariate jets: the sparse Fraction arithmetic that MultiSeries ran

@@ -58,6 +58,45 @@ def test_oversized_trees_and_delta_k_exit_2_before_any_work(capsys, monkeypatch)
     assert run_cli(capsys, "delta-k", str(cli.MAX_DELTA_K)) == (0, "0", "")
 
 
+def test_oversized_degrees_and_orders_exit_2_before_any_work(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from treehopf import cli, frame, growth, verify
+
+    # Above every degree and order the tests, the README and the benchmark
+    # ask for (subalgebra degree 5, verify degree 5, order 8).
+    assert cli.MAX_SUBALGEBRA_DEGREE >= 8 and cli.MAX_VERIFY_DEGREE >= 8
+    assert cli.MAX_GAMMA_ORDER >= 16 and cli.MAX_VERIFY_ORDER >= 16
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the work started before the size was checked")
+
+    monkeypatch.setattr(growth, "generate_subalgebra", must_not_run)
+    monkeypatch.setattr(frame, "gamma_t", must_not_run)
+    monkeypatch.setattr(verify, "run_suites", must_not_run)
+    subalgebra = ("subalgebra", "--gens", "fan:3", "--max-degree")
+    gamma = ("cm", "gamma", "--psi", "x + x^2", "--Gamma", "x", "--tree", "[[]]", "--order")
+    cases = ((subalgebra, "--max-degree", cli.MAX_SUBALGEBRA_DEGREE),
+             (gamma, "--order", cli.MAX_GAMMA_ORDER),
+             (("verify", "--max-degree"), "--max-degree", cli.MAX_VERIFY_DEGREE),
+             (("verify", "--suite", "cm", "--order"), "--order", cli.MAX_VERIFY_ORDER))
+    for argv, what, bound in cases:
+        for size in (bound + 1, 100000):
+            code, out, err = run_cli(capsys, *argv, str(size))
+            assert code == 2, (argv, size)
+            assert err == f"error: {what} must be <= {bound}, got {size}\n", (argv, size)
+            assert out == "", (argv, size)
+    # At the bound the guard lets the request through.
+    monkeypatch.setattr(growth, "generate_subalgebra", lambda gens, degree: SimpleNamespace(
+        generators=(), max_degree=degree, by_degree={}))
+    monkeypatch.setattr(frame, "gamma_t", lambda t, psi, gamma: "stub")
+    monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: {"suites": [], "ok": True})
+    assert run_cli(capsys, *subalgebra, str(cli.MAX_SUBALGEBRA_DEGREE)) == (0, "generators: ", "")
+    assert run_cli(capsys, *gamma, str(cli.MAX_GAMMA_ORDER)) == (0, "stub", "")
+    assert run_cli(capsys, "verify", "--max-degree", str(cli.MAX_VERIFY_DEGREE),
+                   "--order", str(cli.MAX_VERIFY_ORDER)) == (0, "result: ok", "")
+
+
 def test_antipode_and_multiply(capsys):
     code, out, _ = run_cli(capsys, "antipode", "[[]]")
     assert code == 0

@@ -191,6 +191,24 @@ def test_gamma_cocycle_on_random_jets(instance):
     assert check_cocycle(*instance)
 
 
+def test_gamma_cocycle_when_a_vertex_symbol_vanishes_through_its_order():
+    # eta o psi = x/9 is known through x^2 only, so its vertex symbol is
+    # zero through x^0 and its frame function forgets that order; the
+    # right side, y 18x, must not be compared at x^1
+    psi = FormalDiffeo(MultiSeries(1, {(1,): Fraction(1, 3), (3,): 1}, 3))
+    eta = FormalDiffeo(MultiSeries(1, {(1,): Fraction(1, 3)}, 2))
+    for gamma in (MultiSeries.zero(1, 2), MultiSeries.zero(1)):
+        lhs, rhs = cocycle_sides(psi, eta, gamma)
+        assert lhs.is_zero() and rhs.is_zero()
+        assert check_cocycle(psi, eta, gamma)
+    assert (gamma_bullet(psi, MultiSeries.zero(1)) + FrameFunction.zero()).trunc == 1
+    # a wrong right side is still caught at the orders both sides know
+    lhs, rhs = cocycle_sides(psi, psi, GAMMA_X)
+    assert first_mismatch(lhs, rhs) is None
+    assert first_mismatch(lhs, rhs + FrameFunction.y_times(MultiSeries.constant(1, 1, 8))) \
+        is not None
+
+
 def test_gamma_t_base_cases():
     gb = gamma_bullet(PSI, GAMMA_X)
     assert gamma_t(LEAF, PSI, GAMMA_X).eq_retained(gb)

@@ -175,6 +175,20 @@ def test_scalings_and_derivatives_match_the_oracle():
                     same(f.dx().dz().dx(), of.dx().dz().dx())
 
 
+def test_cutting_every_row_matches_the_oracle():
+    rng = random.Random(6)
+    for _ in range(40):
+        f = FrameFunction(random_rows(rng))
+        for trunc in (None, 0, 1, 2, 5):
+            want = SeriesFrameFunction([(k, g.with_trunc(trunc)) for k, g in f.coeffs.items()])
+            same(f.with_trunc(trunc), want)
+    f = FrameFunction([(1, s1({(2,): 3}, 4)), (2, s1({(0,): Fraction(1, 2)}))])
+    assert list(f.with_trunc(1).coeffs) == [2]          # the row zero through x^1 is dropped
+    assert f.with_trunc(None) is f
+    g = FrameFunction([(1, s1({(2,): 3}, 4))])
+    assert g.with_trunc(4) is g and g.with_trunc(6) is g
+
+
 def test_derivative_at_order_zero_raises():
     for rows in ([(1, s1({(0,): Fraction(2, 3)}, 0))],
                  [(0, s1({(1,): 1})), (2, s1({(0,): 5}, 0))],

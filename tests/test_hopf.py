@@ -33,7 +33,8 @@ from treehopf import (
 )
 import treehopf.hopf as hopf_module
 from oracles import (brute_force_coproduct, brute_force_coproduct_tree, brute_force_natural_growth,
-                     brute_force_natural_growth_forest, total_cut_antipode)
+                     brute_force_natural_growth_forest, reference_lincomb_product,
+                     reference_tensor_product, total_cut_antipode)
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -248,6 +249,68 @@ def test_growth_memo_is_keyed_by_interned_trees_and_never_handed_out():
     for (t, s), grown in hopf_module._graft_memo.items():
         assert RootedTree(t.children) is t and RootedTree(s.children) is s
         assert grown == brute_force_natural_growth(t, s)
+
+
+def test_antipode_and_coproduct_never_hand_out_a_memo():
+    x = LinComb.of(PAPER_T, 2) + LinComb.of(Forest((L2, CHERRY)), Fraction(-1, 2))
+    for arg in (PAPER_T, Forest((PAPER_T,)), Forest((L2, CHERRY, LEAF)), EMPTY_FOREST, x):
+        for fn in (antipode, coproduct):
+            first = fn(arg)
+            want = str(first)
+            first.terms.clear()
+            assert str(fn(arg)) == want, (fn.__name__, arg)
+    for t in (LEAF, L2, CHERRY, PAPER_T):
+        assert hopf_module._antipode_memo[t] == total_cut_antipode(t), t.serial
+
+
+def test_antipode_of_a_forest_is_the_product_over_its_trees():
+    rng = random.Random(27)
+    forests = [f for d in range(9) for f in enumerate_forests(d)]
+    for f in rng.sample(forests, 60):
+        want = LinComb.unit()
+        for t in f.trees:
+            want = LinComb._raw(reference_lincomb_product(want, total_cut_antipode(t)))
+        assert antipode(f) == want, f.serial
+
+
+_SMALL_FORESTS = [f for d in range(7) for f in enumerate_forests(d)]
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _random_product_factors(rng):
+    """Seeded random LinComb and Tensor2 factors of degree at most 6."""
+    def pick(degree):
+        return rng.choice([f for f in _SMALL_FORESTS if f.degree <= degree])
+
+    def lincomb():
+        return LinComb((pick(6), rng.choice(_COEFFS)) for _ in range(rng.randint(0, 5)))
+
+    def tensor():
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            left = pick(6)
+            terms.append(((left, pick(6 - left.degree)), rng.choice(_COEFFS)))
+        return Tensor2(terms)
+
+    return [(lincomb(), lincomb()) for _ in range(40)] + [(tensor(), tensor()) for _ in range(40)]
+
+
+def test_products_match_the_oracle_on_cold_and_warm_tables():
+    cases = _random_product_factors(random.Random(31))
+    wants = [reference_lincomb_product(a, b) if type(a) is LinComb else reference_tensor_product(a, b)
+             for a, b in cases]
+    for warm in (False, True):
+        for (a, b), want in zip(cases, wants):
+            left_factors = [f for key in a.terms for f in (key if type(a) is Tensor2 else (key,))]
+            if not warm:
+                # A table only caches interned products, so emptying it makes
+                # this product build each forest again through Forest.__mul__.
+                for f in left_factors:
+                    f._products.clear()
+            got = a * b
+            assert got.terms == want, (warm, a, b)
+            _exact_coeffs(got.terms.values())
+            assert all(f._products for f in left_factors if b)
 
 
 def test_delta_k_displays():

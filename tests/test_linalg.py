@@ -7,9 +7,9 @@ and forest pairs; the oracle always sees the dense expansion.
 import random
 from fractions import Fraction
 
-from oracles import rref_in_span, rref_independent_rows
+from oracles import in_span, rref_in_span, rref_independent_rows
 
-from treehopf.linalg import Span, in_span, independent_rows
+from treehopf.linalg import Span, independent_rows
 from treehopf.trees import EMPTY_FOREST, enumerate_forests
 
 
