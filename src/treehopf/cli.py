@@ -4,9 +4,11 @@ Exit codes: 0 on success, 1 on verification failure, 2 on parse or
 usage errors, on input nested too deeply to process, and on a size above
 its bound: `trees --vertices` (`MAX_VERTICES`), `delta-k` (`MAX_DELTA_K`),
 `subalgebra --max-degree` (`MAX_SUBALGEBRA_DEGREE`), `cm gamma --order`
-(`MAX_GAMMA_ORDER`), and `verify --max-degree` and `--order`
-(`MAX_VERIFY_DEGREE`, `MAX_VERIFY_ORDER`).  All output goes to stdout
-unless --out is given.
+(`MAX_GAMMA_ORDER`), `verify --max-degree`, `--order` and `--trials`
+(`MAX_VERIFY_DEGREE`, `MAX_VERIFY_ORDER`, `MAX_VERIFY_TRIALS`), `butcher
+--taylor` (`MAX_TAYLOR_ORDER`), and `butcher --tree`, whose bound is on the
+field's variable count to the power of the tree's largest fertility
+(`MAX_TREE_BRANCHING`).  All output goes to stdout unless --out is given.
 
 Every request is a fresh interpreter, so the module imports at top level
 only what every subcommand needs: `trees` and `hopf`, which `import
@@ -42,11 +44,16 @@ MAX_SUBALGEBRA_DEGREE = 10
 # The largest `cm gamma --order`: a 7-vertex tree takes about 2 s at 512, and
 # the single vertex 8 s at 1,000.
 MAX_GAMMA_ORDER = 512
-# The largest `verify --max-degree` and `--order`: the hopf suite takes about
-# 4.5 s at degree 9 and 13 s at 10; the cm suite at its default degree and
-# trials about 5 s at order 32 and 14 s at 64.
+# The largest `verify --max-degree`, `--order` and `--trials`: the hopf suite takes
+# about 4.5 s at degree 9 and 13 s at 10; the cm suite at its defaults about 5 s at
+# order 32, 14 s at 64, and 5 s at 100 trials (2.9 s at 300 and 7 s at 1,000 on degree 1).
 MAX_VERIFY_DEGREE = 9
 MAX_VERIFY_ORDER = 32
+MAX_VERIFY_TRIALS = 100
+# `butcher --taylor` takes 1 s at 256 and 5.6 s at 512 on 2 variables; `--tree` grows with
+# nvars ** max fertility: a fan with 14 children takes 1.7 s on 2 variables, 15 take 6.7 s.
+MAX_TAYLOR_ORDER = 256
+MAX_TREE_BRANCHING = 2 ** 14
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,6 +225,8 @@ def _dispatch(args) -> tuple[int, str]:
         from .growth import closure_check, generate_subalgebra
 
         _require_at_most("--max-degree", args.max_degree, MAX_SUBALGEBRA_DEGREE)
+        if args.gens.startswith("fan:") and int(args.gens[4:]) > args.max_degree:
+            raise ValueError("max_degree must cover the generating set")   # before any fan
         gens = _parse_generators(args.gens)
         basis = generate_subalgebra(gens, args.max_degree)
         payload = {
@@ -252,6 +261,8 @@ def _dispatch(args) -> tuple[int, str]:
             field = parse_vector_field(fh.read())
         if args.tree is not None:
             t = parse_tree(args.tree)
+            _require_at_most("--tree: nvars ** max fertility", field.nvars ** t.max_fertility(),
+                             MAX_TREE_BRANCHING)
             vec = elementary_differential(t, field)
             if args.json:
                 return 0, json.dumps({
@@ -259,6 +270,7 @@ def _dispatch(args) -> tuple[int, str]:
                     "phi": [_series_json(c) for c in vec],
                 })
             return 0, "\n".join(f"phi^{i+1} = {c}" for i, c in enumerate(vec))
+        _require_at_most("--taylor", args.taylor, MAX_TAYLOR_ORDER)
         sol = series_solve(ODEProblem(field, args.taylor))
         if args.json:
             return 0, json.dumps({
@@ -294,6 +306,7 @@ def _dispatch(args) -> tuple[int, str]:
 
         _require_at_most("--max-degree", args.max_degree, MAX_VERIFY_DEGREE)
         _require_at_most("--order", args.order, MAX_VERIFY_ORDER)
+        _require_at_most("--trials", args.trials, MAX_VERIFY_TRIALS)
         report = run_suites(
             args.suite, max_degree=args.max_degree, seed=args.seed,
             order=args.order, trials=args.trials,

@@ -6,8 +6,8 @@ never expanded.  Functions on the frame bundle are polynomials in y with
 truncated x-jet coefficients, kept on one int grid: row k holds the
 numerators of the y^k coefficient with its own truncation order, over one
 denominator for the whole function, reduced by one content gcd per
-result.  The dict of series `coeffs` is built from the grid on first
-read.  The flow of interest is
+result, through the jet steps of the series module.  The dict of series
+`coeffs` is built from the grid on first read.  The flow of interest is
 
     dx/ds = y,    dz/ds = -y Gamma(x),
 
@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .butcher import _contract, _linear_sum, _phi_vec, _single_tree
 from .growth import GrowthApply, GrowthExpr, GrowthLeaf, decompose
 from .hopf import LinComb, coproduct, delta_k, natural_growth
-from .series import MultiSeries, TruncationError, _compose, _conv, _min_trunc, parse_polynomial
+from .series import (MultiSeries, TruncationError, _compose, _content, _conv, _min_trunc,
+                     _over_lcm, _scaled_sum, _trim, parse_polynomial)
 from .trees import Forest, LEAF, RootedTree, _Immutable, admissible_cuts, b_plus
 
 __all__ = [
@@ -96,14 +97,9 @@ __all__ = [
 
 
 def _row(trunc: int | None, nums: list[int]):
-    """The grid row (trunc, nums), or None if it is zero.
-
-    An exact row loses its trailing zeros, popped from nums in place.
-    """
+    """The grid row (trunc, nums), or None if it is zero; an exact row is trimmed."""
     if trunc is None:
-        while nums and not nums[-1]:
-            nums.pop()
-        return (None, nums) if nums else None
+        nums = _trim(nums)
     return (trunc, nums) if any(nums) else None
 
 
@@ -123,28 +119,15 @@ class FrameFunction:
 
     def __init__(self, coeffs=None):
         clean: dict[int, MultiSeries] = {}
-        summed = []
-        if coeffs:
-            for k, g in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if k < 0:
-                    raise ValueError("negative powers of y are not representable")
-                if not g.is_zero():
-                    if k in clean:
-                        clean[k] = clean[k] + g
-                        summed.append(k)
-                    else:
-                        clean[k] = g
-        # Only a sum can have cancelled to zero.
-        for k in summed:
-            if k in clean and clean[k].is_zero():
-                del clean[k]
-        jets = {k: g._jet() for k, g in clean.items()}
-        den = lcm(*(d for _, d in jets.values()))
-        # Each row is reduced over its own denominator, so the grid over
-        # their lcm is reduced too.
-        self._rows = {k: (clean[k].trunc, nums if d == den else [v * (den // d) for v in nums])
-                      for k, (nums, d) in jets.items()}
-        self._den = den
+        for k, g in (coeffs.items() if isinstance(coeffs, dict) else coeffs or ()):
+            if k < 0:
+                raise ValueError("negative powers of y are not representable")
+            if not g.is_zero():
+                clean[k] = clean[k] + g if k in clean else g
+        # A sum may have cancelled to zero.  Each row is reduced over its own
+        # denominator, so the grid over their lcm is reduced too.
+        self._rows, self._den = _over_lcm(
+            {k: (g.trunc, *g._jet()) for k, g in clean.items() if not g.is_zero()})
         self._coeffs = self._dx = self._dz = None
 
     @classmethod
@@ -158,11 +141,7 @@ class FrameFunction:
     @classmethod
     def _reduced(cls, rows: dict, den: int) -> "FrameFunction":
         """Nonzero rows of int numerators over den > 0, reduced by one content gcd."""
-        g = den
-        for _, nums in rows.values():
-            if g == 1:
-                break
-            g = gcd(g, *nums)
+        g = _content(den, rows.values())
         if g > 1:
             den //= g
             rows = {k: (t, [v // g for v in nums]) for k, (t, nums) in rows.items()}
@@ -219,9 +198,7 @@ class FrameFunction:
                 continue
             tb, b = row
             trunc = _min_trunc(ta, tb)
-            n = None if trunc is None else trunc + 1
-            row = _row(trunc, [x * ma + y * mb
-                               for x, y in itertools.zip_longest(a[:n], b[:n], fillvalue=0)])
+            row = _row(trunc, _scaled_sum(a, b, ma, mb, trunc))
             if row:
                 rows[k] = row
         for k, (tb, b) in rb.items():
@@ -421,10 +398,8 @@ def lift_apply(psi: FormalDiffeo, h: FrameFunction) -> FrameFunction:
             den *= d ** k
         row = _row(trunc, out)
         if row:
-            lifted[k] = row, den
-    den = lcm(*(d for _, d in lifted.values()))
-    rows = {k: (t, out if d == den else [v * (den // d) for v in out])
-            for k, ((t, out), d) in lifted.items()}
+            lifted[k] = (*row, den)
+    rows, den = _over_lcm(lifted)
     return FrameFunction._reduced(rows, h._den * den)
 
 
@@ -502,11 +477,8 @@ def gamma_bullet(psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
 
 def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunction, FrameFunction]:
     """Components (dx/ds, dz/ds) = (y, -y Gamma(x)) of the frame flow."""
-    one = MultiSeries.constant(1, 1, trunc)
-    return (
-        FrameFunction.y_times(one),
-        FrameFunction.y_times(-Gamma.with_trunc(trunc)),
-    )
+    return (FrameFunction.y_times(MultiSeries.constant(1, 1, trunc)),
+            FrameFunction.y_times(-Gamma.with_trunc(trunc)))
 
 
 def _frame_phi(Gamma: CurvatureFn, trunc: int | None) -> tuple[tuple, dict]:
@@ -930,14 +902,8 @@ def random_diffeo(rng, trunc: int) -> FormalDiffeo:
 
 
 def random_frame_function(rng, trunc: int, max_y_degree: int = 2) -> FrameFunction:
-    coeffs = {}
-    for k in range(max_y_degree + 1):
-        g = random_xseries(rng, trunc)
-        if not g.is_zero():
-            coeffs[k] = g
-    if not coeffs:
-        coeffs[0] = MultiSeries.constant(1, 1, trunc)
-    return FrameFunction(coeffs)
+    f = FrameFunction({k: random_xseries(rng, trunc) for k in range(max_y_degree + 1)})
+    return FrameFunction.constant(1, trunc) if f.is_zero() else f
 
 
 def forced_vertex_symbols(psi: FormalDiffeo, Gamma: CurvatureFn):

@@ -11,9 +11,11 @@ reduced by their content gcd so that the denominator is the lcm of the
 coefficient denominators: a dense list of trunc+1 numerators (degree+1
 for an exact polynomial) in one variable, a dict exponent -> nonzero
 numerator in several.  The public dict of Fractions, `terms`, is built
-from it on first read.  Composition g o psi is linear in g, with matrix
-the power table [x^i] psi^k, which the inner series keeps once built;
-the compositional inverse comes from Lagrange inversion,
+from it on first read.  Each y^k row of a frame.FrameFunction takes the
+same univariate jet steps from here: `_trim`, `_scaled_sum`, `_content`
+and `_over_lcm`.  Composition g o psi is linear in g, with matrix the
+power table [x^i] psi^k, which the inner series keeps once built; the
+compositional inverse comes from Lagrange inversion,
 [x^n] psi^-1 = (1/n) [x^(n-1)] (x/psi)^n.
 """
 
@@ -52,6 +54,39 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
+
+
+def _trim(nums: list) -> list:
+    """An exact jet without its trailing zeros, cut by a slice, never a pop: another
+    object may hold nums (`FrameFunction.coeffs` passes grid rows to `_from_nums`).
+    The one divergence left (ROADMAP item 3): a frame row zero through its order
+    is dropped, while a MultiSeries keeps a truncated zero."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return nums if n == len(nums) else nums[:n]
+
+
+def _scaled_sum(a: list, b: list, ma: int, mb: int, trunc: int | None) -> list:
+    """ma a + mb b cut at trunc; a cut jet has trunc+1 entries, an exact one may be shorter."""
+    n = max(len(a), len(b)) if trunc is None else trunc + 1
+    return [x * ma + y * mb for x, y in zip_longest(a[:n], b[:n], fillvalue=0)]
+
+
+def _content(den: int, rows) -> int:
+    """gcd(den, every numerator of the rows (trunc, nums)); stops once it reaches 1."""
+    for _, nums in rows:
+        if den == 1:
+            break
+        den = gcd(den, *nums)
+    return den
+
+
+def _over_lcm(rows: dict) -> tuple[dict, int]:
+    """Rows k -> (trunc, nums, d) over the lcm of their d: (k -> (trunc, nums), lcm)."""
+    den = lcm(*(d for _, _, d in rows.values()))
+    return {k: (t, nums if d == den else [v * (den // d) for v in nums])
+            for k, (t, nums, d) in rows.items()}, den
 
 
 def _conv(a: list, b: list, n: int | None, out: list | None = None) -> list:
@@ -150,21 +185,10 @@ class MultiSeries:
 
     @classmethod
     def _from_nums(cls, nvars: int, nums, den: int, trunc: int | None) -> "MultiSeries":
-        """Series from int numerators over den > 0 in the layout of _nums, reduced.
-
-        The content gcd(den, *nums) is taken pair by pair, so that it stops
-        as soon as it reaches 1.
-        """
+        """Series from int numerators over den > 0 in the layout of _nums, reduced."""
         if nvars == 1 and trunc is None:
-            n = len(nums)
-            while n and not nums[n - 1]:
-                n -= 1
-            nums = nums[:n]
-        g = den
-        for v in nums if nvars == 1 else nums.values():
-            if g == 1:
-                break
-            g = gcd(g, v)
+            nums = _trim(nums)
+        g = _content(den, ((trunc, nums if nvars == 1 else nums.values()),))
         if g > 1:
             den //= g
             nums = [v // g for v in nums] if nvars == 1 else {e: v // g for e, v in nums.items()}
@@ -240,10 +264,7 @@ class MultiSeries:
         g = gcd(da, db)
         ma, mb, den = db // g, sign * (da // g), da // g * db
         if self.nvars == 1:
-            # The operand cut at trunc has trunc+1 entries; an exact one may be shorter.
-            n = max(len(a), len(b)) if trunc is None else trunc + 1
-            out = [x * ma + y * mb for x, y in zip_longest(a[:n], b[:n], fillvalue=0)]
-            return MultiSeries._from_nums(1, out, den, trunc)
+            return MultiSeries._from_nums(1, _scaled_sum(a, b, ma, mb, trunc), den, trunc)
         out = {e: v * ma for e, v in a.items()}
         for e, v in b.items():
             out[e] = out.get(e, 0) + v * mb

@@ -58,15 +58,20 @@ def test_oversized_trees_and_delta_k_exit_2_before_any_work(capsys, monkeypatch)
     assert run_cli(capsys, "delta-k", str(cli.MAX_DELTA_K)) == (0, "0", "")
 
 
-def test_oversized_degrees_and_orders_exit_2_before_any_work(capsys, monkeypatch):
+def test_oversized_degrees_and_orders_exit_2_before_any_work(capsys, monkeypatch, tmp_path):
     from types import SimpleNamespace
 
-    from treehopf import cli, frame, growth, verify
+    from treehopf import butcher, cli, frame, growth, series, verify
 
-    # Above every degree and order the tests, the README and the benchmark
-    # ask for (subalgebra degree 5, verify degree 5, order 8).
+    # Above every degree, order and count the tests, the README and the
+    # benchmark ask for (subalgebra degree 5, verify degree 5, order 8 and 10
+    # trials, Taylor order 5, and trees of at most 6 vertices).
     assert cli.MAX_SUBALGEBRA_DEGREE >= 8 and cli.MAX_VERIFY_DEGREE >= 8
     assert cli.MAX_GAMMA_ORDER >= 16 and cli.MAX_VERIFY_ORDER >= 16
+    assert cli.MAX_VERIFY_TRIALS >= 20 and cli.MAX_TAYLOR_ORDER >= 16
+    assert cli.MAX_TREE_BRANCHING >= 2 ** 6
+    field = tmp_path / "field.txt"
+    field.write_text("f1 = x2 + 1/2 x1^2\nf2 = -x1 + x1 x2 - 1/3 x2^2\n")
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("the work started before the size was checked")
@@ -74,18 +79,32 @@ def test_oversized_degrees_and_orders_exit_2_before_any_work(capsys, monkeypatch
     monkeypatch.setattr(growth, "generate_subalgebra", must_not_run)
     monkeypatch.setattr(frame, "gamma_t", must_not_run)
     monkeypatch.setattr(verify, "run_suites", must_not_run)
+    monkeypatch.setattr(series, "series_solve", must_not_run)
+    monkeypatch.setattr(butcher, "elementary_differential", must_not_run)
     subalgebra = ("subalgebra", "--gens", "fan:3", "--max-degree")
     gamma = ("cm", "gamma", "--psi", "x + x^2", "--Gamma", "x", "--tree", "[[]]", "--order")
     cases = ((subalgebra, "--max-degree", cli.MAX_SUBALGEBRA_DEGREE),
              (gamma, "--order", cli.MAX_GAMMA_ORDER),
              (("verify", "--max-degree"), "--max-degree", cli.MAX_VERIFY_DEGREE),
-             (("verify", "--suite", "cm", "--order"), "--order", cli.MAX_VERIFY_ORDER))
+             (("verify", "--suite", "cm", "--order"), "--order", cli.MAX_VERIFY_ORDER),
+             (("verify", "--suite", "cm", "--trials"), "--trials", cli.MAX_VERIFY_TRIALS),
+             (("butcher", "--field", str(field), "--taylor"), "--taylor", cli.MAX_TAYLOR_ORDER))
     for argv, what, bound in cases:
         for size in (bound + 1, 100000):
             code, out, err = run_cli(capsys, *argv, str(size))
             assert code == 2, (argv, size)
             assert err == f"error: {what} must be <= {bound}, got {size}\n", (argv, size)
             assert out == "", (argv, size)
+    # `butcher --tree` bounds nvars ** max fertility: on 2 variables, the
+    # least fan above the bound, one with 40 children, and a tree whose
+    # deepest vertex has as many children as that least fan.
+    fan = lambda k: "[" + "[]" * k + "]"
+    bound = cli.MAX_TREE_BRANCHING
+    k = bound.bit_length()    # 2 ** (k - 1) <= bound < 2 ** k
+    for tree, size in ((fan(k), 2 ** k), (fan(40), 2 ** 40), (f"[[{fan(k)}][]]", 2 ** k)):
+        code, out, err = run_cli(capsys, "butcher", "--field", str(field), "--tree", tree)
+        assert (code, out) == (2, ""), tree
+        assert err == f"error: --tree: nvars ** max fertility must be <= {bound}, got {size}\n"
     # At the bound the guard lets the request through.
     monkeypatch.setattr(growth, "generate_subalgebra", lambda gens, degree: SimpleNamespace(
         generators=(), max_degree=degree, by_degree={}))
@@ -94,7 +113,33 @@ def test_oversized_degrees_and_orders_exit_2_before_any_work(capsys, monkeypatch
     assert run_cli(capsys, *subalgebra, str(cli.MAX_SUBALGEBRA_DEGREE)) == (0, "generators: ", "")
     assert run_cli(capsys, *gamma, str(cli.MAX_GAMMA_ORDER)) == (0, "stub", "")
     assert run_cli(capsys, "verify", "--max-degree", str(cli.MAX_VERIFY_DEGREE),
-                   "--order", str(cli.MAX_VERIFY_ORDER)) == (0, "result: ok", "")
+                   "--order", str(cli.MAX_VERIFY_ORDER),
+                   "--trials", str(cli.MAX_VERIFY_TRIALS)) == (0, "result: ok", "")
+    monkeypatch.setattr(series, "series_solve", lambda problem: [[problem.taylor_order]])
+    taylor = str(cli.MAX_TAYLOR_ORDER)
+    assert run_cli(capsys, "butcher", "--field", str(field), "--taylor", taylor) == \
+        (0, f"s^0: ({taylor})", "")
+    monkeypatch.setattr(butcher, "elementary_differential", lambda t, f: [t.vertex_count])
+    assert run_cli(capsys, "butcher", "--field", str(field), "--tree", fan(k - 1)) == \
+        (0, f"phi^1 = {k}", "")
+
+
+def test_fan_generators_above_the_degree_exit_2_before_any_fan_is_built(capsys, monkeypatch):
+    from treehopf import growth
+
+    def must_not_run(*args):
+        raise AssertionError("a fan was built before the degree was checked")
+
+    monkeypatch.setattr(growth, "fan_graph", must_not_run)
+    for k in (6, 3000):
+        code, out, err = run_cli(capsys, "subalgebra", "--gens", f"fan:{k}", "--max-degree", "5")
+        assert (code, out, err) == (2, "", "error: max_degree must cover the generating set\n"), k
+    # The same exit and message as when generate_subalgebra rejects the built
+    # generators; K equal to the degree goes through.
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "subalgebra", "--gens", "[[][][][][][]]", "--max-degree", "5")
+    assert (code, out, err) == (2, "", "error: max_degree must cover the generating set\n")
+    assert run_cli(capsys, "subalgebra", "--gens", "fan:2", "--max-degree", "2")[0] == 0
 
 
 def test_antipode_and_multiply(capsys):

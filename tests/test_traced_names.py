@@ -2,14 +2,19 @@
 
 The tracer looks each name up by `getattr` on its module and rebinds every
 module-level reference to it, so a renamed function fails a traced run, and
-a call that bypasses the module-level name is silently not counted.
+a call that bypasses the module-level name is silently not counted.  The
+names are read from the tracer's own tables, so a rename, or a subclass
+that overrides a traced method, fails here and not only in a traced run.
 """
 
+import os
+import sys
 from functools import reduce
+from importlib import import_module
 
 import pytest
 
-from treehopf import butcher, frame, growth, linalg
+from treehopf import butcher, frame, growth
 from treehopf.butcher import check_growth_derivative
 from treehopf.frame import FormalDiffeo, FrameFunction, Monomial, _gamma_forest, gamma_t
 from treehopf.growth import closure_check, fan_graph, generate_subalgebra
@@ -18,17 +23,28 @@ from treehopf.hopf import delta_k
 from treehopf.trees import LEAF, Forest, parse_tree
 from treehopf.verify import random_quadratic_field
 
-TRACED = [(growth, "_component_in_span"), (linalg, "independent_rows"), (linalg, "rref"),
-          (linalg, "solve_consistent"), (frame, "lift_apply"), (frame, "monomial_product"),
-          (frame, "X_t_apply"), (frame, "delta_t_apply"), (frame, "phi_frame_op"),
-          (frame, "gamma_t"), (frame, "FrameFunction.__mul__"),
-          (butcher, "check_generalized_growth")]
+sys.path.append(os.path.join(os.path.dirname(__file__), "..", "bench"))
+import tracing  # noqa: E402  (bench/tracing.py imports only the standard library)
+
+TRACED = [(module, name) for module, name, *_ in tracing.SPANS + tracing.COUNTERS]
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
 
 
 @pytest.mark.parametrize("module, name", TRACED, ids=[name for _, name in TRACED])
 def test_traced_name_exists(module, name):
-    # "Class.method" names a method, which the tracer patches on the class
-    assert callable(reduce(getattr, name.split("."), module))
+    mod = import_module(f"treehopf.{module}")
+    assert callable(reduce(getattr, name.split("."), mod))
+    # "Class.method" names a method, which the tracer patches on the class:
+    # a subclass that overrides it would run unwrapped
+    if "." in name:
+        cls_name, method = name.split(".")
+        cls = getattr(mod, cls_name)
+        assert [sub for sub in subclasses(cls) if method in vars(sub)] == [], name
 
 
 def counting(monkeypatch, module, name):
