@@ -7,13 +7,13 @@ derivative of f.  The operator version phi_t acts the same way on an
 arbitrary function, with phi of the single vertex the identity.
 
 The recursion (`_phi_vec`, `_contract`) is the one grafting recursion of
-the package: it works on any components with `*`, `+` and `deriv(k)`,
-so the frame flow of `treehopf.frame` runs through it too, and the flow
-derivative sum_j v^j d_j h is its one-child contraction.  The partial
-derivatives commute, so a contraction takes each d_ks of its target once
-per sorted index tuple ks; it keeps the order of every product and sum,
-because a truncated product that vanishes drops its row, and with it that
-row's truncation order, so regrouping could change a result's orders.
+the package, on any components with `*`, `+` and `deriv(k)`: the flow
+derivative sum_j v^j d_j h is its one-child contraction, `frame.phi_frame_op`
+runs it on the frame flow, and `frame.pushforward_rhs` passes the lift as its
+`partial` map.  The partial derivatives commute, so a contraction takes each
+d_ks of its target, and the map of each full-length one, once per sorted
+index tuple ks; it keeps the order of every product and sum, because a
+truncated product that vanishes drops its row and its order with it.
 
 A jet-valued map on forests (phi here; delta_t, X_t and phi_s in
 `treehopf.frame`) extends over a linear combination through one function,
@@ -76,18 +76,21 @@ def _phi_vec(t: RootedTree, field: tuple, memo) -> tuple:
     return out
 
 
-def _contract(children, target, n: int):
-    """Sum over index tuples of (prod_j children[j][k_j]) d_{k_1..k_m} target.
+def _contract(children, target, n: int, partial=None):
+    """Sum over index tuples of (prod_j children[j][k_j]) partial(d_{k_1..k_m} target).
 
-    The partial derivatives commute, so d_ks target is taken once per
-    sorted tuple ks, from the derivative of its prefix; the products and
-    the sum still run in index-tuple order.
+    The partial derivatives commute, so d_ks target is taken once per sorted
+    tuple ks, from the derivative of its prefix, and `partial` (None: the
+    identity) once per sorted m-tuple; products and sum run in tuple order.
     """
     m = len(children)
     partials = {(): target}
     for r in range(1, m + 1):
         for ks in itertools.combinations_with_replacement(range(n), r):
             partials[ks] = partials[ks[:-1]].deriv(ks[-1])
+    if partial is not None:
+        for ks in itertools.combinations_with_replacement(range(n), m):
+            partials[ks] = partial(partials[ks])
     acc = None
     for ks in itertools.product(range(n), repeat=m):
         term = partials[tuple(sorted(ks))]

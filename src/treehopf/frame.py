@@ -11,9 +11,10 @@ result, through the jet steps of the series module.  The dict of series
 
     dx/ds = y,    dz/ds = -y Gamma(x),
 
-and phi-operators over this two-coordinate system (indices {x, z})
-reuse the grafting recursion of the Butcher module: the components are
-FrameFunctions, whose deriv(0) and deriv(1) are d/dx and d/dz.
+and phi-operators over this two-coordinate system (indices {x, z}), and
+the pushforward formula with the lift as the map of its full partials, run
+the grafting contraction `butcher._contract` on FrameFunctions, whose
+deriv(0) and deriv(1) are d/dx and d/dz.  gamma_F is `hopf._over_trees`.
 
 Diffeomorphisms are jets psi with psi(0) = 0, psi'(0) > 0; the lift to
 the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Each diffeomorphism
@@ -48,7 +49,7 @@ from math import gcd
 
 from .butcher import _contract, _linear_sum, _phi_vec, _single_tree
 from .growth import GrowthApply, GrowthExpr, GrowthLeaf, decompose
-from .hopf import LinComb, coproduct, delta_k, natural_growth
+from .hopf import LinComb, _over_trees, coproduct, delta_k, natural_growth
 from .series import (MultiSeries, TruncationError, _compose, _content, _conv, _min_trunc,
                      _over_lcm, _scaled_sum, _trim, parse_polynomial)
 from .trees import Forest, LEAF, RootedTree, _Immutable, admissible_cuts, b_plus
@@ -323,12 +324,12 @@ class FrameFunction:
 class FormalDiffeo:
     """An orientation-preserving formal diffeomorphism jet fixing 0.
 
-    Keeps psi', and in `_ops`, per curvature, the symbols gamma_bullet(psi)
+    Keeps in `_ops` psi' and, per curvature, the symbols gamma_bullet(psi)
     and gamma_t(psi), each computed once (see `_kept`); the jet is never
     changed after construction.
     """
 
-    __slots__ = ("series", "_d", "_ops")
+    __slots__ = ("series", "_ops")
 
     def __init__(self, series: MultiSeries):
         if series.nvars != 1:
@@ -338,7 +339,7 @@ class FormalDiffeo:
         if series.coeff(1) <= 0:
             raise ValueError("diffeomorphism must be orientation preserving")
         self.series = series
-        self._d = self._ops = None
+        self._ops = None
 
     @staticmethod
     def identity(trunc: int | None = None) -> "FormalDiffeo":
@@ -349,10 +350,8 @@ class FormalDiffeo:
         return self.series.trunc
 
     def d(self) -> MultiSeries:
-        """psi', computed once, so the lift builds its power table once."""
-        if self._d is None:
-            self._d = self.series.deriv(0)
-        return self._d
+        """psi', kept (see `_kept`), so the lift builds its power table once."""
+        return _kept(self, FormalDiffeo.d, lambda: self.series.deriv(0))
 
     def compose(self, inner: "FormalDiffeo") -> "FormalDiffeo":
         """(self o inner)(x) = self(inner(x))."""
@@ -519,13 +518,8 @@ def _gamma_forest(forest: Forest, psi: FormalDiffeo, Gamma: CurvatureFn) -> Fram
     an order below psi.trunc (or psi is exact): only the empty forest
     needs the constant 1 at psi.trunc.
     """
-    trees = forest.trees
-    if not trees:
-        return FrameFunction.constant(1, psi.trunc)
-    out = gamma_t(trees[0], psi, Gamma)
-    for t in trees[1:]:
-        out = out * gamma_t(t, psi, Gamma)
-    return out
+    return _over_trees(forest, lambda t: gamma_t(t, psi, Gamma),
+                       lambda: FrameFunction.constant(1, psi.trunc))
 
 
 def _phi_on(s: RootedTree, m: Monomial, Gamma: CurvatureFn) -> FrameFunction:
@@ -825,23 +819,14 @@ def pushforward_rhs(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
                     h: FrameFunction) -> FrameFunction:
     """The product formula for phi_t(h o lift(psi)) over the transferred field.
 
-    Contracts each branch's phi-operator applied to the transferred base
-    field into target derivatives of h.  Exact for trees with at most two
-    vertices; the transfer of deeper branch functions picks up
-    non-tensorial cross terms, so it fails from three vertices on.
+    Contracts the lifted target derivatives of h against phi_c of each
+    component of the transferred base field, per child c.  Exact for trees
+    with at most two vertices; the transfer of deeper branch functions picks
+    up non-tensorial cross terms, so it fails from three vertices on.
     """
     star = transferred_base_field(psi, Gamma)
-    rhs = FrameFunction.zero()
-    m = len(t.children)
-    for ks in itertools.product((0, 1), repeat=m):
-        term = h
-        for k in ks:
-            term = term.deriv(k)
-        term = lift_apply(psi, term)
-        for j, k in enumerate(ks):
-            term = term * phi_frame_op(t.children[j], Gamma, star[k], psi.trunc)
-        rhs = rhs + term
-    return rhs
+    branches = [[phi_frame_op(c, Gamma, s, psi.trunc) for s in star] for c in t.children]
+    return _contract(branches, h, 2, lambda g: lift_apply(psi, g))
 
 
 def check_pushforward(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,

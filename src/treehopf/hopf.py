@@ -10,16 +10,17 @@ element prints.  Coefficients are exact: an `int` when whole and a
 admissible cuts, is built from the 1-cocycle identity
 Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), children before parents,
 with a per-shape memo; the antipode uses the recursive proper-cut formula
-over the grouped terms of that coproduct, with a per-tree memo; and
-natural growth N_t grafts a copy of t onto every vertex of its argument,
-with N_t(s) kept once per pair (t, s) of interned trees.  The three memos
-are keyed by interned trees, which live as long as the process, so none
-needs a bound; `antipode` and `coproduct` hand out a copy of a memoised
-element, never its terms.  The structural maps live on the interned
-objects themselves (see `trees`): the loops read a tree's one-tree forest
-`t.forest`, a forest's B+ tree `f.b_plus`, and, in both `__mul__` loops
-and the antipode, the left factor's product table, instead of rebuilding
-any of them.
+over the grouped terms of that coproduct, with a per-tree memo; on a
+forest both are the product over its trees, `_over_trees`, which `frame`
+runs for gamma_F too; and natural growth N_t grafts a copy of t onto every
+vertex of its argument, with N_t(s) kept once per pair (t, s) of interned
+trees.  The three memos are keyed by interned trees, which live as long as
+the process, so none needs a bound; `antipode` and `coproduct` hand out a
+copy of a memoised element, never its terms.  The structural maps live on
+the interned objects themselves (see `trees`): the loops read a tree's
+one-tree forest `t.forest`, a forest's B+ tree `f.b_plus`, and, in both
+`__mul__` loops and the antipode, the left factor's product table, instead
+of rebuilding any of them.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort on the forests' serializations.
 
@@ -275,14 +276,20 @@ def _coproduct_tree(t: RootedTree) -> Tensor2:
     return _coproduct_memo[t]
 
 
+def _over_trees(f: Forest, fn, unit):
+    """fn(t1) * fn(t2) * ... over the trees of f; fn's own for one tree, unit() for none."""
+    trees = f.trees
+    if not trees:
+        return unit()
+    out = fn(trees[0])
+    for t in trees[1:]:
+        out = out * fn(t)
+    return out
+
+
 def _coproduct_forest(f: Forest) -> Tensor2:
     """Delta(f); for a one-tree forest, the memo's own element."""
-    if not f.trees:
-        return Tensor2.of(EMPTY_FOREST, EMPTY_FOREST)
-    out = _coproduct_tree(f.trees[0])
-    for t in f.trees[1:]:
-        out = out * _coproduct_tree(t)
-    return out
+    return _over_trees(f, _coproduct_tree, lambda: Tensor2.of(EMPTY_FOREST, EMPTY_FOREST))
 
 
 def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
@@ -321,12 +328,7 @@ def _antipode_tree(t: RootedTree) -> LinComb:
 
 def _antipode_forest(f: Forest) -> LinComb:
     """S(f); for a one-tree forest, the memo's own element."""
-    if not f.trees:
-        return LinComb.unit()
-    out = _antipode_tree(f.trees[0])
-    for t in f.trees[1:]:
-        out = out * _antipode_tree(t)
-    return out
+    return _over_trees(f, _antipode_tree, LinComb.unit)
 
 
 def antipode(x: LinComb | Forest | RootedTree) -> LinComb:

@@ -3,9 +3,9 @@
 A tree is stored with its children in canonical order, and every tree
 shape and every forest is interned: building one from children (or
 trees) in any order returns the single shared instance of that shape,
-which lives as long as the process.  Trees are interned on their
-canonical children tuple and forests on their canonical tree tuple, so
-a lookup builds no string.  Each interned object also keeps the
+which lives as long as the process.  One routine, `_intern`, interns trees
+on their canonical children tuple and forests on their canonical tree
+tuple, so a lookup builds no string.  Each interned object also keeps the
 structural maps the Hopf layer asks of it, each filled on first use: a
 tree keeps its one-tree forest (`forest`), and a forest keeps its B+
 tree (`b_plus`) and its own product table, keyed by the other factor, so
@@ -152,6 +152,23 @@ _TREES: dict[tuple, "RootedTree"] = {}
 _FORESTS: dict[tuple, "Forest"] = {}
 
 
+def _intern(cls, table: dict, field: str, items):
+    """The one instance of cls whose `field` is the canonical tuple of items, from
+    table: a canonical key hits with no sort, and a miss runs `__post_init__`."""
+    items = tuple(items)
+    self = table.get(items)
+    if self is None:
+        if len(items) > 1:
+            items = tuple(sorted(items, key=_sort_key, reverse=True))
+            self = table.get(items)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, field, items)
+            self.__post_init__()
+            table[items] = self
+    return self
+
+
 class RootedTree(_Interned):
     """A non-planar rooted tree; children are kept in canonical order.
 
@@ -163,19 +180,7 @@ class RootedTree(_Interned):
     __slots__ = ("children", "vertex_count", "serial", "_key", "_forest")
 
     def __new__(cls, children=()):
-        kids = tuple(children)
-        # Every key is a canonical tuple, so a hit needs no sort.
-        self = _TREES.get(kids)
-        if self is None:
-            if len(kids) > 1:
-                kids = tuple(sorted(kids, key=_sort_key, reverse=True))
-                self = _TREES.get(kids)
-            if self is None:
-                self = object.__new__(cls)
-                object.__setattr__(self, "children", kids)
-                self.__post_init__()
-                _TREES[kids] = self
-        return self
+        return _intern(cls, _TREES, "children", children)
 
     def __post_init__(self):
         kids = self.children
@@ -227,18 +232,7 @@ class Forest(_Interned):
     __slots__ = ("trees", "degree", "serial", "_key", "_products", "_b_plus")
 
     def __new__(cls, trees=()):
-        ts = tuple(trees)
-        self = _FORESTS.get(ts)
-        if self is None:
-            if len(ts) > 1:
-                ts = tuple(sorted(ts, key=_sort_key, reverse=True))
-                self = _FORESTS.get(ts)
-            if self is None:
-                self = object.__new__(cls)
-                object.__setattr__(self, "trees", ts)
-                self.__post_init__()
-                _FORESTS[ts] = self
-        return self
+        return _intern(cls, _FORESTS, "trees", trees)
 
     def __post_init__(self):
         ts = self.trees

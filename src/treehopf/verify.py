@@ -27,6 +27,7 @@ from .hopf import (
     LinComb,
     Tensor2,
     _FreeModule,
+    _over_trees,
     antipode,
     coproduct,
     counit,
@@ -128,13 +129,16 @@ def _cm_least_order(max_degree: int, trials: int) -> int:
 
     A jet truncated at order N survives N x-derivatives.  delta_s multiplies
     by gamma_s = phi_s(gamma(psi)): psi'' takes 2 and phi_s one per root
-    child, so 2 + fertility(s).  X_t takes one more.  The suite applies
-    X after delta_s over the terms of delta_1..delta_3 and over its
-    commutator pairs, delta_s alone over delta_4 and over N_t(s), nests at
-    most |s| - 1 X's on delta of the vertex in delta_from_commutators, and
-    differentiates the transferred field (psi'' again) once per grandchild
-    in the pushforward checks.  Without trials no psi-dependent jet is
-    differentiated and the single-vertex bound 2 holds.
+    child, so 2 + fertility(s).  X_t takes one of its target, and phi(t) up
+    to max_fertility(t) of the frame field (y, -y x) cut at the target's
+    order, but only two reach a row that is not zero (and dropped).  The
+    suite applies X_t after delta_s over the terms of delta_1..delta_3 (X of
+    the vertex) and over its commutator pairs, delta_s alone over delta_4
+    and over N_t(s), nests at most |s| - 1 X's on delta of the vertex in
+    delta_from_commutators, and differentiates the transferred field (psi''
+    again) once per grandchild in the pushforward checks.  Without trials
+    no psi-dependent jet is differentiated and the single-vertex bound 2
+    holds.
     """
     if trials < 1:
         return 2
@@ -149,7 +153,7 @@ def _cm_least_order(max_degree: int, trials: int) -> int:
         need = max(need, 1 + t.vertex_count, 2 + t.max_fertility())
         for u in trees:
             if t.vertex_count + u.vertex_count <= pair_bound:
-                need = max(need, delta(LinComb.of(u)) + 1,
+                need = max(need, delta(LinComb.of(u)) + min(2, max(1, t.max_fertility())),
                            delta(natural_growth(t, LinComb.of(u))))
     return need
 
@@ -367,13 +371,8 @@ def verify_butcher(max_degree: int = 5, seed: int = 0) -> dict:
 
 
 def _phi_forest_vector(forest: Forest, f: VectorField):
-    out = []
-    for i in range(f.nvars):
-        acc = MultiSeries.constant(f.nvars, 1, f.trunc)
-        for t in forest.trees:
-            acc = acc * bu.elementary_differential(t, f)[i]
-        out.append(acc)
-    return out
+    return [_over_trees(forest, lambda t, i=i: bu.elementary_differential(t, f)[i],
+                        lambda: MultiSeries.constant(f.nvars, 1, f.trunc)) for i in range(f.nvars)]
 
 
 # -- cm suite ---------------------------------------------------------------

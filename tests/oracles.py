@@ -19,7 +19,9 @@ compared by a walk over those series.  The
 coproduct sides of the frame model take one monomial product per
 coproduct term or cut.  The grafting contraction differentiates the
 target afresh for every index tuple, and the growth lemma takes the flow
-derivative of phi(t) through it.  The text parsers are kept as they
+derivative of phi(t) through it; the pushforward product formula also
+differentiates and lifts its target, and builds every branch operator,
+afresh for each index tuple in (0, 1)^m.  The text parsers are kept as they
 were before they shared one scanner, and the six value classes of `trees`
 and `growth` as the dataclasses they were, each name prefixed `Dataclass`.
 """
@@ -631,6 +633,25 @@ def reference_phi_vec(t: RootedTree, field: tuple) -> tuple:
         return field
     children = [reference_phi_vec(c, field) for c in t.children]
     return tuple(reference_contract(children, comp, len(field)) for comp in field)
+
+
+def reference_pushforward_rhs(t: RootedTree, psi, Gamma, h):
+    """The product formula for phi_t(h o lift(psi)) over the transferred field,
+    as it was before it ran through the grafting contraction (renamed)."""
+    from treehopf.frame import FrameFunction, lift_apply, phi_frame_op, transferred_base_field
+
+    star = transferred_base_field(psi, Gamma)
+    rhs = FrameFunction.zero()
+    m = len(t.children)
+    for ks in itertools.product((0, 1), repeat=m):
+        term = h
+        for k in ks:
+            term = term.deriv(k)
+        term = lift_apply(psi, term)
+        for j, k in enumerate(ks):
+            term = term * phi_frame_op(t.children[j], Gamma, star[k], psi.trunc)
+        rhs = rhs + term
+    return rhs
 
 
 def reference_growth_derivative(t: RootedTree, f) -> bool:

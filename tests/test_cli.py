@@ -124,6 +124,39 @@ def test_oversized_degrees_and_orders_exit_2_before_any_work(capsys, monkeypatch
         (0, f"phi^1 = {k}", "")
 
 
+def test_one_variable_field_degree_above_its_bound_exits_2_before_any_work(capsys, monkeypatch,
+                                                                          tmp_path):
+    from treehopf import butcher, cli
+
+    # A one-variable field is a dense jet: `butcher --tree` bounds its degree
+    # times the square of the tree's vertex count.
+    bound = cli.MAX_TREE_JET_ENTRIES
+    assert bound >= 2 ** 16
+    field = tmp_path / "field.txt"
+    fan10 = "[" + "[]" * 9 + "]"
+
+    def must_not_run(*args):
+        raise AssertionError("the work started before the size was checked")
+
+    monkeypatch.setattr(butcher, "elementary_differential", must_not_run)
+    for degree, tree, sizes in ((bound // 4 + 1, "[[]]", 4), (10 ** 10, "[[]]", 4),
+                                (bound // 16 + 1, "[[[[]]]]", 16), (bound // 100 + 1, fan10, 100)):
+        field.write_text(f"f1 = x1 - x1^{degree}\n")
+        code, out, err = run_cli(capsys, "butcher", "--field", str(field), "--tree", tree)
+        assert (code, out) == (2, ""), (degree, tree)
+        assert err == ("error: --tree: field degree * vertices ** 2 must be "
+                       f"<= {bound}, got {degree * sizes}\n"), (degree, tree)
+    # At the bound the guard lets the request through; a field in two
+    # variables is sparse, and its degree is not bounded.
+    monkeypatch.setattr(butcher, "elementary_differential",
+                        lambda t, f: [max(c.total_degree() for c in f.components)])
+    for text, tree, degree in ((f"f1 = x1^{bound // 100}\n", fan10, bound // 100),
+                               ("f1 = x2^10000000000\nf2 = x1\n", "[[]]", 10 ** 10)):
+        field.write_text(text)
+        assert run_cli(capsys, "butcher", "--field", str(field), "--tree", tree) == \
+            (0, f"phi^1 = {degree}", "")
+
+
 def test_fan_generators_above_the_degree_exit_2_before_any_fan_is_built(capsys, monkeypatch):
     from treehopf import growth
 
@@ -366,7 +399,7 @@ def test_verify_cm_below_its_least_order_exits_2_naming_it():
 def test_cm_least_order_is_the_first_order_that_runs(monkeypatch):
     from treehopf import TruncationError, verify
 
-    least = {d: verify._cm_least_order(d, 1) for d in (1, 2, 3, 4)}
+    least = {d: verify._cm_least_order(d, 1) for d in range(1, 10)}
     assert verify._cm_least_order(4, 0) == 2
     monkeypatch.setattr(verify, "_cm_least_order", lambda max_degree, trials: 2)
     for degree, order in least.items():

@@ -14,10 +14,10 @@ derivatives.
 import random
 from fractions import Fraction
 
-from oracles import reference_contract, reference_phi_vec
+from oracles import reference_contract, reference_phi_vec, reference_pushforward_rhs
 from treehopf import FrameFunction, MultiSeries, TruncationError, enumerate_trees
 from treehopf.butcher import _contract, _phi_vec
-from treehopf.frame import frame_field
+from treehopf.frame import frame_field, pushforward_rhs, random_diffeo, random_frame_function
 
 ORDERS = (None, 3, 5, 8)
 TREES = [t for n in range(1, 7) for t in enumerate_trees(n)]
@@ -140,3 +140,25 @@ def test_series_contractions_match_the_per_tuple_reference():
 def test_a_contraction_without_children_is_the_target():
     h = FrameFunction({1: MultiSeries(1, {(2,): 3}, 4)})
     assert _contract([], h, 2) is h is reference_contract([], h, 2)
+
+
+def test_pushforward_rhs_matches_the_per_tuple_reference():
+    # pushforward_rhs runs the contraction with the lift as its map on the
+    # full-length partials; the reference lifts every index tuple's
+    # derivative of h.  Each side gets its own psi, Gamma and h, rebuilt
+    # from one seed, so neither reads what the other kept.  The fan with
+    # four children takes a derivative tuple of length 4.
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
+
+    def inputs(seed, order):
+        rng = random.Random(seed)
+        return (random_diffeo(rng, order), MultiSeries(1, {(1,): 1, (2,): Fraction(-1, 2)}, order),
+                random_frame_function(rng, order))
+
+    for order in (6, 8):
+        for seed in (0, 1):
+            mine, theirs = inputs(seed, order), inputs(seed, order)
+            for t in trees:
+                got = outcome(lambda: pushforward_rhs(t, *mine[:2], mine[2]))
+                want = outcome(lambda: reference_pushforward_rhs(t, *theirs[:2], theirs[2]))
+                assert_same_error_or(got, want, same_grid)

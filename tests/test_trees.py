@@ -263,6 +263,34 @@ def test_forests_are_interned():
     assert Forest() is EMPTY_FOREST
 
 
+def test_post_init_runs_once_per_new_shape_when_patched_on_the_class(monkeypatch):
+    # The benchmark's `built` counters wrap `__post_init__` on each class;
+    # the one intern routine must run the wrapper once per new shape and
+    # never on a lookup.  The shape below is built by no other test: a root
+    # over a 31-vertex ladder, a 29-vertex fan and a single vertex.
+    children = (ladder(31), fan(29), LEAF)
+    built = []
+
+    def count(cls):
+        post_init = cls.__post_init__
+
+        def counted(self):
+            built.append(cls)
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    count(RootedTree)
+    count(Forest)
+    tree = RootedTree(children)
+    forest = Forest(children)
+    assert built == [RootedTree, Forest]
+    assert tree.children == forest.trees == children and tree.vertex_count == 62
+    for order in ((LEAF, fan(29), ladder(31)), (fan(29), LEAF, ladder(31))):
+        assert RootedTree(order) is tree and Forest(order) is forest
+    assert forest.b_plus is tree and b_minus(tree) is forest and tree.forest.trees == (tree,)
+    assert built == [RootedTree, Forest, Forest]    # only the one-tree forest is new
+
+
 def test_copy_and_pickle_return_the_interned_instance():
     t = parse_tree("[[[]][][[][]]]")
     f = Forest((t, LEAF, t))
