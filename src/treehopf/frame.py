@@ -36,6 +36,9 @@ delta_t for trees and forests t, and phi_s of its function for trees s,
 keyed on the operator, the tree, Gamma and Gamma's truncation order, so a
 relation that applies X_t to the same monomial again reads the first
 result.  As operators X_t = phi_{B+(t)}, so X_t reads the same phi memo.
+A monomial also keeps its product with each right factor, so the
+coproduct sides of every tree share one product ab, one composed psi_ab
+and the symbols and operators kept on them.
 A curvature series Gamma keeps, per requested truncation order, the frame
 field and the memo of its phi(t), which every phi-operator on Gamma reads.
 The memos die with their objects; none is a process-wide cache.
@@ -406,8 +409,9 @@ class Monomial(_Immutable):
     """A crossed-product element f U*_psi.
 
     Immutable once built.  `_ops` memoizes Y of this monomial, X_t and
-    delta_t for trees and forests t, and phi_s(f) for single trees s (see
-    `_kept`); it is made on first use and dies with the monomial.
+    delta_t for trees and forests t, phi_s(f) for single trees s, and the
+    product with each right factor b, keyed on b (see `_kept`); it is made
+    on first use and dies with the monomial.
     """
 
     __slots__ = ("f", "psi", "_ops")
@@ -431,8 +435,13 @@ class Monomial(_Immutable):
 
 
 def monomial_product(a: Monomial, b: Monomial) -> Monomial:
-    """(f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi}."""
-    return Monomial(a.f * lift_apply(a.psi, b.f), b.psi.compose(a.psi))
+    """(f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi}, kept on a per b.
+
+    A monomial hashes by identity, so b is the key and the product, with
+    its composed diffeomorphism and the memos on both, dies with a.
+    """
+    return _kept(a, (monomial_product, b),
+                 lambda: Monomial(a.f * lift_apply(a.psi, b.f), b.psi.compose(a.psi)))
 
 
 def _kept(obj, key, compute):
@@ -639,11 +648,12 @@ def delta_coproduct_sides(x: LinComb, a: Monomial, b: Monomial,
     delta_P is multiplication by gamma_P and the lift L = lift(psi_a) is a
     ring homomorphism, so the right side, sum over c (P | R) of
     c (delta_P(a) delta_R(b)).f, is a.f L(b.f) sum_P gamma_P(psi_a)
-    L(sum_R c gamma_R(psi_b)).
+    L(sum_R c gamma_R(psi_b)), where a.f L(b.f) is the kept product ab.
     """
-    lhs = delta_t_apply(x, monomial_product(a, b), Gamma).f
+    ab = monomial_product(a, b)
+    lhs = delta_t_apply(x, ab, Gamma).f
     cuts = _cut_sum(x, a.psi, lambda fr: _gamma_forest(fr, b.psi, Gamma), Gamma)
-    return lhs, a.f * lift_apply(a.psi, b.f) * cuts
+    return lhs, ab.f * cuts
 
 
 def check_delta_coproduct_lincomb(x: LinComb, a: Monomial, b: Monomial,

@@ -15,15 +15,16 @@ by term, compose by summing successive powers, and invert by repeated
 composition.  The sparse oracles add, scale, differentiate, compare and
 multiply series in any number of variables as dicts of Fractions, term
 by term.  Frame functions keep one series per power of y, and are
-compared by a walk over those series.  The
-coproduct sides of the frame model take one monomial product per
-coproduct term or cut.  The grafting contraction differentiates the
-target afresh for every index tuple, and the growth lemma takes the flow
-derivative of phi(t) through it; the pushforward product formula also
-differentiates and lifts its target, and builds every branch operator,
-afresh for each index tuple in (0, 1)^m.  The text parsers are kept as they
-were before they shared one scanner, and the six value classes of `trees`
-and `growth` as the dataclasses they were, each name prefixed `Dataclass`.
+compared by a walk over those series.  The monomial product is built
+afresh on every call, and the coproduct sides of the frame model take one
+such product per coproduct term or cut.  The grafting contraction
+differentiates the target afresh for every index tuple, and the growth
+lemma takes the flow derivative of phi(t) through it; the pushforward
+product formula also differentiates and lifts its target, and builds every
+branch operator, afresh for each index tuple in (0, 1)^m.  The text
+parsers are kept as they were before they shared one scanner, and the six
+value classes of `trees` and `growth` as the dataclasses they were, each
+name prefixed `Dataclass`.
 """
 
 from __future__ import annotations
@@ -578,34 +579,43 @@ def reference_first_mismatch(a, b):
     return None
 
 
-# The coproduct sides of the frame model, one monomial product per
-# coproduct term and per admissible cut.
+# The monomial product built afresh on every call, as it was before a
+# monomial kept its product with each right factor, and the coproduct sides
+# of the frame model, one such product per coproduct term and per
+# admissible cut.
+
+def reference_monomial_product(a, b):
+    """(f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi}, a new monomial per call."""
+    from treehopf.frame import Monomial, lift_apply
+
+    return Monomial(a.f * lift_apply(a.psi, b.f), b.psi.compose(a.psi))
+
 
 def delta_coproduct_sides_per_term(x, a, b, Gamma):
-    from treehopf.frame import FrameFunction, delta_t_apply, monomial_product
+    from treehopf.frame import FrameFunction, delta_t_apply
     from treehopf.hopf import coproduct
 
-    ab = monomial_product(a, b)
+    ab = reference_monomial_product(a, b)
     lhs = delta_t_apply(x, ab, Gamma).f
     rhs = FrameFunction.zero()
     for (fl, fr), c in coproduct(x).terms.items():
         da = delta_t_apply(fl, a, Gamma)
         db = delta_t_apply(fr, b, Gamma)
-        rhs = rhs + monomial_product(da, db).f.scale(c)
+        rhs = rhs + reference_monomial_product(da, db).f.scale(c)
     return lhs, rhs
 
 
 def X_coproduct_sides_per_term(t, a, b, Gamma):
-    from treehopf.frame import X_t_apply, delta_t_apply, monomial_product
+    from treehopf.frame import X_t_apply, delta_t_apply
     from treehopf.trees import admissible_cuts
 
-    ab = monomial_product(a, b)
+    ab = reference_monomial_product(a, b)
     lhs = X_t_apply(t, ab, Gamma).f
-    rhs = monomial_product(X_t_apply(t, a, Gamma), b).f
+    rhs = reference_monomial_product(X_t_apply(t, a, Gamma), b).f
     for _cut, pruned, root in admissible_cuts(t):
         da = delta_t_apply(pruned, a, Gamma)
         xb = X_t_apply(root, b, Gamma)
-        rhs = rhs + monomial_product(da, xb).f
+        rhs = rhs + reference_monomial_product(da, xb).f
     return lhs, rhs
 
 

@@ -146,15 +146,54 @@ def test_one_variable_field_degree_above_its_bound_exits_2_before_any_work(capsy
         assert (code, out) == (2, ""), (degree, tree)
         assert err == ("error: --tree: field degree * vertices ** 2 must be "
                        f"<= {bound}, got {degree * sizes}\n"), (degree, tree)
-    # At the bound the guard lets the request through; a field in two
-    # variables is sparse, and its degree is not bounded.
+    # At the bound the guard lets the request through.
     monkeypatch.setattr(butcher, "elementary_differential",
                         lambda t, f: [max(c.total_degree() for c in f.components)])
-    for text, tree, degree in ((f"f1 = x1^{bound // 100}\n", fan10, bound // 100),
-                               ("f1 = x2^10000000000\nf2 = x1\n", "[[]]", 10 ** 10)):
+    field.write_text(f"f1 = x1^{bound // 100}\n")
+    assert run_cli(capsys, "butcher", "--field", str(field), "--tree", fan10) == \
+        (0, f"phi^1 = {bound // 100}", "")
+
+
+def test_several_variable_field_above_its_term_bound_exits_2_before_any_work(capsys, monkeypatch,
+                                                                             tmp_path):
+    from math import comb
+
+    from treehopf import butcher, cli
+
+    # In several variables phi(s) has at most C(D + nvars, nvars) terms,
+    # D = 1 + |s| (degree - 1); `butcher --tree` bounds that at |s| = |t|,
+    # times the |t| subtrees s it keeps.
+    bound = cli.MAX_TREE_TERMS
+    field = tmp_path / "field.txt"
+    quadratic = "f1 = x2 + 1/2 x1^2\nf2 = -x1 + x1 x2 - 1/3 x2^2\n"
+    cubic = "f1 = x2 x3 + x1^3\nf2 = x3^3 - x1 x2\nf3 = x1^2 x2 + 1/2 x3\n"
+    ladder = lambda n: "[" * n + "]" * n
+    terms = lambda n, degree, nvars: n * comb(1 + n * max(degree - 1, 0) + nvars, nvars)
+    least = lambda degree, nvars: next(n for n in range(1, bound) if terms(n, degree, nvars) > bound)
+    n2, n3 = least(2, 2), least(3, 3)
+    assert n2 > 80    # an 80-vertex ladder on the quadratic field runs in about 1 s
+
+    def must_not_run(*args):
+        raise AssertionError("the work started before the size was checked")
+
+    monkeypatch.setattr(butcher, "elementary_differential", must_not_run)
+    for text, tree, size in ((quadratic, ladder(n2), terms(n2, 2, 2)),
+                             (quadratic, ladder(450), terms(450, 2, 2)),
+                             (cubic, ladder(n3), terms(n3, 3, 3)),
+                             ("f1 = x2^10000000000\nf2 = x1\n", "[[]]", terms(2, 10 ** 10, 2))):
+        field.write_text(text)
+        code, out, err = run_cli(capsys, "butcher", "--field", str(field), "--tree", tree)
+        assert (code, out) == (2, ""), (text, len(tree))
+        assert err == ("error: --tree: vertices * C(1 + vertices * (degree - 1) + nvars, nvars) "
+                       f"must be <= {bound}, got {size}\n"), (text, len(tree))
+    # At the bound the guard lets the request through; a constant field
+    # keeps one term per subtree.
+    monkeypatch.setattr(butcher, "elementary_differential", lambda t, f: [t.vertex_count])
+    for text, tree in ((quadratic, ladder(n2 - 1)), (cubic, ladder(n3 - 1)),
+                       ("f1 = 1\nf2 = 2\n", ladder(400))):
         field.write_text(text)
         assert run_cli(capsys, "butcher", "--field", str(field), "--tree", tree) == \
-            (0, f"phi^1 = {degree}", "")
+            (0, f"phi^1 = {len(tree) // 2}", "")
 
 
 def test_fan_generators_above_the_degree_exit_2_before_any_fan_is_built(capsys, monkeypatch):

@@ -8,7 +8,9 @@ store the least common denominator: the lcm of the denominators of its
 reduced coefficients.  `first_mismatch` must find what the walk over
 `coeffs` in `oracles.py` finds.  The coproduct sides of the frame model,
 summed over the grouped coproduct, must agree with one monomial product
-per coproduct term or cut.
+per coproduct term or cut.  A monomial keeps its product with each right
+factor; that product, and the sides that read it, must have the grids of
+the product built afresh.
 """
 
 import random
@@ -23,6 +25,7 @@ from oracles import (
     X_coproduct_sides_per_term,
     delta_coproduct_sides_per_term,
     reference_first_mismatch,
+    reference_monomial_product,
     series_lift_apply,
 )
 from treehopf import (
@@ -35,6 +38,7 @@ from treehopf import (
     delta_k,
     enumerate_trees,
     lift_apply,
+    monomial_product,
 )
 from treehopf.frame import (
     X_coproduct_sides,
@@ -371,3 +375,67 @@ def test_grouped_sides_match_one_product_per_term(Gamma):
         for k in range(1, 5):
             agree(delta_coproduct_sides(delta_k(k), *pair(), Gamma),
                   delta_coproduct_sides_per_term(delta_k(k), *pair(), Gamma))
+
+
+# -- one monomial product per pair -----------------------------------------------
+
+def grid(f):
+    return f._rows, f._den
+
+
+def psi_grid(psi):
+    return psi.trunc, psi.series._jet()
+
+
+@pytest.mark.parametrize("order", (6, 8))
+def test_a_monomial_keeps_one_product_per_right_factor(order):
+    for seed in range(4):
+        rng = random.Random(seed)
+        a = Monomial(random_frame_function(rng, order), random_diffeo(rng, order))
+        b = Monomial(random_frame_function(rng, order), random_diffeo(rng, order))
+        ab = monomial_product(a, b)
+        assert monomial_product(a, b) is ab
+        want = reference_monomial_product(a, b)
+        assert grid(ab.f) == grid(want.f) and psi_grid(ab.psi) == psi_grid(want.psi)
+        # the key is the right factor itself: an equal copy of b has a product of its own
+        copy = Monomial(b.f, b.psi)
+        assert monomial_product(a, copy) is not ab
+        assert grid(monomial_product(a, copy).f) == grid(ab.f)
+        assert monomial_product(b, a) is not ab
+
+
+@pytest.mark.parametrize("Gamma", GAMMAS, ids=("x", "1/2-x^2"))
+def test_sides_from_the_kept_product_match_the_reference_product(Gamma, monkeypatch):
+    from treehopf import frame
+
+    trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    relations = [(delta_coproduct_sides, LinComb.of(t)) for t in trees]
+    relations += [(X_coproduct_sides, t) for t in trees]
+    relations += [(delta_coproduct_sides, delta_k(k)) for k in range(1, 5)]
+    for psi, eta, fa, fb in instances():
+        # One warm pair for every relation, as the cm suite has per trial, and
+        # a fresh pair per relation for the sides built on the reference product.
+        a, b = Monomial(fa, psi), Monomial(fb, eta)
+        got = [sides(x, a, b, Gamma) for sides, x in relations]
+        ab = monomial_product(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(frame, "monomial_product", reference_monomial_product)
+            want = [sides(x, Monomial(fa, psi), Monomial(fb, eta), Gamma) for sides, x in relations]
+        for (sides, x), g, w in zip(relations, got, want):
+            assert [grid(h) for h in g] == [grid(h) for h in w], (sides.__name__, str(x))
+        assert monomial_product(a, b) is ab
+
+
+def test_the_cm_suite_composes_as_often_at_every_degree(monkeypatch):
+    from treehopf import frame, verify
+
+    calls = []
+    compose = frame.FormalDiffeo.compose
+    monkeypatch.setattr(frame.FormalDiffeo, "compose",
+                        lambda psi, inner: calls.append(psi) or compose(psi, inner))
+    counts = []
+    for degree in (2, 3, 4):
+        calls.clear()
+        verify.verify_cm(degree, order=8, trials=4)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
