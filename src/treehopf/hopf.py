@@ -9,18 +9,22 @@ element prints.  Coefficients are exact: an `int` when whole and a
 `Fraction` otherwise.  The coproduct of a tree, the sum over its
 admissible cuts, is built from the 1-cocycle identity
 Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), children before parents,
-with a per-shape memo; the antipode uses the recursive proper-cut formula
-over the grouped terms of that coproduct, with a per-tree memo; on a
-forest both are the product over its trees, `_over_trees`, which `frame`
-runs for gamma_F too; and natural growth N_t grafts a copy of t onto every
-vertex of its argument, with N_t(s) kept once per pair (t, s) of interned
-trees.  The three memos are keyed by interned trees, which live as long as
-the process, so none needs a bound; `antipode` and `coproduct` hand out a
-copy of a memoised element, never its terms.  The structural maps live on
-the interned objects themselves (see `trees`): the loops read a tree's
-one-tree forest `t.forest`, a forest's B+ tree `f.b_plus`, and, in both
-`__mul__` loops and the antipode, the left factor's product table, instead
-of rebuilding any of them.
+with a per-shape memo; on a forest it is the product over its trees,
+`_over_trees`, which `frame` runs for gamma_F too.  The antipode reads the
+grouped terms c (P | R) of that coproduct and recurses on the pruned part,
+S(t) = -t - sum of c S(P) R over the proper cuts, the form Connes and
+Kreimer give; S(t) is kept once per tree and S(F), the product over its
+trees, once per forest that is not one tree, so the pruned forests that
+many cuts share are multiplied out once.  Natural growth N_t grafts a copy
+of t onto every vertex of its argument, with N_t(s) kept once per pair
+(t, s) of interned trees.  The four memos are keyed by interned trees and
+forests, which live as long as the process, so none needs a bound;
+`antipode` and `coproduct` hand out a copy of a memoised element, never
+its terms.  The structural maps live on the interned objects themselves
+(see `trees`): the loops read a tree's one-tree forest `t.forest`, a
+forest's B+ tree `f.b_plus`, and the product table of the left factor in
+both `__mul__` loops and of the one-tree root part R in the antipode,
+instead of rebuilding any of them.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort on the forests' serializations.
 
@@ -307,10 +311,11 @@ def counit(x: LinComb) -> int | Fraction:
 
 
 _antipode_memo: dict[RootedTree, LinComb] = {}
+_antipode_forest_memo: dict[Forest, LinComb] = {}
 
 
 def _antipode_tree(t: RootedTree) -> LinComb:
-    """S(t) = -t - sum of c P S(R) over the proper-cut terms c (P | R) of Delta(t)."""
+    """S(t) = -t - sum of c S(P) R over the proper-cut terms c (P | R) of Delta(t)."""
     cached = _antipode_memo.get(t)
     if cached is not None:
         return cached
@@ -318,21 +323,27 @@ def _antipode_tree(t: RootedTree) -> LinComb:
     for (pruned, root_part), c in _coproduct_tree(t).terms.items():
         if not (pruned.trees and root_part.trees):
             continue
-        # The product table of pruned, read here without a call per term.
-        products = pruned._products
-        for f, d in _antipode_tree(root_part.trees[0]).terms.items():
-            _acc(out, products.get(f) or pruned * f, -c * d)
+        # The product table of the one-tree root part, read here without a
+        # call per term.
+        products = root_part._products
+        for f, d in _antipode_forest(pruned).terms.items():
+            _acc(out, products.get(f) or root_part * f, -c * d)
     res = _antipode_memo[t] = LinComb._raw(out)
     return res
 
 
 def _antipode_forest(f: Forest) -> LinComb:
-    """S(f); for a one-tree forest, the memo's own element."""
-    return _over_trees(f, _antipode_tree, LinComb.unit)
+    """S(f), the memo's own element: kept per tree, and per forest that is not one tree."""
+    if len(f.trees) == 1:
+        return _antipode_tree(f.trees[0])
+    cached = _antipode_forest_memo.get(f)
+    if cached is None:
+        cached = _antipode_forest_memo[f] = _over_trees(f, _antipode_tree, LinComb.unit)
+    return cached
 
 
 def antipode(x: LinComb | Forest | RootedTree) -> LinComb:
-    """Antipode: S(t) = -t - sum over proper cuts of P_c(t) S(R_c(t))."""
+    """Antipode: S(t) = -t - sum over proper cuts of S(P_c(t)) R_c(t)."""
     # A fresh element, or `linear`'s fresh dict: the memo's own terms never
     # leave this module.
     if isinstance(x, (RootedTree, Forest)):

@@ -10,8 +10,8 @@ structural maps the Hopf layer asks of it, each filled on first use: a
 tree keeps its one-tree forest (`forest`), and a forest keeps its B+
 tree (`b_plus`) and its own product table, keyed by the other factor, so
 a repeated product neither concatenates nor sorts; the Hopf layer's
-`__mul__` loops and antipode read that table directly and call `*` only
-on a miss.
+`__mul__` loops read the left factor's table directly, and the antipode
+that of each one-tree root part, and call `*` only on a miss.
 Equality and hashing are object identity, which is sound because no two
 instances share a shape; hash order is therefore address order and
 never reaches output.  Every order that does is the sort key (vertex
@@ -206,7 +206,13 @@ class RootedTree(_Interned):
         return len(self.children)
 
     def max_fertility(self) -> int:
-        return max([self.fertility] + [c.max_fertility() for c in self.children])
+        """The most children of any vertex, from an explicit stack, so depth costs no recursion."""
+        best, stack = 0, [self]
+        while stack:
+            kids = stack.pop().children
+            best = max(best, len(kids))
+            stack.extend(kids)
+        return best
 
     def __lt__(self, other: "RootedTree") -> bool:
         return self._key < other._key
@@ -226,7 +232,8 @@ class Forest(_Interned):
     The forest keeps its B+ tree, `b_plus`, built on first read, and its
     own product table, `_products`, which maps each other factor to the
     product and is filled by `*`.  The `__mul__` loops of `LinComb` and
-    `Tensor2` and the antipode read the table directly.
+    `Tensor2` read the left factor's table directly, and the antipode that
+    of the one-tree root part of each cut.
     """
 
     __slots__ = ("trees", "degree", "serial", "_key", "_products", "_b_plus")

@@ -179,6 +179,7 @@ def test_several_variable_field_above_its_term_bound_exits_2_before_any_work(cap
     monkeypatch.setattr(butcher, "elementary_differential", must_not_run)
     for text, tree, size in ((quadratic, ladder(n2), terms(n2, 2, 2)),
                              (quadratic, ladder(450), terms(450, 2, 2)),
+                             (quadratic, ladder(500), terms(500, 2, 2)),
                              (cubic, ladder(n3), terms(n3, 3, 3)),
                              ("f1 = x2^10000000000\nf2 = x1\n", "[[]]", terms(2, 10 ** 10, 2))):
         field.write_text(text)

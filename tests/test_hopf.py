@@ -263,6 +263,22 @@ def test_antipode_and_coproduct_never_hand_out_a_memo():
         assert hopf_module._antipode_memo[t] == total_cut_antipode(t), t.serial
 
 
+def test_clearing_a_forest_antipode_leaves_its_memo_and_the_trees_that_prune_it():
+    f = Forest((L2, CHERRY, LEAF))
+    want = LinComb.unit()
+    for t in f.trees:
+        want = LinComb._raw(reference_lincomb_product(want, total_cut_antipode(t)))
+    antipode(f).terms.clear()
+    assert hopf_module._antipode_forest_memo[f] == want
+    # Cutting the root edges above L2, CHERRY and LEAF prunes f.  Dropped from
+    # the tree memo first, S(host) is rebuilt here and reads S(f).
+    host = b_plus(Forest((L2, CHERRY, LEAF, LADDER3)))
+    assert (f, b_plus(Forest((LADDER3,))).forest) in brute_force_coproduct_tree(host).terms
+    hopf_module._antipode_memo.pop(host, None)
+    assert antipode(host) == total_cut_antipode(host)
+    assert hopf_module._antipode_forest_memo[f] == want == antipode(f)
+
+
 def test_antipode_of_a_forest_is_the_product_over_its_trees():
     rng = random.Random(27)
     forests = [f for d in range(9) for f in enumerate_forests(d)]
@@ -477,26 +493,60 @@ def test_antipode_matches_total_cut_oracle():
             assert antipode(t) == total_cut_antipode(t), t.serial
 
 
-# Renders Delta and S of every tree with n <= 7, then N_t(s) for every pair
-# with |t| + |s| <= 7, in sorted order, after computing all of them in the
-# order given by argv[1]: "sorted" or a shuffle seed.
+# Bushy trees of 10 to 13 vertices, where S(t) recurses on pruned forests of
+# several trees: the root of ladders 1..4, B+ of four cherries, and others.
+_BUSHY = [
+    b_plus(Forest(tuple(parse_tree("[" * k + "]" * k) for k in range(1, 5)))),
+    b_plus(Forest((CHERRY,) * 4)),
+    b_plus(Forest((LEAF,) * 9)),
+    b_plus(Forest((CHERRY, CHERRY, PAPER_T))),
+    b_plus(Forest((PAPER_T, PAPER_T, L2, LEAF))),
+    b_plus(Forest((b_plus(Forest((CHERRY, CHERRY))), LADDER3, LEAF))),
+    b_plus(Forest((L2, L2, CHERRY, LEAF, LEAF))),
+]
+
+
+def test_antipode_matches_total_cut_oracle_and_both_identities_on_bushy_trees():
+    assert sorted(t.vertex_count for t in _BUSHY) == [10, 10, 11, 11, 12, 12, 13]
+    for t in _BUSHY:
+        assert antipode(t) == total_cut_antipode(t), t.serial
+        d = coproduct(t)
+        assert not LinComb.linear(d, lambda p: antipode(p[0]) * LinComb.of(p[1])), t.serial
+        assert not LinComb.linear(d, lambda p: LinComb.of(p[0]) * antipode(p[1])), t.serial
+
+
+# Renders Delta and S of every tree with n <= 7, S of every forest of two or
+# more trees with degree <= 7, then N_t(s) for every pair with
+# |t| + |s| <= 7, in sorted order, after computing all of them in the order
+# given by argv[1]: "sorted" (the forests before their trees), "forests-last"
+# or a shuffle seed.
 _RENDER_ALL = """
 import random, sys
-from treehopf import antipode, coproduct, enumerate_trees, natural_growth
+from treehopf import Forest, antipode, coproduct, enumerate_forests, enumerate_trees, natural_growth
 trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
-jobs = [(t,) for t in trees]
+forests = [(f,) for d in range(2, 8) for f in enumerate_forests(d) if len(f.trees) > 1]
+jobs = forests + [(t,) for t in trees]
 jobs += [(t, s) for t in trees for s in trees if t.vertex_count + s.vertex_count <= 7]
 order = list(jobs)
-if sys.argv[1] != "sorted":
+if sys.argv[1] == "forests-last":
+    order = order[len(forests):] + order[:len(forests)]
+elif sys.argv[1] != "sorted":
     random.Random(int(sys.argv[1])).shuffle(order)
 got = {}
 for job in order:
-    got[job] = (coproduct(job[0]), antipode(job[0])) if len(job) == 1 else natural_growth(*job)
-for job in jobs:
-    if len(job) == 1:
-        print(job[0].serial, got[job][0], "|", got[job][1])
+    if len(job) == 2:
+        got[job] = natural_growth(*job)
+    elif isinstance(job[0], Forest):
+        got[job] = antipode(job[0])
     else:
+        got[job] = (coproduct(job[0]), antipode(job[0]))
+for job in jobs:
+    if len(job) == 2:
         print(job[0].serial, job[1].serial, got[job])
+    elif isinstance(job[0], Forest):
+        print(job[0].serial, got[job])
+    else:
+        print(job[0].serial, got[job][0], "|", got[job][1])
 """
 
 
@@ -504,13 +554,15 @@ def test_results_do_not_depend_on_call_order_or_hash_seed():
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     texts = []
-    for order, hash_seed in (("sorted", "0"), ("sorted", "1"), ("5", "0"), ("5", "1")):
+    for order, hash_seed in (("sorted", "0"), ("sorted", "1"), ("forests-last", "0"), ("5", "0"),
+                             ("5", "1")):
         env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run([sys.executable, "-c", _RENDER_ALL, order], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
         texts.append(proc.stdout)
-    # 85 trees, and 124 pairs (t, s) with |t| + |s| <= 7
-    assert texts[0].count("\n") == 1 + 1 + 2 + 4 + 9 + 20 + 48 + 124
+    # 114 forests of two or more trees, 85 trees, and 124 pairs (t, s) with
+    # |t| + |s| <= 7
+    assert texts[0].count("\n") == 1 + 2 + 5 + 11 + 28 + 67 + 1 + 1 + 2 + 4 + 9 + 20 + 48 + 124
     assert all(text == texts[0] for text in texts)
 
 

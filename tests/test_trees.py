@@ -314,6 +314,33 @@ def test_each_tree_keeps_its_one_tree_forest():
             assert t.forest.serial == t.serial and t.forest.degree == t.vertex_count
 
 
+def test_max_fertility_counts_the_most_children_at_any_depth():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            assert t.max_fertility() == _most_children_in_serial(t.serial), t.serial
+    # Far deeper than the recursion limit: a fan of 4 under 5000 vertices of
+    # ladder, so the widest vertex is at the bottom.
+    t = fan(5)
+    for _ in range(5000):
+        t = RootedTree((t,))
+    assert t.max_fertility() == 4
+    assert RootedTree((t, LEAF)).max_fertility() == 4
+    assert RootedTree((t, LEAF, LEAF, LEAF, LEAF)).max_fertility() == 5
+
+
+def _most_children_in_serial(serial):
+    """The most children of any vertex, counted on the brackets of a serialization."""
+    counts, best = [], 0
+    for ch in serial:
+        if ch == "[":
+            if counts:
+                counts[-1] += 1
+            counts.append(0)
+        else:
+            best = max(best, counts.pop())
+    return best
+
+
 def test_each_forest_keeps_its_b_plus_tree():
     for f in FORESTS_TO_6:
         grafted = b_plus(f)
