@@ -154,6 +154,38 @@ def test_one_variable_field_degree_above_its_bound_exits_2_before_any_work(capsy
         (0, f"phi^1 = {bound // 100}", "")
 
 
+def test_one_variable_field_terms_above_their_bound_exit_2_before_any_work(capsys, monkeypatch,
+                                                                         tmp_path):
+    from treehopf import butcher, cli
+
+    # Each jet product runs over the nonzero terms of one factor: `butcher
+    # --tree` also bounds the field's term count times its degree times the
+    # square of the tree's vertex count.
+    bound = cli.MAX_TREE_JET_WORK
+    degree = cli.MAX_TREE_JET_ENTRIES // 4     # at the degree bound on `[[]]`
+    assert bound >= 16 * cli.MAX_TREE_JET_ENTRIES
+    field = tmp_path / "field.txt"
+    poly = lambda terms: " + ".join(f"x1^{degree * j // terms}" for j in range(1, terms + 1))
+    least = bound // (degree * 4) + 1
+
+    def must_not_run(*args):
+        raise AssertionError("the work started before the size was checked")
+
+    monkeypatch.setattr(butcher, "elementary_differential", must_not_run)
+    for terms in (least, 60):
+        field.write_text(f"f1 = {poly(terms)}\n")
+        code, out, err = run_cli(capsys, "butcher", "--field", str(field), "--tree", "[[]]")
+        assert (code, out) == (2, ""), terms
+        assert err == ("error: --tree: field terms * degree * vertices ** 2 must be "
+                       f"<= {bound}, got {terms * degree * 4}\n"), terms
+    # At the bound the guard lets the request through.
+    monkeypatch.setattr(butcher, "elementary_differential",
+                        lambda t, f: [len(f.components[0].terms)])
+    field.write_text(f"f1 = {poly(least - 1)}\n")
+    assert run_cli(capsys, "butcher", "--field", str(field), "--tree", "[[]]") == \
+        (0, f"phi^1 = {least - 1}", "")
+
+
 def test_several_variable_field_above_its_term_bound_exits_2_before_any_work(capsys, monkeypatch,
                                                                              tmp_path):
     from math import comb
@@ -258,8 +290,13 @@ def test_json_round_trip(capsys):
     # `²` passes `str.isdigit`, but `int` rejects it.
     (["butcher", "--field", "FIELD_NAME", "--tree", "[]"],
      "component must be named f1..fn at position 0: 'f² = x1'"),
+    (["subalgebra", "--gens", "fan:x", "--max-degree", "3"],
+     "expected a fan size at position 4: 'fan:x'"),
+    # `int` would read `1_0` as 10.
+    (["subalgebra", "--gens", "fan:1_0", "--max-degree", "10"],
+     "trailing input after fan size at position 5: 'fan:1_0'"),
 ], ids=["tree", "lincomb", "lincomb-coefficient", "polynomial", "polynomial-exponent",
-     "vector-field", "vector-field-name"])
+     "vector-field", "vector-field-name", "fan-size", "fan-size-trailing"])
 def test_parse_error_exit_code(capsys, tmp_path, argv, message):
     fields = {"FIELD": "f1 = x2\nf2 = 1/0 x1\n", "FIELD_NAME": "f² = x1\n"}
     for name, text in fields.items():
@@ -351,12 +388,29 @@ def test_verify_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def run_module(*argv):
+def module_env():
+    """The environment in which `python -m treehopf` runs the checkout's source."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "treehopf", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=module_env(), timeout=120)
+
+
+def test_a_closed_stdout_exits_2_without_traceback():
+    # `trees --vertices 12` prints about 119 KB, more than a pipe holds, so
+    # its write meets the pipe its reader closed after one line.
+    proc = subprocess.Popen([sys.executable, "-m", "treehopf", "trees", "--vertices", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
+    assert proc.stdout.readline() == b"[[][][][][][][][][][][]]\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_over_deep_input_exits_2_without_traceback():

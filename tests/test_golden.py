@@ -15,6 +15,11 @@ frame digests above go through `str`, which drops each row's truncation
 order.  So delta_t from commutators and the two transfer right sides are
 pinned in the CLI's JSON form, which keeps every row's order; both digests
 were recorded before delta_from_commutators read `growth.decompose`.
+
+One digest pins the exit code, stdout and stderr of every subcommand, in
+text and in JSON.  It was recorded before the CLI's dispatch chain became
+one handler per subcommand.  `--help` is left out: its bytes vary with the
+Python version.
 """
 
 import hashlib
@@ -82,6 +87,31 @@ FAN3_DEGREE7 = "b9712382858aa098245814aac108003bd2d04c52e08f97a7b1b5d80a48234568
 CHERRY_DEGREE6 = "14bb9aedc43a27169acc7867b0ce8ad596313a2013e0043f78eeda22a459e80a"
 CHERRY_CLOSURE = "e86572fc88f11b1821563c70780fe01e4faa1acef4d78f3bf5cda1b1848cf434"
 
+# Each request runs as given and with --json; a field name stands for a file holding it.
+CLI_FIELDS = {"quadratic": "f1 = x2 + 1/2 x1^2\nf2 = -x1 + x1 x2 - 1/3 x2^2\n",
+              "linear": "f1 = 1 + x2\nf2 = x1\n", "cubic": "f1 = x1 - x1^3 + 1/2\n"}
+CLI_REQUESTS = [
+    ["trees", "--vertices", "5"],
+    ["coproduct", "2 [[][]] - 1/3 []*[[]] + 1"],
+    ["antipode", "[[[]]] + 3/2 []*[]"],
+    ["multiply", "1 + []", "[] - [[]]"],
+    ["grow", "--by", "[[]]", "[[][]] + 2 []*[]"],
+    ["delta-k", "5"],
+    ["decompose", "[[[]][]]"],
+    ["subalgebra", "--gens", "fan:2", "--max-degree", "4"],
+    ["subalgebra", "--gens", "fan:1", "--max-degree", "4", "--check-closure"],
+    ["subalgebra", "--gens", "[[][]]", "--max-degree", "4", "--check-closure"],
+    ["butcher", "--field", "quadratic", "--tree", "[[][]]"],
+    ["butcher", "--field", "cubic", "--tree", "[[[]]]"],
+    ["butcher", "--field", "linear", "--taylor", "5"],
+    ["butcher", "--field", "cubic", "--taylor", "4"],
+    ["cm", "gamma", "--psi", "x + 1/2 x^2", "--Gamma", "x", "--tree", "[[]]", "--order", "6"],
+    ["cm", "gamma", "--psi", "x + x^2", "--Gamma", "0", "--tree", "[[][]]", "--order", "5"],
+    ["verify", "--suite", "hopf", "--max-degree", "3"],
+    ["verify", "--suite", "cm", "--max-degree", "2", "--order", "6", "--trials", "1"],
+]
+CLI_BYTES = "fcef9842141affc5bc3d065a0592a801e0ccb6fb6e287aed4f5cd23bf2c99b0b"
+
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -100,6 +130,19 @@ def test_verify_all_report_is_unchanged():
     report = run_suites("all")
     assert sum(len(suite["results"]) for suite in report["suites"]) == 2007
     assert sha(json.dumps(report, sort_keys=True)) == VERIFY_ALL
+
+
+def test_every_subcommand_prints_the_same_bytes(capsys, tmp_path):
+    for name, text in CLI_FIELDS.items():
+        (tmp_path / name).write_text(text)
+    got = []
+    for argv in CLI_REQUESTS:
+        argv = [str(tmp_path / arg) if arg in CLI_FIELDS else arg for arg in argv]
+        for flags in ([], ["--json"]):
+            code = cli.run(flags + argv)
+            out = capsys.readouterr()
+            got.append([code, out.out, out.err])
+    assert sha(json.dumps(got)) == CLI_BYTES
 
 
 def test_verify_all_text_is_unchanged(capsys):

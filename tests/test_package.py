@@ -8,8 +8,9 @@ layer module writes its own `__all__` once, as one list, and every name
 in it is defined in that module.
 
 `import treehopf` and `import treehopf.cli` load only `trees` and `hopf`;
-a subcommand loads the other layers it uses.  Those checks run in a fresh
-interpreter, where no earlier test has imported the layers.
+a subcommand loads the other layers it uses, as the README's table lists
+them.  Those checks run in a fresh interpreter, where no earlier test has
+imported the layers.
 """
 
 import ast
@@ -194,9 +195,29 @@ def test_a_core_request_loads_no_lazy_layer_and_prints_the_same_bytes():
         '{"coeff": "1", "left": "[]*[]", "right": "[]"}]}\n')
 
 
-def test_cm_gamma_loads_frame_but_not_verify():
-    added, out = _loads("-m", "cm", "gamma", "--psi", "x + x^2", "--Gamma", "x",
-                        "--tree", "[[]]")
-    assert "treehopf.frame" in added
-    assert added & {"treehopf.verify", "random"} == set()
-    assert out.startswith("(")
+# The README's table of the layers each subcommand loads beyond `trees` and
+# `hopf`, row by row, with one request of each subcommand; FIELD stands for
+# a field file.
+README_ROWS = [
+    ({"trees": ["--vertices", "3"], "coproduct": ["[[]]"], "antipode": ["[[]]"],
+      "multiply": ["[]", "[[]]"], "grow": ["--by", "[]", "[[]]"], "delta-k": ["3"]}, set()),
+    ({"decompose": ["[[][]]"], "subalgebra": ["--gens", "fan:2", "--max-degree", "3"]},
+     {"growth", "linalg"}),
+    ({"butcher": ["--field", "FIELD", "--tree", "[[]]"]}, {"series", "butcher"}),
+    ({"cm gamma": ["--psi", "x + x^2", "--Gamma", "x", "--tree", "[[]]"]},
+     {"frame", "series", "butcher", "growth", "linalg"}),
+    ({"verify": ["--suite", "hopf", "--max-degree", "1"]}, set(LAZY_LAYERS) | {"random"}),
+]
+SUBCOMMANDS = [(name, args, layers) for row, layers in README_ROWS for name, args in row.items()]
+
+
+@pytest.mark.parametrize("name, args, layers", SUBCOMMANDS,
+                         ids=[name.replace(" ", "-") for name, _, _ in SUBCOMMANDS])
+def test_a_subcommand_loads_the_layers_of_its_readme_row(tmp_path, name, args, layers):
+    field = tmp_path / "field.txt"
+    field.write_text("f1 = x2 + 1/2 x1^2\nf2 = -x1 + x1 x2 - 1/3 x2^2\n")
+    argv = [*name.split(), *(str(field) if arg == "FIELD" else arg for arg in args)]
+    added, out = _loads("-m", *argv)
+    assert {"treehopf.cli", "treehopf.trees", "treehopf.hopf"} <= added
+    assert {module.removeprefix("treehopf.") for module in added & COLD} == layers
+    assert out
