@@ -39,6 +39,8 @@ result.  As operators X_t = phi_{B+(t)}, so X_t reads the same phi memo.
 A monomial also keeps its product with each right factor, so the
 coproduct sides of every tree share one product ab, one composed psi_ab
 and the symbols and operators kept on them.
+All three cut expansions (delta_t, X_t, phi_t transferred) run `_cut_sum`
+over Delta(t) grouped by left leg, skipping a group whose sum is zero.
 A curvature series Gamma keeps, per requested truncation order, the frame
 field and the memo of its phi(t), which every phi-operator on Gamma reads.
 The memos die with their objects; none is a process-wide cache.
@@ -55,7 +57,7 @@ from .growth import GrowthApply, GrowthExpr, GrowthLeaf, decompose
 from .hopf import LinComb, _over_trees, coproduct, delta_k, natural_growth
 from .series import (MultiSeries, TruncationError, _compose, _content, _conv, _min_trunc,
                      _over_lcm, _scaled_sum, _trim, parse_polynomial)
-from .trees import Forest, LEAF, RootedTree, _Immutable, admissible_cuts, b_plus
+from .trees import Forest, LEAF, RootedTree, _Immutable, b_plus
 
 __all__ = [
     "FrameFunction",
@@ -611,39 +613,27 @@ def first_mismatch(a: FrameFunction, b: FrameFunction):
     return None
 
 
-def check_delta_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: CurvatureFn) -> bool:
-    """delta_t(ab) = sum over admissible cuts of delta_{P_c}(a) delta_{R_c}(b).
-
-    delta over the empty forest acts as the identity.  Holds exactly for
-    trees with at most two vertices and for every element of the
-    delta_k-generated subalgebra; fails tree-by-tree from three vertices
-    on (see check_delta_coproduct_lincomb for the statement that holds).
-    """
-    return first_mismatch(*delta_coproduct_sides(LinComb.of(t), a, b, Gamma)) is None
-
-
-def _cut_sum(x: LinComb, psi: FormalDiffeo, right, Gamma: CurvatureFn,
-             proper: bool = False) -> FrameFunction:
+def _cut_sum(x, psi: FormalDiffeo, right, Gamma: CurvatureFn) -> FrameFunction:
     """sum_P gamma_P(psi) L(sum_R c right(R)) over the terms c (P | R) of Delta(x).
 
-    L is the lift of psi.  The terms are grouped by their left leg P, so
-    each group is lifted once; `proper` leaves out the terms with P = 1.
+    L is the lift of psi.  The terms of the memoised coproduct are grouped
+    by their left leg P, so each group is lifted once, and a group whose
+    inner sum is zero is not lifted at all.
     """
     groups: dict[Forest, FrameFunction] = {}
     for (fl, fr), c in coproduct(x).terms.items():
-        if proper and fl.is_empty():
-            continue
         term = right(fr).scale(c)
         groups[fl] = groups[fl] + term if fl in groups else term
     out = FrameFunction.zero()
     for fl, inner in groups.items():
-        out = out + _gamma_forest(fl, psi, Gamma) * lift_apply(psi, inner)
+        if not inner.is_zero():
+            out = out + _gamma_forest(fl, psi, Gamma) * lift_apply(psi, inner)
     return out
 
 
-def delta_coproduct_sides(x: LinComb, a: Monomial, b: Monomial,
+def delta_coproduct_sides(x, a: Monomial, b: Monomial,
                           Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
-    """Both sides of the delta coproduct identity, as function parts.
+    """Both sides of the delta coproduct identity for a tree, forest or combination x.
 
     delta_P is multiplication by gamma_P and the lift L = lift(psi_a) is a
     ring homomorphism, so the right side, sum over c (P | R) of
@@ -656,10 +646,18 @@ def delta_coproduct_sides(x: LinComb, a: Monomial, b: Monomial,
     return lhs, ab.f * cuts
 
 
-def check_delta_coproduct_lincomb(x: LinComb, a: Monomial, b: Monomial,
-                                  Gamma: CurvatureFn) -> bool:
-    """The coproduct identity for delta over a linear combination of forests."""
+def check_delta_coproduct(x, a: Monomial, b: Monomial, Gamma: CurvatureFn) -> bool:
+    """delta_x(ab) = sum over the terms c (P | R) of Delta(x) of c delta_P(a) delta_R(b).
+
+    x is a tree, a forest or a linear combination of forests, and delta
+    over the empty forest acts as the identity.  Holds exactly for trees
+    with at most two vertices and for every element of the delta_k-generated
+    subalgebra; fails tree-by-tree from three vertices on.
+    """
     return first_mismatch(*delta_coproduct_sides(x, a, b, Gamma)) is None
+
+
+check_delta_coproduct_lincomb = check_delta_coproduct
 
 
 def check_X_coproduct(t: RootedTree, a: Monomial, b: Monomial, Gamma: CurvatureFn) -> bool:
@@ -678,16 +676,14 @@ def X_coproduct_sides(t: RootedTree, a: Monomial, b: Monomial,
                       Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
     """Both sides of the X coproduct identity, as function parts.
 
-    With L = lift(psi_a), the right side is X_t(a).f L(b.f), plus
-    a.f L(X_t(b).f) from the empty cut, plus a.f sum_{P != 1} gamma_P(psi_a)
-    L(sum_R c X_R(b).f) over the terms c (P | R) of Delta(t).
+    With L = lift(psi_a), the right side is X_t(a).f L(b.f) plus
+    a.f sum_P gamma_P(psi_a) L(sum_R c X_R(b).f) over the terms c (P | R)
+    of Delta(t); the empty cut's a.f L(X_t(b).f) is the group P = 1, as
+    gamma_1 = 1.
     """
     lhs = X_t_apply(t, monomial_product(a, b), Gamma).f
-    cuts = _cut_sum(LinComb.of(t), a.psi, lambda fr: X_t_apply(fr, b, Gamma).f, Gamma,
-                    proper=True)
-    rhs = X_t_apply(t, a, Gamma).f * lift_apply(a.psi, b.f) \
-        + a.f * (lift_apply(a.psi, X_t_apply(t, b, Gamma).f) + cuts)
-    return lhs, rhs
+    cuts = _cut_sum(t, a.psi, lambda fr: X_t_apply(fr, b, Gamma).f, Gamma)
+    return lhs, X_t_apply(t, a, Gamma).f * lift_apply(a.psi, b.f) + a.f * cuts
 
 
 class CommutatorReport:
@@ -850,24 +846,21 @@ def coprodcontrib_rhs(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
                       h: FrameFunction) -> FrameFunction:
     """The cut expansion of the transferred operator phi_t(h o lift(psi)):
 
-    the sum over non-full admissible cuts of gamma_{P_c}(psi)
-    (phi_{R_c} Y^{k_c} h) o lift(psi), where k_c counts cut edges at the
-    root (the empty-forest leg acting as Y).  Exact for trees with at most
-    two vertices; fails from three vertices on.
+    the sum over the terms c (P | R) of Delta(t) of c gamma_P(psi)
+    (phi_R Y^k h) o lift(psi), where k counts the cut edges at the root.
+    A cut at a root edge removes exactly one child of the root, so k is
+    fertility(t) - fertility(R); the full cut, R = 1, contributes nothing.
+    Exact for trees with at most two vertices; fails from three vertices on.
     """
-    trunc = psi.trunc
-    rhs = FrameFunction.zero()
-    for cut, pruned, root in admissible_cuts(t):
-        if cut.kind == "full":
-            continue
-        k_root = sum(1 for e in cut.edges if len(e) == 1)
+    def right(fr: Forest) -> FrameFunction:
+        if fr.is_empty():
+            return FrameFunction.zero()
         term = h
-        for _ in range(k_root):
+        for _ in range(t.fertility - fr.trees[0].fertility):
             term = term.dz()
-        term = phi_frame_op(root.trees[0], Gamma, term, trunc)
-        term = lift_apply(psi, term)
-        rhs = rhs + _gamma_forest(pruned, psi, Gamma) * term
-    return rhs
+        return phi_frame_op(fr.trees[0], Gamma, term, psi.trunc)
+
+    return _cut_sum(t, psi, right, Gamma)
 
 
 def check_coprodcontrib(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,

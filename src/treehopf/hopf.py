@@ -49,7 +49,6 @@ from .trees import (
     _sign_at,
     _skip_ws,
     _sort_key,
-    admissible_cuts,
     b_plus,
 )
 
@@ -415,18 +414,18 @@ def ntcoprod_identity(t: RootedTree, s: RootedTree) -> bool:
     """Check the coproduct formula for N_t on s.
 
     Delta(N_t(s)) = (N_t (x) id) Delta(s)
-                    + sum over admissible cuts c of t of
-                      (P_c(t) . (x) N_{R_c(t)}) Delta(s),
-    where the full cut contributes multiplication by t on the left leg and
-    the grading operator on the right leg.
+                    + sum over the terms c (P | R) of Delta(t) of
+                      c (P . (x) N_R) Delta(s),
+    where the full cut, R = 1, contributes multiplication by t on the left
+    leg and the grading operator on the right leg.
     """
     lhs = coproduct(natural_growth(t, LinComb.of(s)))
     ds = coproduct(LinComb.of(s))
     rhs = ds.map_legs(left_fn=lambda f: natural_growth(t, LinComb.of(f)))
-    for _cut, pruned, root_part in admissible_cuts(t):
+    for (pruned, root_part), c in _coproduct_tree(t).terms.items():
         grow = _grow_or_grade(root_part)
         rhs = rhs + ds.map_legs(
-            left_fn=lambda f, p=pruned: LinComb.of(p * f),
+            left_fn=lambda f, p=pruned, c=c: LinComb.of(p * f, c),
             right_fn=lambda f, g=grow: g(LinComb.of(f)),
         )
     return lhs == rhs

@@ -22,10 +22,12 @@ first; on serializations this is the lexicographic order in which
 smallest tree of each size class and lists bushy trees before ladders
 (fan first, ladder last within a degree).
 
-An admissible cut is a `Cut`, a frozen record.  The record bases here
-(`_Record`, `_FrozenRecord`), which `growth` uses too, are `__slots__`
-classes that compare, hash, print, copy and pickle as a plain or frozen
-`dataclass` would, without importing `dataclasses` and, through it,
+An admissible cut is a `Cut`, a frozen record; `admissible_cuts`, their
+public enumeration and the tests' brute-force oracle, has no caller in
+the package, whose sums over cuts read the memoised coproduct.  The record
+bases here (`_Record`, `_FrozenRecord`), which `growth` uses too, are
+`__slots__` classes that compare, hash, print, copy and pickle as a plain
+or frozen `dataclass` would, without importing `dataclasses` and, through it,
 `inspect` on every start of the command line.
 """
 

@@ -539,6 +539,9 @@ def run_suites(names, max_degree: int = 5, seed: int = 0, order: int = 8,
     }
     if isinstance(names, str):
         names = [names]
+    unknown = [n for n in names if n not in available and n != "all"]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; known suites: {', '.join(available)}, all")
     if "all" in names:
         names = list(available)
     if "cm" in names:

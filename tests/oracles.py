@@ -21,7 +21,8 @@ such product per coproduct term or cut.  The grafting contraction
 differentiates the target afresh for every index tuple, and the growth
 lemma takes the flow derivative of phi(t) through it; the pushforward
 product formula also differentiates and lifts its target, and builds every
-branch operator, afresh for each index tuple in (0, 1)^m.  The text
+branch operator, afresh for each index tuple in (0, 1)^m, and the cut
+expansion of the transferred operator lifts once per admissible cut.  The text
 parsers are kept as they were before they shared one scanner, and the six
 value classes of `trees` and `growth` as the dataclasses they were, each
 name prefixed `Dataclass`.
@@ -661,6 +662,28 @@ def reference_pushforward_rhs(t: RootedTree, psi, Gamma, h):
         for j, k in enumerate(ks):
             term = term * phi_frame_op(t.children[j], Gamma, star[k], psi.trunc)
         rhs = rhs + term
+    return rhs
+
+
+def reference_coprodcontrib_rhs(t: RootedTree, psi, Gamma, h):
+    """The cut expansion of the transferred operator phi_t(h o lift(psi)),
+    as it was before it summed over the grouped terms of Delta(t): one lift
+    per admissible cut, k_c counted on the cut's root edges (renamed)."""
+    from treehopf.frame import FrameFunction, _gamma_forest, lift_apply, phi_frame_op
+    from treehopf.trees import admissible_cuts
+
+    trunc = psi.trunc
+    rhs = FrameFunction.zero()
+    for cut, pruned, root in admissible_cuts(t):
+        if cut.kind == "full":
+            continue
+        k_root = sum(1 for e in cut.edges if len(e) == 1)
+        term = h
+        for _ in range(k_root):
+            term = term.dz()
+        term = phi_frame_op(root.trees[0], Gamma, term, trunc)
+        term = lift_apply(psi, term)
+        rhs = rhs + _gamma_forest(pruned, psi, Gamma) * term
     return rhs
 
 

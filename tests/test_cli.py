@@ -520,6 +520,22 @@ def test_negative_trials_are_rejected_before_any_suite_runs(monkeypatch):
     assert verify.run_suites(["cm"], max_degree=1, trials=0)["ok"]
 
 
+def test_unknown_suites_are_rejected_before_any_suite_runs(monkeypatch):
+    from treehopf import verify
+
+    known = r"; known suites: hopf, growth, butcher, cm, all$"
+    with pytest.raises(ValueError, match=r"^unknown suite 'bogus'" + known):
+        verify.run_suites("bogus")
+
+    def must_not_run(*args):
+        raise AssertionError("a suite ran before the suite names were checked")
+
+    monkeypatch.setattr(verify, "verify_hopf", must_not_run)
+    for names in (["hopf", "Hopf"], ["all", "Hopf"]):
+        with pytest.raises(ValueError, match=r"^unknown suite 'Hopf'" + known):
+            verify.run_suites(names, max_degree=1)
+
+
 def test_verify_negative_trials_exits_2_naming_the_bound():
     for suite in ("cm", "all"):
         proc = run_module("verify", "--suite", suite, "--max-degree", "1", "--trials", "-1")

@@ -8,16 +8,20 @@ order included, and `_den`) for frame functions, the same `trunc` and
 `terms` for series in one and two variables, and the same
 `TruncationError` when a derivative exhausts the retained orders.  Both
 sides build their own copies of every input, so neither reads the other's
-derivatives.
+derivatives.  The pushforward product formula and the cut expansion of the
+transferred operator are held to their frozen per-tuple and per-cut forms
+the same way.
 """
 
 import random
 from fractions import Fraction
 
-from oracles import reference_contract, reference_phi_vec, reference_pushforward_rhs
+from oracles import (reference_contract, reference_coprodcontrib_rhs, reference_phi_vec,
+                     reference_pushforward_rhs)
 from treehopf import FrameFunction, MultiSeries, TruncationError, enumerate_trees
 from treehopf.butcher import _contract, _phi_vec
-from treehopf.frame import frame_field, pushforward_rhs, random_diffeo, random_frame_function
+from treehopf.frame import (coprodcontrib_rhs, frame_field, pushforward_rhs, random_diffeo,
+                            random_frame_function)
 
 ORDERS = (None, 3, 5, 8)
 TREES = [t for n in range(1, 7) for t in enumerate_trees(n)]
@@ -64,9 +68,13 @@ def assert_same_error_or(got, want, same):
         same(got, want)
 
 
+def same_rows(got, want):
+    assert got._rows == want._rows and got._den == want._den
+
+
 def same_grid(got, want):
     assert list(got._rows) == list(want._rows)
-    assert got._rows == want._rows and got._den == want._den
+    same_rows(got, want)
 
 
 def same_series(got, want):
@@ -142,6 +150,13 @@ def test_a_contraction_without_children_is_the_target():
     assert _contract([], h, 2) is h is reference_contract([], h, 2)
 
 
+def transfer_inputs(seed, order):
+    """psi, Gamma and h for one transferred-operator instance, built from the seed."""
+    rng = random.Random(seed)
+    return (random_diffeo(rng, order), MultiSeries(1, {(1,): 1, (2,): Fraction(-1, 2)}, order),
+            random_frame_function(rng, order))
+
+
 def test_pushforward_rhs_matches_the_per_tuple_reference():
     # pushforward_rhs runs the contraction with the lift as its map on the
     # full-length partials; the reference lifts every index tuple's
@@ -150,15 +165,29 @@ def test_pushforward_rhs_matches_the_per_tuple_reference():
     # four children takes a derivative tuple of length 4.
     trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
 
-    def inputs(seed, order):
-        rng = random.Random(seed)
-        return (random_diffeo(rng, order), MultiSeries(1, {(1,): 1, (2,): Fraction(-1, 2)}, order),
-                random_frame_function(rng, order))
-
     for order in (6, 8):
         for seed in (0, 1):
-            mine, theirs = inputs(seed, order), inputs(seed, order)
+            mine, theirs = transfer_inputs(seed, order), transfer_inputs(seed, order)
             for t in trees:
                 got = outcome(lambda: pushforward_rhs(t, *mine[:2], mine[2]))
                 want = outcome(lambda: reference_pushforward_rhs(t, *theirs[:2], theirs[2]))
                 assert_same_error_or(got, want, same_grid)
+
+
+def test_coprodcontrib_rhs_matches_the_per_cut_reference():
+    # coprodcontrib_rhs sums over the grouped terms c (P | R) of Delta(t),
+    # lifting once per left leg and reading the Y-power off R's fertility;
+    # the reference lifts once per admissible cut and counts the cut's root
+    # edges.  Each side gets its own psi, Gamma and h, rebuilt from one
+    # seed, so neither reads what the other kept.  A sum keeps its rows in
+    # the order its terms first reach them, which the regrouping changes,
+    # so the grids are compared as dicts.
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
+
+    for order in (6, 8):
+        for seed in (0, 1):
+            mine, theirs = transfer_inputs(seed, order), transfer_inputs(seed, order)
+            for t in trees:
+                got = outcome(lambda: coprodcontrib_rhs(t, *mine))
+                want = outcome(lambda: reference_coprodcontrib_rhs(t, *theirs))
+                assert_same_error_or(got, want, same_rows)

@@ -363,7 +363,7 @@ def agree(grouped, per_term):
 
 @pytest.mark.parametrize("Gamma", GAMMAS, ids=("x", "1/2-x^2"))
 def test_grouped_sides_match_one_product_per_term(Gamma):
-    trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
     for psi, eta, fa, fb in instances():
         # Fresh monomials per form, so that neither reads the other's memo.
         pair = lambda: (Monomial(fa, psi), Monomial(fb, eta))
