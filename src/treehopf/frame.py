@@ -40,7 +40,8 @@ A monomial also keeps its product with each right factor, so the
 coproduct sides of every tree share one product ab, one composed psi_ab
 and the symbols and operators kept on them.
 All three cut expansions (delta_t, X_t, phi_t transferred) run `_cut_sum`
-over Delta(t) grouped by left leg, skipping a group whose sum is zero.
+over Delta(t), read in place from the hopf layer's memo and grouped by
+left leg, skipping a group whose sum is zero.
 A curvature series Gamma keeps, per requested truncation order, the frame
 field and the memo of its phi(t), which every phi-operator on Gamma reads.
 The memos die with their objects; none is a process-wide cache.
@@ -54,7 +55,7 @@ from math import gcd
 
 from .butcher import _contract, _linear_sum, _phi_vec, _single_tree
 from .growth import GrowthApply, GrowthExpr, GrowthLeaf, decompose
-from .hopf import LinComb, _over_trees, coproduct, delta_k, natural_growth
+from .hopf import LinComb, _coproduct, _over_trees, delta_k, natural_growth
 from .series import (MultiSeries, TruncationError, _compose, _content, _conv, _min_trunc,
                      _over_lcm, _scaled_sum, _trim, parse_polynomial)
 from .trees import Forest, LEAF, RootedTree, _Immutable, b_plus
@@ -616,12 +617,12 @@ def first_mismatch(a: FrameFunction, b: FrameFunction):
 def _cut_sum(x, psi: FormalDiffeo, right, Gamma: CurvatureFn) -> FrameFunction:
     """sum_P gamma_P(psi) L(sum_R c right(R)) over the terms c (P | R) of Delta(x).
 
-    L is the lift of psi.  The terms of the memoised coproduct are grouped
-    by their left leg P, so each group is lifted once, and a group whose
-    inner sum is zero is not lifted at all.
+    L is the lift of psi.  The terms of the memoised coproduct, read in
+    place without a copy, are grouped by their left leg P, so each group is
+    lifted once, and a group whose inner sum is zero is not lifted at all.
     """
     groups: dict[Forest, FrameFunction] = {}
-    for (fl, fr), c in coproduct(x).terms.items():
+    for (fl, fr), c in _coproduct(x).terms.items():
         term = right(fr).scale(c)
         groups[fl] = groups[fl] + term if fl in groups else term
     out = FrameFunction.zero()

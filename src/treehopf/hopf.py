@@ -8,8 +8,14 @@ basis elements; each subclass adds its basis product and how a basis
 element prints.  Coefficients are exact: an `int` when whole and a
 `Fraction` otherwise.  The coproduct of a tree, the sum over its
 admissible cuts, is built from the 1-cocycle identity
-Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), children before parents,
-with a per-shape memo; on a forest it is the product over its trees,
+Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), smaller trees first,
+with a per-shape memo.  A tree t = B+(F' c^m), whose last class of equal
+root children is m copies of c, is built from its trunk T = B+(F'): the
+proper terms c1 (P | B+ R) of the memoised Delta(T) are multiplied once
+by Delta(c^m), each term to c1 c2 (P P2 | B+(R R2)), so Delta of t's
+children forest is never built.  When every root child is alike (fans,
+ladders) the trunk is the leaf, and the sum is Delta(c^m) with B+ on its
+right legs.  On a forest the coproduct is the product over its trees,
 `_over_trees`, which `frame` runs for gamma_F too.  The antipode reads the
 grouped terms c (P | R) of that coproduct and recurses on the pruned part,
 S(t) = -t - sum of c S(P) R over the proper cuts, the form Connes and
@@ -20,11 +26,13 @@ of t onto every vertex of its argument, with N_t(s) kept once per pair
 (t, s) of interned trees.  The four memos are keyed by interned trees and
 forests, which live as long as the process, so none needs a bound;
 `antipode` and `coproduct` hand out a copy of a memoised element, never
-its terms.  The structural maps live on the interned objects themselves
-(see `trees`): the loops read a tree's one-tree forest `t.forest`, a
-forest's B+ tree `f.b_plus`, and the product table of the left factor in
-both `__mul__` loops and of the one-tree root part R in the antipode,
-instead of rebuilding any of them.
+its terms, which `frame` and `verify` read in place through `_coproduct`.
+The structural maps live on the interned objects themselves (see
+`trees`): the loops read a tree's one-tree forest `t.forest` and children
+forest `t.b_minus`, a forest's B+ tree `f.b_plus`, and the product table
+of the left factor in both `__mul__` loops, of both legs in the trunk
+product, and of the one-tree root part R in the antipode, instead of
+rebuilding any of them.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort on the forests' serializations.
 
@@ -254,27 +262,62 @@ def multiply(a: LinComb, b: LinComb) -> LinComb:
 _coproduct_memo: dict[RootedTree, Tensor2] = {}
 
 
+def _peel(t: RootedTree) -> tuple:
+    """(T, c, m) with t = B+(F' c^m), c^m its last class of equal root children.
+
+    T = B+(F') is the trunk of t, the leaf when every root child is alike;
+    the leaf itself has none, and gives ().
+    """
+    kids = t.children
+    if not kids:
+        return ()
+    c = kids[-1]
+    k = len(kids) - 1
+    while k and kids[k - 1] is c:
+        k -= 1
+    return RootedTree(kids[:k]), c, len(kids) - k
+
+
 def _coproduct_tree(t: RootedTree) -> Tensor2:
     """Delta(t) from the 1-cocycle identity Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F).
 
-    Builds every not-yet-memoised subshape of t, children before parents,
-    from an explicit stack, so the depth of t costs no recursion.
+    For t = B+(F' c^m) with trunk T = B+(F'), (id (x) B+) Delta(F') is
+    Delta(T) less its term T (x) 1, so Delta(t) is t (x) 1 plus the sum of
+    c1 c2 (P P2 | B+(R R2)) over the proper terms c1 (P | B+ R) of the
+    memoised Delta(T) and the terms c2 (P2 | R2) of Delta(c^m), which is
+    built and dropped.  When every root child is alike, T is the leaf, whose
+    one proper term is (1 | B+ 1).  Builds every not-yet-memoised trunk and
+    child that t needs, smaller before larger, from an explicit stack, so
+    the depth of t costs no recursion.
     """
     got = _coproduct_memo.get(t)
     if got is not None:
         return got
-    todo = {t}
+    todo = {t: _peel(t)}
     stack = [t]
     while stack:
-        for c in stack.pop().children:
-            if c not in todo and c not in _coproduct_memo:
-                todo.add(c)
-                stack.append(c)
-    # A subtree has fewer vertices than its parent, so it sorts first.
+        for s in todo[stack.pop()][:2]:
+            if s not in todo and s not in _coproduct_memo:
+                todo[s] = _peel(s)
+                stack.append(s)
+    # A trunk or child of s has fewer vertices than s, so it sorts first.
     for s in sorted(todo, key=_sort_key):
         out: dict[tuple[Forest, Forest], int] = {(s.forest, EMPTY_FOREST): 1}
-        for (left, right), c in _coproduct_forest(Forest(s.children)).terms.items():
-            out[left, right.b_plus.forest] = c
+        if s is LEAF:
+            out[EMPTY_FOREST, s.forest] = 1
+        else:
+            trunk, c, m = todo[s]
+            tail = _coproduct_forest(Forest((c,) * m)).terms.items()
+            for (left, right), c1 in _coproduct_memo[trunk].terms.items():
+                if not right.trees:
+                    continue
+                # The product tables of P and of R, read without a call per
+                # term.  Coproduct coefficients are positive ints: no sum cancels.
+                rest = right.trees[0].b_minus
+                lp, rp = left._products, rest._products
+                for (l2, r2), c2 in tail:
+                    key = lp.get(l2) or left * l2, (rp.get(r2) or rest * r2).b_plus.forest
+                    out[key] = out.get(key, 0) + c1 * c2
         _coproduct_memo[s] = Tensor2._raw(out)
     return _coproduct_memo[t]
 
@@ -295,13 +338,20 @@ def _coproduct_forest(f: Forest) -> Tensor2:
     return _over_trees(f, _coproduct_tree, lambda: Tensor2.of(EMPTY_FOREST, EMPTY_FOREST))
 
 
+def _coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
+    """Delta(x) to read and not to keep: of one tree, the memo's own element."""
+    if isinstance(x, (RootedTree, Forest)):
+        return _coproduct_forest(_as_forest(x))
+    return Tensor2.linear(x, _coproduct_forest)
+
+
 def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
     """Coproduct: sum of P_c (x) R_c over admissible cuts, multiplicative on forests."""
-    # A fresh element, or `linear`'s fresh dict: the memo's own terms never
-    # leave this module.
+    # A fresh element, or `linear`'s fresh dict: the memo's own terms are
+    # handed out only by `_coproduct`, to readers in the package.
     if isinstance(x, (RootedTree, Forest)):
-        return Tensor2._raw(dict(_coproduct_forest(_as_forest(x)).terms))
-    return Tensor2.linear(x, _coproduct_forest)
+        return Tensor2._raw(dict(_coproduct(x).terms))
+    return _coproduct(x)
 
 
 def counit(x: LinComb) -> int | Fraction:

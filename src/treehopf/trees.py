@@ -7,11 +7,14 @@ which lives as long as the process.  One routine, `_intern`, interns trees
 on their canonical children tuple and forests on their canonical tree
 tuple, so a lookup builds no string.  Each interned object also keeps the
 structural maps the Hopf layer asks of it, each filled on first use: a
-tree keeps its one-tree forest (`forest`), and a forest keeps its B+
-tree (`b_plus`) and its own product table, keyed by the other factor, so
+tree keeps its one-tree forest (`forest`) and the forest of its root
+children (`b_minus`), and a forest keeps its B+ tree (`b_plus`) and its
+own product table, keyed by the other factor, so
 a repeated product neither concatenates nor sorts; the Hopf layer's
 `__mul__` loops read the left factor's table directly, and the antipode
-that of each one-tree root part, and call `*` only on a miss.
+that of each one-tree root part, and call `*` only on a miss.  Filling
+`b_minus` or `b_plus` fills the other's slot too, so a round trip between
+a tree and its children forest interns once.
 Equality and hashing are object identity, which is sound because no two
 instances share a shape; hash order is therefore address order and
 never reaches output.  Every order that does is the sort key (vertex
@@ -176,10 +179,11 @@ class RootedTree(_Interned):
 
     There is one instance per shape: `RootedTree(children)` returns the
     interned tree whatever the order of `children`.  The tree keeps its
-    one-tree forest, `forest`, built on first read.
+    one-tree forest, `forest`, and the forest of its root children,
+    `b_minus`, each built on first read.
     """
 
-    __slots__ = ("children", "vertex_count", "serial", "_key", "_forest")
+    __slots__ = ("children", "vertex_count", "serial", "_key", "_forest", "_b_minus")
 
     def __new__(cls, children=()):
         return _intern(cls, _TREES, "children", children)
@@ -190,6 +194,7 @@ class RootedTree(_Interned):
         object.__setattr__(self, "serial", "[" + "".join([c.serial for c in kids]) + "]")
         object.__setattr__(self, "_key", (self.vertex_count, _collate(self.serial)))
         object.__setattr__(self, "_forest", None)
+        object.__setattr__(self, "_b_minus", None)
 
     @property
     def forest(self) -> "Forest":
@@ -198,6 +203,17 @@ class RootedTree(_Interned):
         if forest is None:
             forest = Forest((self,))
             object.__setattr__(self, "_forest", forest)
+        return forest
+
+    @property
+    def b_minus(self) -> "Forest":
+        """The forest of this tree's root children; it keeps this tree as its `b_plus`."""
+        forest = self._b_minus
+        if forest is None:
+            # The canonical children tuple is the canonical tree tuple.
+            forest = Forest(self.children)
+            object.__setattr__(self, "_b_minus", forest)
+            object.__setattr__(forest, "_b_plus", self)
         return forest
 
     def __reduce__(self):
@@ -253,12 +269,13 @@ class Forest(_Interned):
 
     @property
     def b_plus(self) -> RootedTree:
-        """The tree whose root children are these trees."""
+        """The tree whose root children are these trees; it keeps this forest as its `b_minus`."""
         tree = self._b_plus
         if tree is None:
             # The canonical tree tuple is the canonical children tuple.
             tree = RootedTree(self.trees)
             object.__setattr__(self, "_b_plus", tree)
+            object.__setattr__(tree, "_b_minus", self)
         return tree
 
     def __reduce__(self):
@@ -309,8 +326,8 @@ def b_plus(f: Forest) -> RootedTree:
 
 
 def b_minus(t: RootedTree) -> Forest:
-    """Inverse of b_plus: the forest of root subtrees."""
-    return Forest(t.children)
+    """Inverse of b_plus: the forest of root subtrees; kept on the tree."""
+    return t.b_minus
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from .hopf import (
     LinComb,
     Tensor2,
     _FreeModule,
+    _coproduct,
     _over_trees,
     antipode,
     coproduct,
@@ -97,10 +98,13 @@ def _json_safe(value):
 
 
 def _tensor3(t2: Tensor2, leg: int) -> _FreeModule:
-    """Delta applied to leg 0 or 1 of a Tensor2, keyed by forest triples."""
+    """Delta applied to leg 0 or 1 of a Tensor2, keyed by forest triples.
+
+    Reads the memoised Delta of each leg in place, without a copy.
+    """
     return _FreeModule((pair[:leg] + split + pair[leg + 1:], c * d)
                        for pair, c in t2.terms.items()
-                       for split, d in coproduct(pair[leg]).terms.items())
+                       for split, d in _coproduct(pair[leg]).terms.items())
 
 
 def _convolve_antipode(x: LinComb, antipode_left: bool) -> LinComb:

@@ -92,6 +92,47 @@ def test_coproduct_of_every_tree_matches_brute_force_oracle():
             assert coproduct(t) == brute_force_coproduct_tree(t), t.serial
 
 
+def test_coproduct_built_through_cold_trunks_matches_brute_force_oracle(monkeypatch):
+    # From an empty memo, largest trees first: the trunk B+(F') of a tree
+    # B+(F' c^m) is built inside its parent's own call, not read warm.
+    memo = {}
+    monkeypatch.setattr(hopf_module, "_coproduct_memo", memo)
+    # At 10 vertices, the roots with three or more children in two or more
+    # classes: a trunk that has a trunk of its own.
+    bushy = [t for t in enumerate_trees(10) if t.fertility >= 3 and len(set(t.children)) >= 2]
+    assert len(bushy) == 191
+    cold_trunks = []
+    for t in bushy + [t for n in range(9, 0, -1) for t in reversed(enumerate_trees(n))]:
+        trunk = t.children and hopf_module._peel(t)[0]
+        if trunk and trunk not in memo:
+            cold_trunks.append(trunk)
+        assert coproduct(t) == brute_force_coproduct_tree(t), t.serial
+    # 170 distinct trunks were first built inside a parent's call, and each
+    # was checked against the oracle when its own turn came.
+    assert len(set(cold_trunks)) == len(cold_trunks) == 170
+
+
+def test_coproduct_keeps_one_entry_per_subtree_and_trunk(monkeypatch):
+    # A fan's root children are all alike, so its trunk is the leaf.
+    memo = {}
+    monkeypatch.setattr(hopf_module, "_coproduct_memo", memo)
+    fan = b_plus(Forest((LEAF,) * 2000))
+    assert len(coproduct(fan).terms) == 2002
+    assert set(memo) == {fan, LEAF}
+    # The root over ladders 1..8 keeps its 9 distinct subtrees and the 7
+    # trunks B+(l8 ... lk), k = 2..8, one per peeled child; each ladder's
+    # trunk is the leaf, l1.
+    memo.clear()
+    ladders = [LEAF]
+    while len(ladders) < 8:
+        ladders.append(b_plus(ladders[-1].forest))
+    root = b_plus(Forest(ladders))
+    # Each ladder lk keeps itself or loses one of its k edges: 9! + 1 cuts.
+    assert sum(coproduct(root).terms.values()) == factorial(9) + 1
+    trunks = {b_plus(Forest(ladders[k:])) for k in range(1, 8)}
+    assert set(memo) == {root, *ladders} | trunks and len(memo) == 16
+
+
 def test_counit():
     assert counit(LinComb.unit()) == 1
     assert counit(LinComb.of(LEAF)) == 0

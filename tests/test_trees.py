@@ -26,6 +26,7 @@ from treehopf import (
     parse_tree,
     tree_order,
 )
+import treehopf.trees as trees_module
 from oracles import (
     all_trees_by_levels,
     brute_force_cut_pairs,
@@ -266,8 +267,9 @@ def test_forests_are_interned():
 def test_post_init_runs_once_per_new_shape_when_patched_on_the_class(monkeypatch):
     # The benchmark's `built` counters wrap `__post_init__` on each class;
     # the one intern routine must run the wrapper once per new shape and
-    # never on a lookup.  The shape below is built by no other test: a root
-    # over a 31-vertex ladder, a 29-vertex fan and a single vertex.
+    # never on a lookup.  The shapes below are built by no other test: a root
+    # over a 31-vertex ladder, a 29-vertex fan and a single vertex, and a root
+    # over the ladder and the fan.
     children = (ladder(31), fan(29), LEAF)
     built = []
 
@@ -289,6 +291,19 @@ def test_post_init_runs_once_per_new_shape_when_patched_on_the_class(monkeypatch
         assert RootedTree(order) is tree and Forest(order) is forest
     assert forest.b_plus is tree and b_minus(tree) is forest and tree.forest.trees == (tree,)
     assert built == [RootedTree, Forest, Forest]    # only the one-tree forest is new
+    # Building b_minus or b_plus fills the other's slot, so the round trip in
+    # either direction builds no shape and looks none up in the intern tables.
+    twig = RootedTree(children[:2])
+    looked_up = []
+    intern = trees_module._intern
+    monkeypatch.setattr(trees_module, "_intern", lambda *args: looked_up.append(args) or intern(*args))
+    assert b_plus(b_minus(twig)) is twig and twig.b_minus.trees == children[:2]
+    # Only the first b_minus(twig) looks up, and builds, its forest.
+    assert built == [RootedTree, Forest, Forest, RootedTree, Forest] and len(looked_up) == 1
+    for _ in range(2):
+        assert b_plus(b_minus(twig)) is twig and b_minus(b_plus(twig.b_minus)) is twig.b_minus
+        assert b_minus(b_plus(forest)) is forest and b_plus(b_minus(tree)) is tree
+    assert built == [RootedTree, Forest, Forest, RootedTree, Forest] and len(looked_up) == 1
 
 
 def test_copy_and_pickle_return_the_interned_instance():
