@@ -160,7 +160,7 @@ def _series_json(ms) -> dict:
     return {
         "terms": [
             {"exponents": list(e), "coeff": str(c)}
-            for e, c in sorted(ms.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+            for e, c in ms.sorted_terms()
         ],
         "trunc": ms.trunc,
     }

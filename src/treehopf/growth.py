@@ -14,8 +14,8 @@ from math import comb
 from .hopf import LinComb, Tensor2, coproduct, natural_growth
 from .linalg import Span, independent_rows
 from .trees import (EMPTY_FOREST, LEAF, Forest, RootedTree, TreeParseError, _expect, _expect_end,
-                    _FrozenRecord, _parse_tree_at, _rational_at, _Record, _sign_at, _skip_ws,
-                    b_plus)
+                    _FrozenRecord, _parse_tree_at, _rational_at, _Record, _sign_at, _signed_sum,
+                    _skip_ws, _sort_key, b_plus)
 
 __all__ = [
     "GrowthExpr",
@@ -72,16 +72,9 @@ class GrowthCombo(GrowthExpr):
         object.__setattr__(self, "parts", parts)
 
     def __str__(self) -> str:
-        bits = []
-        for coeff, expr in self.parts:
-            mag = -coeff if coeff < 0 else coeff
-            body = f"({expr})" if isinstance(expr, GrowthCombo) else str(expr)
-            piece = f"{mag} {body}"
-            if not bits:
-                bits.append(piece if coeff > 0 else f"- {piece}")
-            else:
-                bits.append(("+ " if coeff > 0 else "- ") + piece)
-        return " ".join(bits) if bits else "0"
+        # A zero coefficient is not positive, so it prints as `- 0`.
+        return _signed_sum([(coeff, f"{abs(coeff)} ({expr})" if isinstance(expr, GrowthCombo)
+                             else f"{abs(coeff)} {expr}") for coeff, expr in self.parts])
 
 
 def eval_growth_expr(e: GrowthExpr) -> LinComb:
@@ -295,7 +288,7 @@ def closure_check(basis: GradedBasis) -> ClosureReport:
                     span = spans[bidegree] = _tensor_span(basis.degree_span(dl),
                                                           basis.degree_span(dr))
                 if not _component_in_span(comp, span):
-                    worst = min(comp, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+                    worst = min(comp, key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
                     return ClosureReport(False, elem, bidegree, worst)
     return ClosureReport(True)
 

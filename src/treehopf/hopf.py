@@ -4,9 +4,9 @@ Elements are finite rational linear combinations of forests (LinComb) or
 of forest pairs (Tensor2), two subclasses of one free module over a
 hashable basis.  The free module holds the terms, the module operations,
 equality, printing and the linear extension `linear(x, fn)` of a map from
-basis elements; each subclass adds its basis product and how a basis
-element prints.  Coefficients are exact: an `int` when whole and a
-`Fraction` otherwise.  The coproduct of a tree, the sum over its
+basis elements; each subclass adds its basis product, its term order and
+its term texts, for `trees._signed_sum`.  Coefficients are exact: an `int`
+when whole and a `Fraction` otherwise.  The coproduct of a tree, the sum over its
 admissible cuts, is built from the 1-cocycle identity
 Delta(B+ F) = B+ F (x) 1 + (id (x) B+) Delta(F), smaller trees first,
 with a per-shape memo.  A tree t = B+(F' c^m), whose last class of equal
@@ -34,7 +34,7 @@ of the left factor in both `__mul__` loops, of both legs in the trunk
 product, and of the one-tree root part R in the antipode, instead of
 rebuilding any of them.
 Terms are kept in dicts keyed by interned forests, which hash by
-identity; every printed order is a sort on the forests' serializations.
+identity; every printed order is a sort, on `trees._sort_key` or on the serials.
 
 On products of trees N_t acts as a derivation,
 N_t(uv) = N_t(u) v + u N_t(v), which is the extension consistent with
@@ -55,6 +55,7 @@ from .trees import (
     _forest_at,
     _rational_at,
     _sign_at,
+    _signed_sum,
     _skip_ws,
     _sort_key,
     b_plus,
@@ -109,7 +110,7 @@ class _FreeModule:
     constructor accumulates (basis, coeff) pairs; `linear` extends a map
     from basis elements to elements of a free module linearly.  Equal
     elements have the same class and the same terms.  A subclass that is
-    printed gives `_term_texts`, the (coefficient, text) pairs in order.
+    printed gives `_term_texts`: (coefficient, text with magnitude) pairs, in order.
     """
 
     __slots__ = ("terms",)
@@ -167,11 +168,7 @@ class _FreeModule:
         return self._raw({b: _norm(c * v) for b, v in self.terms.items()} if c else {})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        # Every term gets its sign; a leading "+ " is then dropped.
-        text = " ".join([f"- {-c} {t}" if c < 0 else f"+ {c} {t}" for c, t in self._term_texts()])
-        return text[2:] if text[0] == "+" else text
+        return _signed_sum(self._term_texts())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -208,10 +205,10 @@ class LinComb(_FreeModule):
         return degs.pop() if len(degs) == 1 else None
 
     def sorted_terms(self) -> list[tuple[Forest, int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
 
     def _term_texts(self) -> list[tuple[int | Fraction, str]]:
-        return [(c, f.serial) for f, c in self.sorted_terms()]
+        return [(c, f"{abs(c)} {f.serial}") for f, c in self.sorted_terms()]
 
 
 class Tensor2(_FreeModule):
@@ -251,7 +248,7 @@ class Tensor2(_FreeModule):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1].serial, kv[0][0].serial))
 
     def _term_texts(self) -> list[tuple[int | Fraction, str]]:
-        return [(c, f"({fl.serial} | {fr.serial})") for (fl, fr), c in self.sorted_terms()]
+        return [(c, f"{abs(c)} ({fl.serial} | {fr.serial})") for (fl, fr), c in self.sorted_terms()]
 
 
 def multiply(a: LinComb, b: LinComb) -> LinComb:
@@ -514,4 +511,6 @@ def parse_lincomb(text: str) -> LinComb:
         pos = _skip_ws(text, pos)
         if pos == len(text):
             return LinComb._raw(out)
-        sign, pos = _sign_at(text, pos, required=True)
+        if not text.startswith(("+", "-"), pos):
+            raise TreeParseError("expected '+' or '-'", text, pos)
+        sign, pos = _sign_at(text, pos)

@@ -11,11 +11,12 @@ reduced by their content gcd so that the denominator is the lcm of the
 coefficient denominators: a dense list of trunc+1 numerators (degree+1
 for an exact polynomial) in one variable, a dict exponent -> nonzero
 numerator in several.  The public dict of Fractions, `terms`, is built
-from it on first read.  Each y^k row of a frame.FrameFunction takes the
-same univariate jet steps from here: `_trim`, `_scaled_sum`, `_content`
-and `_over_lcm`.  Composition g o psi is linear in g, with matrix the
-power table [x^i] psi^k, which the inner series keeps once built; the
-compositional inverse comes from Lagrange inversion,
+from it on first read; `sorted_terms`, by degree then exponent, is the one
+order of the printed and JSON forms.  Each y^k row of a frame.FrameFunction
+takes the same univariate jet steps from here: `_trim`, `_scaled_sum`,
+`_content` and `_over_lcm`.  Composition g o psi is linear in g, with
+matrix the power table [x^i] psi^k, which the inner series keeps once
+built; the compositional inverse comes from Lagrange inversion,
 [x^n] psi^-1 = (1/n) [x^(n-1)] (x/psi)^n.
 """
 
@@ -26,7 +27,8 @@ from itertools import zip_longest
 from math import gcd, inf, lcm
 from operator import add
 
-from .trees import _Immutable, _ParseError, _digits_end, _rational_at, _sign_at, _skip_ws
+from .trees import (_Immutable, _ParseError, _digits_end, _rational_at, _sign_at, _signed_sum,
+                    _skip_ws)
 
 __all__ = [
     "MultiSeries",
@@ -146,7 +148,9 @@ class MultiSeries:
     """Sparse exponent-map series in `nvars` variables."""
 
     # _nums, _den: the working form (see the module docstring), built from
-    # _terms on first use; _terms is built from it on first read.
+    # _terms on first use, not in __init__: a parsed `x1^10000000000` stays one
+    # term that `cli` refuses with exit 2, not 10^10 numerators that raise
+    # MemoryError while parsing.  _terms is built from it on first read.
     # _powers: rows of the power table of a composition's inner series,
     # row k holding the numerators of self^k over _den^k.
     # _hash: the hash, computed on first use (a series is never mutated).
@@ -417,25 +421,24 @@ class MultiSeries:
                 terms[(n,)] = Fraction(den ** n * power[n - 1], n * a1 ** (2 * n - 1))
         return MultiSeries._raw(1, terms, trunc)
 
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """The terms by total degree, then exponent: the order every printed series uses."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         names = ["x"] if self.nvars == 1 else [f"x{i+1}" for i in range(self.nvars)]
         bits = []
-        for e, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for e, c in self.sorted_terms():
             factors = []
             for i, k in enumerate(e):
                 if k == 1:
                     factors.append(names[i])
                 elif k > 1:
                     factors.append(f"{names[i]}^{k}")
-            mag = -c if c < 0 else c
-            body = " ".join([str(mag)] + factors) if (mag != 1 or not factors) else " ".join(factors)
-            if not bits:
-                bits.append(body if c > 0 else f"- {body}")
-            else:
-                bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)
+            mag = abs(c)
+            bits.append((c, " ".join([str(mag)] + factors) if (mag != 1 or not factors)
+                         else " ".join(factors)))
+        return _signed_sum(bits)
 
     def __repr__(self) -> str:
         return f"MultiSeries({str(self)!r}, trunc={self.trunc})"

@@ -17,9 +17,9 @@ that of each one-tree root part, and call `*` only on a miss.  Filling
 a tree and its children forest interns once.
 Equality and hashing are object identity, which is sound because no two
 instances share a shape; hash order is therefore address order and
-never reaches output.  Every order that does is the sort key (vertex
-count, collated serial), computed once per shape with the
-serialization.  The canonical order puts larger subtrees
+never reaches output.  Every order that does is the one sort key,
+`_sort_key`, which reads (vertex count, collated serial), computed once
+per shape with the serialization.  The canonical order puts larger subtrees
 first; on serializations this is the lexicographic order in which
 ``]`` sorts before ``[``, which makes the single-vertex tree the
 smallest tree of each size class and lists bushy trees before ladders
@@ -31,7 +31,8 @@ the package, whose sums over cuts read the memoised coproduct.  The record
 bases here (`_Record`, `_FrozenRecord`), which `growth` uses too, are
 `__slots__` classes that compare, hash, print, copy and pickle as a plain
 or frozen `dataclass` would, without importing `dataclasses` and, through it,
-`inspect` on every start of the command line.
+`inspect` on every start of the command line.  The scanner every text parser
+shares is here, and `_signed_sum`, the writer of every printed signed sum.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ class RootedTree(_Interned):
         return self._key <= other._key
 
 
-# (vertex count, collated serial), cached on each tree.
+# (vertex count, collated serial), cached on each tree and forest.
 _sort_key = attrgetter("_key")
 
 
@@ -292,10 +293,6 @@ class Forest(_Interned):
         if product is None:
             product = self._products[other] = Forest(self.trees + other.trees)
         return product
-
-    def sort_key(self):
-        """(degree, collated serial), cached on the forest."""
-        return self._key
 
 
 LEAF = RootedTree()
@@ -374,7 +371,7 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
         pool.extend(enumerate_trees(k))
     pool.sort(key=_sort_key, reverse=True)
     out = [Forest(ts) for ts in _multisets(pool, 0, n)]
-    out.sort(key=lambda f: f.sort_key())
+    out.sort(key=_sort_key)
     return tuple(out)
 
 
@@ -474,13 +471,18 @@ def _expect_end(text: str, pos: int, message: str) -> None:
         raise TreeParseError(message, text, pos)
 
 
-def _sign_at(text: str, pos: int, required: bool = False) -> tuple[int, int]:
-    """1 for `+`, -1 for `-`, and 1 for no sign unless one is `required` between terms."""
+def _sign_at(text: str, pos: int) -> tuple[int, int]:
+    """1 for `+`, -1 for `-`, and 1 for no sign."""
     if text.startswith(("+", "-"), pos):
         return (1 if text[pos] == "+" else -1), _skip_ws(text, pos + 1)
-    if required:
-        raise TreeParseError("expected '+' or '-'", text, pos)
     return 1, pos
+
+
+def _signed_sum(terms) -> str:
+    """`a - b + c` from (coefficient, term text) pairs: `+ ` before a positive
+    coefficient, `- ` before any other, no leading `+ `, and `0` for no pairs."""
+    text = " ".join([f"+ {t}" if c > 0 else f"- {t}" for c, t in terms])
+    return text[2:] if text.startswith("+") else text or "0"
 
 
 def _digits_end(text: str, pos: int, slash: bool = False) -> int:

@@ -4,6 +4,8 @@ These deliberately avoid the library's recursions: trees come from level
 sequences, cuts from raw subset filtering on explicit edge lists, and
 the coproduct and the antipode are assembled directly from edge subsets,
 and natural growth attaches its tree at each vertex path in turn.  The
+tree factorial gives the closed-form flow characters that Δ and S must
+respect at every size.  The
 products of `LinComb` and `Tensor2` build each product forest from the
 concatenated trees and sum in Fraction.  `in_span` (one `Span` over the
 rows) and `series_power` (a row of a series' power table) are wrappers
@@ -23,13 +25,15 @@ lemma takes the flow derivative of phi(t) through it; the pushforward
 product formula also differentiates and lifts its target, and builds every
 branch operator, afresh for each index tuple in (0, 1)^m, and the cut
 expansion of the transferred operator lifts once per admissible cut.  The text
-parsers are kept as they were before they shared one scanner, and the six
+parsers are kept as they were before they shared one scanner, the three
+printers of signed sums as they were before they shared one writer, and the six
 value classes of `trees` and `growth` as the dataclasses they were, each
 name prefixed `Dataclass`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +45,7 @@ from treehopf.growth import GrowthApply, GrowthCombo, GrowthLeaf
 from treehopf.hopf import _acc
 from treehopf.linalg import Span, solve_consistent
 from treehopf.series import SeriesParseError, _min_trunc
-from treehopf.trees import EMPTY_FOREST, TreeParseError
+from treehopf.trees import EMPTY_FOREST, TreeParseError, _sort_key
 
 
 def level_sequences(n: int):
@@ -218,6 +222,25 @@ def total_cut_antipode(t: RootedTree) -> LinComb:
     return out
 
 
+@functools.cache
+def tree_factorial(t: RootedTree) -> int:
+    """t! = |t| times the factorials of t's root children, so e_s(t) = s^|t| / t!
+    is the character of the exact flow at time s (Butcher 1972)."""
+    out = t.vertex_count
+    for c in t.children:
+        out *= tree_factorial(c)
+    return out
+
+
+@functools.cache
+def forest_factorial(f: Forest) -> int:
+    """F!, the product of the factorials of F's trees; 1 for the empty forest."""
+    out = 1
+    for t in f.trees:
+        out *= tree_factorial(t)
+    return out
+
+
 def _fraction_sum(pairs) -> dict:
     """The nonzero sums of the (key, coefficient) pairs, accumulated in Fraction."""
     out: dict = {}
@@ -279,7 +302,7 @@ def reference_closure_check(basis):
             for (dl, dr), comp in sorted(components.items()):
                 left, right = basis.degree_span(dl), basis.degree_span(dr)
                 if not _reference_component_in_span(comp, left, right):
-                    worst = min(comp, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+                    worst = min(comp, key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
                     return ClosureReport(False, elem, (dl, dr), worst)
     return ClosureReport(True)
 
@@ -947,6 +970,61 @@ def reference_parse_polynomial(text: str, var_names: list[str], trunc: int | Non
             raise SeriesParseError("expected a term", text, pos)
         out = out + MultiSeries(n, {tuple(expo): sign * coeff}, trunc)
     return out
+
+
+# The three printers of signed sums as they were before they shared one
+# writer, kept verbatim (as functions of the printed element, renamed, with
+# the free module's `_term_texts` and the two sorts inlined) as the reference
+# of the differential printer test.
+
+
+def reference_free_module_str(self) -> str:
+    if not self.terms:
+        return "0"
+    # Every term gets its sign; a leading "+ " is then dropped.
+    text = " ".join([f"- {-c} {t}" if c < 0 else f"+ {c} {t}" for c, t in _reference_term_texts(self)])
+    return text[2:] if text[0] == "+" else text
+
+
+def _reference_term_texts(self) -> list:
+    if isinstance(self, Tensor2):
+        return [(c, f"({fl.serial} | {fr.serial})") for (fl, fr), c in
+                sorted(self.terms.items(), key=lambda kv: (kv[0][1].serial, kv[0][0].serial))]
+    return [(c, f.serial) for f, c in sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))]
+
+
+def reference_series_str(self) -> str:
+    if not self.terms:
+        return "0"
+    names = ["x"] if self.nvars == 1 else [f"x{i+1}" for i in range(self.nvars)]
+    bits = []
+    for e, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        factors = []
+        for i, k in enumerate(e):
+            if k == 1:
+                factors.append(names[i])
+            elif k > 1:
+                factors.append(f"{names[i]}^{k}")
+        mag = -c if c < 0 else c
+        body = " ".join([str(mag)] + factors) if (mag != 1 or not factors) else " ".join(factors)
+        if not bits:
+            bits.append(body if c > 0 else f"- {body}")
+        else:
+            bits.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(bits)
+
+
+def reference_growth_combo_str(self) -> str:
+    bits = []
+    for coeff, expr in self.parts:
+        mag = -coeff if coeff < 0 else coeff
+        body = f"({expr})" if isinstance(expr, GrowthCombo) else str(expr)
+        piece = f"{mag} {body}"
+        if not bits:
+            bits.append(piece if coeff > 0 else f"- {piece}")
+        else:
+            bits.append(("+ " if coeff > 0 else "- ") + piece)
+    return " ".join(bits) if bits else "0"
 
 
 # The value classes as dataclasses.  Only the class names differ (and the

@@ -33,8 +33,8 @@ from treehopf import (
 )
 import treehopf.hopf as hopf_module
 from oracles import (brute_force_coproduct, brute_force_coproduct_tree, brute_force_natural_growth,
-                     brute_force_natural_growth_forest, reference_lincomb_product,
-                     reference_tensor_product, total_cut_antipode)
+                     brute_force_natural_growth_forest, forest_factorial, reference_lincomb_product,
+                     reference_tensor_product, total_cut_antipode, tree_factorial)
 
 L2 = parse_tree("[[]]")
 CHERRY = parse_tree("[[][]]")
@@ -554,6 +554,59 @@ def test_antipode_matches_total_cut_oracle_and_both_identities_on_bushy_trees():
         d = coproduct(t)
         assert not LinComb.linear(d, lambda p: antipode(p[0]) * LinComb.of(p[1])), t.serial
         assert not LinComb.linear(d, lambda p: LinComb.of(p[0]) * antipode(p[1])), t.serial
+
+
+def _orderings(f: Forest) -> int:
+    """|F|! / F!: the orderings of F's vertices that put each parent before its children."""
+    return factorial(f.degree) // forest_factorial(f)
+
+
+def _flow_character_misses(t: RootedTree) -> list:
+    """Where Delta(t) and S(t) break the flow characters e_s(t) = s^|t| / t!.
+
+    The exact flows form a one-parameter group of characters of H_R, and
+    S inverts characters: (e_s (x) e_u) Delta = e_{s+u} and e_s S = e_{-s}.
+    Degree by degree in (s, u), the sum of c / (P! R!) over the terms
+    c (P | R) of Delta(t) with |P| = k is C(|t|, k) / t! for every k, and
+    the sum of c / F! over the terms c F of S(t) is (-1)^|t| / t!.  Times
+    k! (|t| - k)!, and times |t|!, both are sums of ints: the orderings of
+    P, R and F.  Returns each k whose sum differs, and "S" if the
+    antipode's does.
+    """
+    n = t.vertex_count
+    want = _orderings(t.forest)
+    by_k = dict.fromkeys(range(n + 1), 0)
+    for (pruned, root_part), c in coproduct(t).terms.items():
+        k = pruned.degree
+        by_k[k] = by_k.get(k, 0) + c * _orderings(pruned) * _orderings(root_part)
+    misses = [k for k, got in by_k.items() if got != want]
+    s_sum = sum(c * _orderings(f) for f, c in antipode(t).terms.items())
+    return misses + ["S"] * (s_sum != (-1) ** n * want)
+
+
+def _ladder(n: int) -> RootedTree:
+    t = LEAF
+    for _ in range(n - 1):
+        t = b_plus(t.forest)
+    return t
+
+
+# Roots of 11 to 14 vertices with a class of at least two equal children:
+# m copies of a tree of 2 to 4 vertices, or two copies of [[[]][[]]], and
+# leaves.  A sum over the cuts of one child class that miscounts or drops
+# its multiplicities shows only on such trees.
+_REPEATED = [RootedTree((s,) * m + (LEAF,) * (n - 1 - m * s.vertex_count))
+             for n in range(11, 15) for k in range(2, 5) for s in enumerate_trees(k)
+             for m in range(2, (n - 1) // k + 1)]
+_REPEATED += [RootedTree((b_plus(Forest((L2, L2))),) * 2 + (LEAF,) * r) for r in range(4)]
+
+
+def test_coproduct_and_antipode_respect_the_flow_characters():
+    assert len(_REPEATED) == 66 and {t.vertex_count for t in _REPEATED} == {11, 12, 13, 14}
+    large = [b_plus(Forest(tuple(_ladder(k) for k in range(1, 7)))), b_plus(Forest((LEAF,) * 300))]
+    trees = [t for n in range(1, 11) for t in enumerate_trees(n)] + _REPEATED + large
+    for t in trees:
+        assert _flow_character_misses(t) == [], t.serial
 
 
 # Renders Delta and S of every tree with n <= 7, S of every forest of two or

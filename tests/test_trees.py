@@ -216,7 +216,7 @@ def test_forest_degree_and_product():
     f = Forest((L2, LEAF))
     assert f.degree == 3
     assert (f * Forest((CHERRY,))).degree == 6
-    assert enumerate_forests(3) == tuple(sorted(enumerate_forests(3), key=lambda x: x.sort_key()))
+    assert enumerate_forests(3) == tuple(sorted(enumerate_forests(3), key=trees_module._sort_key))
     assert [len(enumerate_forests(n)) for n in range(7)] == [1, 1, 2, 4, 9, 20, 48]
 
 
@@ -401,8 +401,8 @@ def test_hash_is_identity_and_order_follows_the_serial():
     assert Forest(f.trees) is f
     assert copy.copy(f) is f and pickle.loads(pickle.dumps(f)) is f
     assert hash(Forest((LEAF, CHERRY))) == hash(f)
-    assert f.sort_key() == (4, f.serial.translate(collate))
-    assert f.sort_key() is f.sort_key()
+    assert trees_module._sort_key(f) == (4, f.serial.translate(collate))
+    assert trees_module._sort_key(f) is trees_module._sort_key(f)
     assert LEAF != EMPTY_FOREST and Forest((LEAF,)) != LEAF
 
 
@@ -413,6 +413,7 @@ def test_hash_is_identity_and_order_follows_the_serial():
 _PRODUCTS_IN_ORDER = """
 import sys
 from treehopf import Forest, antipode, coproduct, enumerate_forests, enumerate_trees
+from treehopf.trees import _sort_key
 forests = [f for n in range(5) for f in enumerate_forests(n)]
 pairs = [(a, b) for a in forests for b in forests]
 trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
@@ -423,7 +424,7 @@ for a, b in pairs:
     product = a * b
     assert product is Forest(a.trees + b.trees) and product is b * a, (a, b)
 got = {t: (coproduct(t), antipode(t)) for t in trees}
-for a, b in sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+for a, b in sorted(pairs, key=lambda p: (_sort_key(p[0]), _sort_key(p[1]))):
     print(a.serial, b.serial, (a * b).serial)
 for t in sorted(trees):
     print(t.serial, got[t][0], "|", got[t][1])
