@@ -19,14 +19,15 @@ right legs.  On a forest the coproduct is the product over its trees,
 `_over_trees`, which `frame` runs for gamma_F too.  The antipode reads the
 grouped terms c (P | R) of that coproduct and recurses on the pruned part,
 S(t) = -t - sum of c S(P) R over the proper cuts, the form Connes and
-Kreimer give; S(t) is kept once per tree and S(F), the product over its
-trees, once per forest that is not one tree, so the pruned forests that
-many cuts share are multiplied out once.  Natural growth N_t grafts a copy
-of t onto every vertex of its argument, with N_t(s) kept once per pair
-(t, s) of interned trees.  The four memos are keyed by interned trees and
-forests, which live as long as the process, so none needs a bound;
-`antipode` and `coproduct` hand out a copy of a memoised element, never
-its terms, which `frame` and `verify` read in place through `_coproduct`.
+Kreimer give; S is kept once per interned forest, of one tree or of
+several, where S(F) is the product over its trees, so the pruned forests
+that many cuts share are multiplied out once.  Natural growth N_t grafts a
+copy of t onto every vertex of its argument, with N_t(s) kept once per pair
+(t, s) of interned trees.  The three memos are keyed by interned trees and
+forests, which live as long as the process, so none needs a bound.  Delta,
+S, N_t and the grading Y reach a tree, forest or combination through one
+hand-out rule, `_handed_out`: a copy of a memoised element, never its
+terms, which `frame` and `verify` read in place through `_coproduct`.
 The structural maps live on the interned objects themselves (see
 `trees`): the loops read a tree's one-tree forest `t.forest` and children
 forest `t.b_minus`, a forest's B+ tree `f.b_plus`, and the product table
@@ -342,13 +343,20 @@ def _coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
     return Tensor2.linear(x, _coproduct_forest)
 
 
+def _handed_out(cls, x: LinComb | Forest | RootedTree, fn):
+    """fn extended to x as a fresh element of cls, never a memo's own terms.
+
+    fn maps a forest to an element of cls, which may be a memo's; a tree or
+    forest gets a copy of its terms, a combination `cls.linear`'s fresh dict.
+    """
+    if isinstance(x, (RootedTree, Forest)):
+        return cls._raw(dict(fn(_as_forest(x)).terms))
+    return cls.linear(x, fn)
+
+
 def coproduct(x: LinComb | Forest | RootedTree) -> Tensor2:
     """Coproduct: sum of P_c (x) R_c over admissible cuts, multiplicative on forests."""
-    # A fresh element, or `linear`'s fresh dict: the memo's own terms are
-    # handed out only by `_coproduct`, to readers in the package.
-    if isinstance(x, (RootedTree, Forest)):
-        return Tensor2._raw(dict(_coproduct(x).terms))
-    return _coproduct(x)
+    return _handed_out(Tensor2, x, _coproduct_forest)
 
 
 def counit(x: LinComb) -> int | Fraction:
@@ -356,15 +364,11 @@ def counit(x: LinComb) -> int | Fraction:
     return x.terms.get(EMPTY_FOREST, 0)
 
 
-_antipode_memo: dict[RootedTree, LinComb] = {}
-_antipode_forest_memo: dict[Forest, LinComb] = {}
+_antipode_memo: dict[Forest, LinComb] = {}
 
 
 def _antipode_tree(t: RootedTree) -> LinComb:
     """S(t) = -t - sum of c S(P) R over the proper-cut terms c (P | R) of Delta(t)."""
-    cached = _antipode_memo.get(t)
-    if cached is not None:
-        return cached
     out: dict[Forest, int] = {t.forest: -1}
     for (pruned, root_part), c in _coproduct_tree(t).terms.items():
         if not (pruned.trees and root_part.trees):
@@ -374,34 +378,28 @@ def _antipode_tree(t: RootedTree) -> LinComb:
         products = root_part._products
         for f, d in _antipode_forest(pruned).terms.items():
             _acc(out, products.get(f) or root_part * f, -c * d)
-    res = _antipode_memo[t] = LinComb._raw(out)
-    return res
+    return LinComb._raw(out)
 
 
 def _antipode_forest(f: Forest) -> LinComb:
-    """S(f), the memo's own element: kept per tree, and per forest that is not one tree."""
-    if len(f.trees) == 1:
-        return _antipode_tree(f.trees[0])
-    cached = _antipode_forest_memo.get(f)
+    """S(f), the memo's own element, kept once per interned forest."""
+    cached = _antipode_memo.get(f)
     if cached is None:
-        cached = _antipode_forest_memo[f] = _over_trees(f, _antipode_tree, LinComb.unit)
+        trees = f.trees
+        cached = _antipode_memo[f] = (
+            _antipode_tree(trees[0]) if len(trees) == 1
+            else _over_trees(f, lambda t: _antipode_forest(t.forest), LinComb.unit))
     return cached
 
 
 def antipode(x: LinComb | Forest | RootedTree) -> LinComb:
     """Antipode: S(t) = -t - sum over proper cuts of S(P_c(t)) R_c(t)."""
-    # A fresh element, or `linear`'s fresh dict: the memo's own terms never
-    # leave this module.
-    if isinstance(x, (RootedTree, Forest)):
-        return LinComb._raw(dict(_antipode_forest(_as_forest(x)).terms))
-    return LinComb.linear(x, _antipode_forest)
+    return _handed_out(LinComb, x, _antipode_forest)
 
 
 def grading_Y(x: LinComb | Forest | RootedTree) -> LinComb:
     """Grading operator: each forest scaled by its total vertex count."""
-    if isinstance(x, (RootedTree, Forest)):
-        x = LinComb.of(x)
-    return LinComb({f: c * f.degree for f, c in x.terms.items()})
+    return _handed_out(LinComb, x, lambda f: LinComb.of(f, f.degree))
 
 
 _graft_memo: dict[tuple[RootedTree, RootedTree], LinComb] = {}
@@ -424,11 +422,7 @@ def _graft_everywhere(t: RootedTree, s: RootedTree) -> LinComb:
 
 def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
     """Generalized natural growth N_t; a derivation on products of trees."""
-    if isinstance(x, (RootedTree, Forest)):
-        x = LinComb.of(x)
 
-    # `linear` accumulates into a fresh dict, so the memo's own terms never
-    # leave this module.
     def on_forest(f: Forest) -> LinComb:
         if len(f.trees) == 1:
             return _graft_everywhere(t, f.trees[0])
@@ -436,7 +430,7 @@ def natural_growth(t: RootedTree, x: LinComb | Forest | RootedTree) -> LinComb:
                        for rest in (Forest(f.trees[:i] + f.trees[i + 1:]),)
                        for g, c in _graft_everywhere(t, s).terms.items())
 
-    return LinComb.linear(x, on_forest)
+    return _handed_out(LinComb, x, on_forest)
 
 
 def delta_k(k: int) -> LinComb:

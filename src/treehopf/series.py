@@ -61,7 +61,7 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
 def _trim(nums: list) -> list:
     """An exact jet without its trailing zeros, cut by a slice, never a pop: another
     object may hold nums (`FrameFunction.coeffs` passes grid rows to `_from_nums`).
-    The one divergence left (ROADMAP item 3): a frame row zero through its order
+    The one divergence left (ROADMAP item 9): a frame row zero through its order
     is dropped, while a MultiSeries keeps a truncated zero."""
     n = len(nums)
     while n and not nums[n - 1]:
@@ -355,7 +355,7 @@ class MultiSeries:
     def coeff(self, k: int) -> Fraction:
         assert self.nvars == 1
         a, den = self._jet()
-        return Fraction(a[k], den) if k < len(a) else Fraction(0)
+        return Fraction(a[k], den) if 0 <= k < len(a) else Fraction(0)
 
     def compose1(self, inner: "MultiSeries") -> "MultiSeries":
         """Substitute a one-variable series with zero constant term.

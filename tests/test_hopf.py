@@ -301,7 +301,7 @@ def test_antipode_and_coproduct_never_hand_out_a_memo():
             first.terms.clear()
             assert str(fn(arg)) == want, (fn.__name__, arg)
     for t in (LEAF, L2, CHERRY, PAPER_T):
-        assert hopf_module._antipode_memo[t] == total_cut_antipode(t), t.serial
+        assert hopf_module._antipode_memo[t.forest] == total_cut_antipode(t), t.serial
 
 
 def test_clearing_a_forest_antipode_leaves_its_memo_and_the_trees_that_prune_it():
@@ -310,14 +310,14 @@ def test_clearing_a_forest_antipode_leaves_its_memo_and_the_trees_that_prune_it(
     for t in f.trees:
         want = LinComb._raw(reference_lincomb_product(want, total_cut_antipode(t)))
     antipode(f).terms.clear()
-    assert hopf_module._antipode_forest_memo[f] == want
+    assert hopf_module._antipode_memo[f] == want
     # Cutting the root edges above L2, CHERRY and LEAF prunes f.  Dropped from
-    # the tree memo first, S(host) is rebuilt here and reads S(f).
+    # the memo first, S(host) is rebuilt here and reads S(f).
     host = b_plus(Forest((L2, CHERRY, LEAF, LADDER3)))
     assert (f, b_plus(Forest((LADDER3,))).forest) in brute_force_coproduct_tree(host).terms
-    hopf_module._antipode_memo.pop(host, None)
+    hopf_module._antipode_memo.pop(host.forest, None)
     assert antipode(host) == total_cut_antipode(host)
-    assert hopf_module._antipode_forest_memo[f] == want == antipode(f)
+    assert hopf_module._antipode_memo[f] == want == antipode(f)
 
 
 def test_antipode_of_a_forest_is_the_product_over_its_trees():
@@ -561,26 +561,28 @@ def _orderings(f: Forest) -> int:
     return factorial(f.degree) // forest_factorial(f)
 
 
-def _flow_character_misses(t: RootedTree) -> list:
-    """Where Delta(t) and S(t) break the flow characters e_s(t) = s^|t| / t!.
+def _flow_character_misses(x: RootedTree | Forest) -> list:
+    """Where Delta(x) and S(x) break the flow characters e_s(t) = s^|t| / t!.
 
     The exact flows form a one-parameter group of characters of H_R, and
     S inverts characters: (e_s (x) e_u) Delta = e_{s+u} and e_s S = e_{-s}.
+    A character is multiplicative, so on a forest T, e_s(T) = s^|T| / T!.
     Degree by degree in (s, u), the sum of c / (P! R!) over the terms
-    c (P | R) of Delta(t) with |P| = k is C(|t|, k) / t! for every k, and
-    the sum of c / F! over the terms c F of S(t) is (-1)^|t| / t!.  Times
-    k! (|t| - k)!, and times |t|!, both are sums of ints: the orderings of
+    c (P | R) of Delta(T) with |P| = k is C(|T|, k) / T! for every k, and
+    the sum of c / F! over the terms c F of S(T) is (-1)^|T| / T!.  Times
+    k! (|T| - k)!, and times |T|!, both are sums of ints: the orderings of
     P, R and F.  Returns each k whose sum differs, and "S" if the
     antipode's does.
     """
-    n = t.vertex_count
-    want = _orderings(t.forest)
+    forest = x.forest if isinstance(x, RootedTree) else x
+    n = forest.degree
+    want = _orderings(forest)
     by_k = dict.fromkeys(range(n + 1), 0)
-    for (pruned, root_part), c in coproduct(t).terms.items():
+    for (pruned, root_part), c in coproduct(x).terms.items():
         k = pruned.degree
         by_k[k] = by_k.get(k, 0) + c * _orderings(pruned) * _orderings(root_part)
     misses = [k for k, got in by_k.items() if got != want]
-    s_sum = sum(c * _orderings(f) for f, c in antipode(t).terms.items())
+    s_sum = sum(c * _orderings(f) for f, c in antipode(x).terms.items())
     return misses + ["S"] * (s_sum != (-1) ** n * want)
 
 
@@ -605,8 +607,13 @@ def test_coproduct_and_antipode_respect_the_flow_characters():
     assert len(_REPEATED) == 66 and {t.vertex_count for t in _REPEATED} == {11, 12, 13, 14}
     large = [b_plus(Forest(tuple(_ladder(k) for k in range(1, 7)))), b_plus(Forest((LEAF,) * 300))]
     trees = [t for n in range(1, 11) for t in enumerate_trees(n)] + _REPEATED + large
-    for t in trees:
-        assert _flow_character_misses(t) == [], t.serial
+    # Forests of several trees reach the multi-tree entries of the S memo,
+    # and the powers c^m the chains of Tensor2 products behind Delta(c^m).
+    forests = [f for d in range(2, 10) for f in enumerate_forests(d) if len(f.trees) > 1]
+    powers = [Forest((c,) * m) for n in range(1, 5) for c in enumerate_trees(n) for m in range(2, 7)]
+    assert len(forests) == 718 and len(powers) == 40
+    for x in trees + forests + powers:
+        assert _flow_character_misses(x) == [], x.serial
 
 
 # Renders Delta and S of every tree with n <= 7, S of every forest of two or

@@ -57,6 +57,14 @@ def test_derivative_and_eval():
         s1({(1,): 1}, trunc=0).deriv(0)
 
 
+def test_coeff_below_zero_and_past_the_jet_is_zero():
+    for s in (s1({(0,): 1, (1,): 2}), s1({(0,): 3, (2,): Fraction(-1, 2)}, trunc=4)):
+        assert [s.coeff(k) for k in (-3, -2, -1)] == [0, 0, 0]
+        assert s.coeff(7) == 0
+    assert s1({(0,): 1, (1,): 2}).coeff(1) == 2
+    assert s1({(0,): 3, (2,): Fraction(-1, 2)}, trunc=4).coeff(2) == Fraction(-1, 2)
+
+
 def test_compose_reciprocal_reversion():
     f = s1({(1,): 1, (2,): 1}, trunc=8)          # x + x^2
     g = s1({(1,): 2, (3,): -1}, trunc=8)         # 2x - x^3
