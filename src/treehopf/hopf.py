@@ -33,7 +33,9 @@ The structural maps live on the interned objects themselves (see
 forest `t.b_minus`, a forest's B+ tree `f.b_plus`, and the product table
 of the left factor in both `__mul__` loops, of both legs in the trunk
 product, and of the one-tree root part R in the antipode, instead of
-rebuilding any of them.
+rebuilding any of them; the trunk loop reads the slots `_b_plus` and `_forest`
+of each right leg B+(R R2), calling the property only while a slot is empty.
+Delta and S have nonzero int coefficients, so neither loop calls `_norm`.
 Terms are kept in dicts keyed by interned forests, which hash by
 identity; every printed order is a sort, on `trees._sort_key` or on the serials.
 
@@ -309,12 +311,15 @@ def _coproduct_tree(t: RootedTree) -> Tensor2:
             for (left, right), c1 in _coproduct_memo[trunk].terms.items():
                 if not right.trees:
                     continue
-                # The product tables of P and of R, read without a call per
-                # term.  Coproduct coefficients are positive ints: no sum cancels.
+                # The product tables of P and R and the slots of B+(R R2), read
+                # without a call per term; an empty slot falls back to its property.
+                # Coproduct coefficients are positive ints: no sum cancels or needs `_norm`.
                 rest = right.trees[0].b_minus
                 lp, rp = left._products, rest._products
                 for (l2, r2), c2 in tail:
-                    key = lp.get(l2) or left * l2, (rp.get(r2) or rest * r2).b_plus.forest
+                    grown = rp.get(r2) or rest * r2
+                    grown = grown._b_plus or grown.b_plus
+                    key = lp.get(l2) or left * l2, grown._forest or grown.forest
                     out[key] = out.get(key, 0) + c1 * c2
         _coproduct_memo[s] = Tensor2._raw(out)
     return _coproduct_memo[t]
@@ -373,11 +378,17 @@ def _antipode_tree(t: RootedTree) -> LinComb:
     for (pruned, root_part), c in _coproduct_tree(t).terms.items():
         if not (pruned.trees and root_part.trees):
             continue
-        # The product table of the one-tree root part, read here without a
-        # call per term.
+        # The product table of the one-tree root part, read without a call
+        # per term.  Delta and S have nonzero int coefficients: a sum needs no
+        # `_norm`, and one that cancels is deleted.
         products = root_part._products
         for f, d in _antipode_forest(pruned).terms.items():
-            _acc(out, products.get(f) or root_part * f, -c * d)
+            key = products.get(f) or root_part * f
+            s = out.get(key, 0) - c * d
+            if s:
+                out[key] = s
+            else:
+                del out[key]
     return LinComb._raw(out)
 
 

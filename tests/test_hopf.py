@@ -28,6 +28,7 @@ from treehopf import (
     natural_growth,
     nbrel_identity,
     ntcoprod_identity,
+    parse_forest,
     parse_lincomb,
     parse_tree,
 )
@@ -505,6 +506,22 @@ def test_coefficients_are_int_first():
     _exact_coeffs(antipode(LinComb.of(CHERRY, 0.5)).terms.values())
 
 
+def test_memoised_coproduct_and_antipode_keep_nonzero_int_coefficients():
+    # The trunk loop adds coefficients of Delta with no `_norm` and no
+    # cancellation test, and the antipode loop adds them in place and deletes
+    # a key whose sum is 0: both rest on these coefficients being ints.
+    trees = [t for n in range(1, 10) for t in enumerate_trees(n)]
+    for t in trees:
+        terms = hopf_module._coproduct_tree(t).terms
+        assert all(type(c) is int and c > 0 for c in terms.values()), t.serial
+        # t (x) 1 is the one term with right leg 1, and it is inserted first.
+        top = (t.forest, EMPTY_FOREST)
+        assert [k for k in terms if not k[1].trees] == [top] and next(iter(terms)) == top, t.serial
+        antipode(t)
+    for f, s in hopf_module._antipode_memo.items():
+        assert all(type(c) is int and c for c in s.terms.values()), f.serial
+
+
 def test_linear_drops_cancelled_terms():
     x = LinComb.of(L2) + LinComb.of(Forest((LEAF, LEAF)))
     # both forests map to the single vertex with opposite signs
@@ -616,6 +633,52 @@ def test_coproduct_and_antipode_respect_the_flow_characters():
         assert _flow_character_misses(x) == [], x.serial
 
 
+def _character(rng: random.Random, trees):
+    """A seeded random rational character: a value per tree, multiplicative on forests."""
+    values = {t: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for t in trees}
+
+    def on_forest(f: Forest) -> Fraction:
+        out = Fraction(1)
+        for t in f.trees:
+            out *= values[t]
+        return out
+
+    return on_forest
+
+
+def _convolution(a, b):
+    """a * b = (a (x) b) Delta, on forests, kept per forest."""
+    kept = {}
+
+    def on_forest(f: Forest) -> Fraction:
+        if f not in kept:
+            kept[f] = sum(c * a(p) * b(r) for (p, r), c in coproduct(f).terms.items())
+        return kept[f]
+
+    return on_forest
+
+
+def test_characters_form_the_butcher_group():
+    # The characters of H_R form a group under a * b = (a (x) b) Delta, the
+    # Butcher group (Connes and Kreimer 1998), with inverse a o S.  On every
+    # tree with at most 8 vertices: (a * b) * c = a * (b * c), and
+    # (a o S) * a = eps = a * (a o S).
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    rng = random.Random(3811)
+    a, b, c = (_character(rng, trees) for _ in range(3))
+    left, right = _convolution(_convolution(a, b), c), _convolution(a, _convolution(b, c))
+
+    def a_of_s(f: Forest) -> Fraction:
+        return sum(d * a(g) for g, d in antipode(f).terms.items())
+
+    inverse_first, inverse_last = _convolution(a_of_s, a), _convolution(a, a_of_s)
+    for t in trees:
+        f = t.forest
+        assert left(f) == right(f), t.serial
+        assert inverse_first(f) == 0 == inverse_last(f), t.serial
+    assert inverse_first(EMPTY_FOREST) == 1 == inverse_last(EMPTY_FOREST)
+
+
 # Renders Delta and S of every tree with n <= 7, S of every forest of two or
 # more trees with degree <= 7, then N_t(s) for every pair with
 # |t| + |s| <= 7, in sorted order, after computing all of them in the order
@@ -684,6 +747,51 @@ def test_hopf_suite_reports_the_same_cold_and_warm():
     cold, warm = proc.stdout.splitlines()
     assert json.loads(cold)["ok"] and json.loads(cold)["checks"] > 0
     assert cold == warm
+
+
+# In a fresh interpreter, where no tree keeps its one-tree forest and no
+# forest its B+ tree or a product, builds Delta of every tree with at most 8
+# vertices and S of every tree with at most 7, the largest trees first, so
+# the trunk loop meets new root parts B+(R R2) and falls back to both
+# properties.  Prints the filled slots before the builds, how often
+# `Forest.b_plus` ran, and each result's terms as JSON, in insertion order.
+_COLD_SLOTS = """
+import json
+from treehopf import Forest, antipode, coproduct, enumerate_trees
+from treehopf.trees import _FORESTS, _TREES
+trees = [t for n in range(8, 0, -1) for t in enumerate_trees(n)]
+filled = [t.serial for t in _TREES.values() if t._forest is not None or t._b_minus is not None]
+filled += [f.serial for f in _FORESTS.values() if f._b_plus is not None or f._products]
+print(json.dumps(filled))
+fallbacks = []
+b_plus = Forest.b_plus
+Forest.b_plus = property(lambda f: fallbacks.append(f) or b_plus.fget(f))
+got = [(t, coproduct(t), t.vertex_count <= 7 and antipode(t)) for t in trees]
+print(len(fallbacks))
+for t, d, s in got:
+    print(json.dumps([t.serial, [[l.serial, r.serial, c] for (l, r), c in d.terms.items()],
+                      s and [[f.serial, c] for f, c in s.terms.items()]]))
+"""
+
+
+def test_slot_reads_give_the_same_terms_and_order_from_empty_slots():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _COLD_SLOTS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    filled, fallbacks, *rows = proc.stdout.splitlines()
+    assert json.loads(filled) == [] and int(fallbacks) > 0
+    assert len(rows) == 200
+    for row in rows:
+        serial, cold_delta, cold_s = json.loads(row)
+        t = parse_tree(serial)
+        assert Tensor2({(parse_forest(l), parse_forest(r)): c for l, r, c in cold_delta}) \
+            == brute_force_coproduct_tree(t), serial
+        assert cold_delta == [[l.serial, r.serial, c] for (l, r), c in coproduct(t).terms.items()], \
+            serial
+        if t.vertex_count <= 7:
+            assert LinComb({parse_forest(f): c for f, c in cold_s}) == total_cut_antipode(t), serial
+            assert cold_s == [[f.serial, c] for f, c in antipode(t).terms.items()], serial
 
 
 # Renders generate_subalgebra(fan:3, 6) and its closure report, either in a
