@@ -6,8 +6,10 @@ never expanded.  Functions on the frame bundle are polynomials in y with
 truncated x-jet coefficients, kept on one int grid: row k holds the
 numerators of the y^k coefficient with its own truncation order, over one
 denominator for the whole function, reduced by one content gcd per
-result, through the jet steps of the series module.  The dict of series
-`coeffs` is built from the grid on first read.  The flow of interest is
+result, through the jet steps of the series module.  A product convolves
+each pair of rows once, straight into its output row, and scaling by 1
+returns the operand.  The dict of series `coeffs` is built from the grid
+on first read.  The flow of interest is
 
     dx/ds = y,    dz/ds = -y Gamma(x),
 
@@ -221,29 +223,40 @@ class FrameFunction:
         return self.__add__(other, -1)
 
     def __mul__(self, other: "FrameFunction") -> "FrameFunction":
-        """Row k1+k2 gathers the products of rows k1 and k2, at the least of their orders."""
+        """Row k1+k2 gathers the products of rows k1 and k2, at the least of their orders.
+
+        Each pair is convolved once into its output row: the first into a new
+        list, a later one at the row's least order so far, after padding the
+        list where an exact product left it short.  A row that a later pair
+        cut lower is cut to its final order at the end.
+        """
         cells: dict[int, list] = {}
         for k1, (t1, a) in self._rows.items():
             for k2, (t2, b) in other._rows.items():
                 t = _min_trunc(t1, t2)
                 cell = cells.get(k1 + k2)
                 if cell is None:
-                    cells[k1 + k2] = [t, (a, b)]
-                else:
-                    cell[0] = _min_trunc(cell[0], t)
-                    cell.append((a, b))
-        rows = {}
-        for k, (t, *pairs) in cells.items():
-            n = None if t is None else t + 1
-            out = [0] * (n or max(len(a) + len(b) - 1 for a, b in pairs))
-            for a, b in pairs:
+                    cells[k1 + k2] = [t, _conv(a, b, None if t is None else t + 1)]
+                    continue
+                t = cell[0] = _min_trunc(cell[0], t)
+                out = cell[1]
+                n = len(a) + len(b) - 1 if t is None else t + 1
+                if len(out) < n:
+                    out += [0] * (n - len(out))
                 _conv(a, b, n, out)
+        rows = {}
+        for k, (t, out) in cells.items():
+            if t is not None and len(out) > t + 1:
+                del out[t + 1:]
             row = _row(t, out)
             if row:
                 rows[k] = row
         return FrameFunction._reduced(rows, self._den * other._den)
 
     def scale(self, c) -> "FrameFunction":
+        """c times self; the operand itself for c = 1, since a frame function is never mutated."""
+        if c == 1:
+            return self
         if not isinstance(c, int):
             c = Fraction(c)
         if not c:

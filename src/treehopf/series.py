@@ -285,6 +285,8 @@ class MultiSeries:
         return self.__add__(other, -1)
 
     def scale(self, c) -> "MultiSeries":
+        if c == 1:                  # a series is never mutated
+            return self
         if not isinstance(c, int):
             c = Fraction(c)
         if not c:

@@ -5,7 +5,9 @@ its own truncation order, over one denominator for the whole function.
 Each operation must give the coefficients, the truncation order of every
 row and the row order of `SeriesFrameFunction` in `oracles.py`, and must
 store the least common denominator: the lcm of the denominators of its
-reduced coefficients.  `first_mismatch` must find what the walk over
+reduced coefficients.  A product convolves each pair of rows once, also
+where several pairs gather in one row at different orders, and scaling by
+1 returns the operand.  `first_mismatch` must find what the walk over
 `coeffs` in `oracles.py` finds.  The coproduct sides of the frame model,
 summed over the grouped coproduct, must agree with one monomial product
 per coproduct term or cut.  A monomial keeps its product with each right
@@ -161,6 +163,76 @@ def test_exact_rows_drop_their_trailing_zeros():
     assert (a * b)._rows[1] == (None, [-1, -2])
 
 
+# Rows a pair of factors gathers into row 1, first from rows (0, 1), then (1, 0).
+GATHERED = {
+    # exact then cut: the cut product lowers the exact row
+    "exact, cut": ([(0, s1({(0,): 1, (1,): Fraction(1, 2)})), (1, s1({(1,): 3}, 2))],
+                   [(1, s1({(0,): 2, (2,): -1})), (0, s1({(0,): Fraction(1, 3), (1,): 1}))]),
+    # cut at 6, then at 2
+    "cut 6, cut 2": ([(0, s1({(0,): 1, (3,): 2}, 6)), (1, s1({(0,): -1, (2,): 5}, 2))],
+                     [(1, s1({(1,): Fraction(2, 3), (4,): 1})), (0, s1({(0,): 4, (1,): 1}))]),
+    # a long exact product, then a shorter cut one
+    "long exact, cut 3": ([(0, s1({(0,): 1, (6,): 1})), (1, s1({(1,): 1}, 3))],
+                          [(1, s1({(2,): Fraction(-5, 2), (5,): 1})), (0, s1({(0,): 7}))]),
+    # a short exact product, then a cut one longer than it
+    "short exact, cut 6": ([(0, s1({(0,): 2})), (1, s1({(1,): 1, (4,): 3}, 6))],
+                           [(1, s1({(1,): -1})), (0, s1({(0,): 1, (2,): Fraction(1, 12)}))]),
+    # a short exact product, then a longer exact one
+    "exact, longer exact": ([(0, s1({(0,): 1})), (1, s1({(1,): 1, (3,): 1}))],
+                            [(1, s1({(0,): -3})), (0, s1({(0,): 1, (2,): 2}))]),
+    # x^3 exactly, then x^2 * x cut at 2: the row is zero through order 2 and is dropped
+    "vanishes at its order": ([(0, s1({(3,): 1})), (1, s1({(2,): 1}, 4))],
+                              [(1, s1({(0,): 1})), (0, s1({(1,): 1}, 2))]),
+    # x + 1, then -(x + 1): the row cancels exactly and is dropped
+    "cancels": ([(0, s1({(0,): 1, (1,): 1})), (1, s1({(0,): 1}))],
+                [(1, s1({(0,): 1})), (0, s1({(0,): -1, (1,): -1}))]),
+}
+
+
+@pytest.mark.parametrize("ra, rb", GATHERED.values(), ids=GATHERED)
+def test_rows_gathering_several_pairs_match_the_oracle(ra, rb):
+    (a, oa), (b, ob) = both(ra), both(rb)
+    for x, ox, y, oy in ((a, oa, b, ob), (b, ob, a, oa)):
+        same(x * y, ox * oy)
+        same(x * y.scale(Fraction(-3, 2)), ox * oy.scale(Fraction(-3, 2)))
+
+
+def test_gathered_rows_take_the_least_order_and_may_vanish():
+    a, b = (FrameFunction(rows) for rows in GATHERED["cut 6, cut 2"])
+    assert (a * b).coeffs[1].trunc == 2
+    a, b = (FrameFunction(rows) for rows in GATHERED["long exact, cut 3"])
+    assert (a * b)._rows[1][0] == 3 and len((a * b)._rows[1][1]) == 4
+    a, b = (FrameFunction(rows) for rows in GATHERED["vanishes at its order"])
+    assert list((a * b).coeffs) == [2]
+
+
+def test_one_row_factors_match_the_oracle():
+    rng = random.Random(11)
+    for _ in range(60):
+        k, g = rng.randint(0, 3), s1({(rng.randint(0, 4),): Fraction(rng.randint(-7, 7), 3),
+                                      (0,): rng.randint(1, 5)}, rng.choice(TRUNCS))
+        (one, o_one), (f, of) = both([(k, g)]), both(random_rows(rng))
+        same(one * f, o_one * of)
+        same(f * one, of * o_one)
+        same(one * one, o_one * o_one)
+
+
+def test_a_product_convolves_each_pair_of_rows_once(monkeypatch):
+    from treehopf import frame
+
+    calls = []
+    conv = frame._conv
+    monkeypatch.setattr(frame, "_conv", lambda *args: calls.append(1) or conv(*args))
+    rng = random.Random(12)
+    pairs = [(FrameFunction(ra), FrameFunction(rb)) for ra, rb in GATHERED.values()]
+    pairs += [(FrameFunction(ra), FrameFunction(rb))
+              for _ in range(20) for ra, rb in operands(rng)]
+    for a, b in pairs:
+        calls.clear()
+        a * b
+        assert len(calls) == len(a._rows) * len(b._rows)
+
+
 def test_scalings_and_derivatives_match_the_oracle():
     rng = random.Random(3)
     for _ in range(40):
@@ -177,6 +249,33 @@ def test_scalings_and_derivatives_match_the_oracle():
                 same(f.dx(), of.dx())
                 if f.trunc is None or f.trunc >= 2:
                     same(f.dx().dz().dx(), of.dx().dz().dx())
+
+
+def test_scaling_by_one_returns_the_operand():
+    rng = random.Random(13)
+    for _ in range(30):
+        for ra, _ in operands(rng):
+            f, of = both(ra)
+            assert f.scale(1) is f and f.scale(Fraction(1)) is f
+            for c in (-1, 0, Fraction(3, 2)):
+                same(f.scale(c), of.scale(c))
+
+
+def test_a_sum_with_unit_coefficients_has_the_grid_of_the_plain_sum():
+    from treehopf.butcher import _linear_sum
+
+    rng = random.Random(14)
+    x = LinComb()
+    for t in (t for n in range(1, 5) for t in enumerate_trees(n)):
+        x = x + LinComb.of(t)
+    assert set(x.terms.values()) == {1}
+    for _ in range(20):
+        values = {fo: FrameFunction(random_rows(rng)) for fo in x.terms}
+        plain = FrameFunction.zero()
+        for fo in x.terms:
+            plain = plain + values[fo]
+        got = _linear_sum(x, values.__getitem__, FrameFunction.zero())
+        assert (got._rows, got._den) == (plain._rows, plain._den)
 
 
 def test_cutting_every_row_matches_the_oracle():

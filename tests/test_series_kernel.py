@@ -4,7 +4,8 @@ Every MultiSeries computes on int numerators over one denominator.  Each
 operation must give the terms and the truncation order of the dict-of-
 Fractions arithmetic in `oracles.py`, in one, two and three variables,
 and must store the least common denominator: the lcm of the denominators
-of its reduced terms, never a multiple of it.
+of its reduced terms, never a multiple of it.  Scaling by 1 returns the
+operand itself.
 """
 
 import random
@@ -125,6 +126,16 @@ def test_scalings_negations_and_derivatives_match_oracles(nvars):
                         same(s.deriv(i), series_deriv(s, i))
                         if s.trunc is None or s.trunc >= 2:
                             same(s.deriv(i).deriv(i), series_deriv(series_deriv(s, i), i))
+
+
+@pytest.mark.parametrize("nvars", NVARS)
+def test_scaling_by_one_returns_the_operand(nvars):
+    rng = random.Random(30 + nvars)
+    for a, b in operands(rng, nvars, 4):
+        for s in (a, b, working(a)):
+            assert s.scale(1) is s and s.scale(Fraction(1)) is s
+            for c in (-1, 0, Fraction(3, 2)):
+                same(s.scale(c), series_scale(s, c))
 
 
 @pytest.mark.parametrize("nvars", NVARS)
