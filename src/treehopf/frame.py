@@ -7,9 +7,10 @@ truncated x-jet coefficients, kept on one int grid: row k holds the
 numerators of the y^k coefficient with its own truncation order, over one
 denominator for the whole function, reduced by one content gcd per
 result, through the jet steps of the series module.  A product convolves
-each pair of rows once, straight into its output row, and scaling by 1
-returns the operand.  The dict of series `coeffs` is built from the grid
-on first read.  The flow of interest is
+each pair of rows once, straight into its output row; scaling by 1
+returns the operand, a negation is the scaling by -1, and a cut is the
+product with 1 cut at the order.  `coeffs`, the dict of series, is built
+from the grid on first read.  The flow of interest is
 
     dx/ds = y,    dz/ds = -y Gamma(x),
 
@@ -20,10 +21,10 @@ deriv(0) and deriv(1) are d/dx and d/dz.  gamma_F is `hopf._over_trees`.
 
 Diffeomorphisms are jets psi with psi(0) = 0, psi'(0) > 0; the lift to
 the frame bundle sends (x, y) to (psi(x), y psi'(x)).  Each diffeomorphism
-computes psi' once, and keeps the vertex symbol gamma_bullet(psi) and the
-tree symbols gamma_t(psi) once per curvature; the lift reads the powers of
-psi and of psi' from the power tables those series keep (see the series
-module).
+computes psi' and psi''/psi' once, and keeps the vertex symbol
+gamma_bullet(psi) and the tree symbols gamma_t(psi) once per curvature;
+the lift reads the powers of psi and of psi' from the power tables those
+series keep (see the series module).
 Crossed-product monomials f U*_psi multiply by
 
     (f U*_psi)(g U*_eta) = f (g o lift(psi)) U*_{eta o psi},
@@ -58,7 +59,7 @@ from math import gcd
 from .butcher import _contract, _linear_sum, _phi_vec, _single_tree
 from .growth import GrowthApply, GrowthExpr, GrowthLeaf, decompose
 from .hopf import LinComb, _coproduct, _over_trees, delta_k, natural_growth
-from .series import (MultiSeries, TruncationError, _compose, _content, _conv, _min_trunc,
+from .series import (MultiSeries, _compose, _content, _conv, _deriv_trunc, _min_trunc,
                      _over_lcm, _scaled_sum, _trim, parse_polynomial)
 from .trees import Forest, LEAF, RootedTree, _Immutable, b_plus
 
@@ -216,8 +217,8 @@ class FrameFunction:
         return FrameFunction._reduced(rows, den)
 
     def __neg__(self) -> "FrameFunction":
-        return FrameFunction._raw(
-            {k: (t, [-v for v in nums]) for k, (t, nums) in self._rows.items()}, self._den)
+        """-self: the scaling by -1."""
+        return self.scale(-1)
 
     def __sub__(self, other: "FrameFunction") -> "FrameFunction":
         return self.__add__(other, -1)
@@ -275,9 +276,7 @@ class FrameFunction:
         if self._dx is None:
             rows = {}
             for k, (t, a) in self._rows.items():
-                if t is not None and t < 1:
-                    raise TruncationError("derivative exhausted the retained orders")
-                row = _row(None if t is None else t - 1, [i * a[i] for i in range(1, len(a))])
+                row = _row(_deriv_trunc(t), [i * a[i] for i in range(1, len(a))])
                 if row:
                     rows[k] = row
             self._dx = FrameFunction._reduced(rows, self._den)
@@ -292,18 +291,11 @@ class FrameFunction:
         return self._dz
 
     def with_trunc(self, trunc: int | None) -> "FrameFunction":
-        """Every row cut at order trunc; a row zero through it is dropped."""
+        """Every row cut at order trunc, a row zero through it dropped: the product with 1 cut
+        at trunc, on the left, where `_conv` skips its zeros.  The operand if nothing is cut."""
         if trunc is None or all(t is not None and t <= trunc for t, _ in self._rows.values()):
             return self
-        n = trunc + 1
-        rows = {}
-        for k, (t, nums) in self._rows.items():
-            if t is None or t > trunc:
-                t, nums = trunc, nums[:n] + [0] * (n - len(nums))
-            row = _row(t, nums)
-            if row:
-                rows[k] = row
-        return FrameFunction._reduced(rows, self._den)
+        return FrameFunction.constant(1, trunc) * self
 
     def deriv(self, axis: int) -> "FrameFunction":
         """The derivation along coordinate `axis` of (x, z): dx() for 0, dz() for 1."""
@@ -343,9 +335,9 @@ class FrameFunction:
 class FormalDiffeo:
     """An orientation-preserving formal diffeomorphism jet fixing 0.
 
-    Keeps in `_ops` psi' and, per curvature, the symbols gamma_bullet(psi)
-    and gamma_t(psi), each computed once (see `_kept`); the jet is never
-    changed after construction.
+    Keeps in `_ops` psi', psi''/psi' and, per curvature, the symbols
+    gamma_bullet(psi) and gamma_t(psi), each computed once (see `_kept`);
+    the jet is never changed after construction.
     """
 
     __slots__ = ("series", "_ops")
@@ -484,19 +476,26 @@ def _require_order(order: int) -> None:
         raise ValueError(f"order must be >= 2 (the single-vertex symbol needs psi''), got {order}")
 
 
+def _flat_part(psi: FormalDiffeo) -> MultiSeries:
+    """psi''/psi', the Connes-Moscovici cocycle of delta_1, kept on psi (see `_kept`)."""
+    return _kept(psi, _flat_part, lambda: psi.d().deriv(0) * psi.d().reciprocal())
+
+
+def _curvature_part(psi: FormalDiffeo, Gamma: CurvatureFn) -> MultiSeries:
+    """psi' Gamma(psi) - Gamma, the part of the vertex symbol that Gamma carries."""
+    return psi.d() * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc)
+
+
 def gamma_bullet(psi: FormalDiffeo, Gamma: CurvatureFn) -> FrameFunction:
     """The single-vertex symbol, as a function of the source point:
 
     gamma(psi) = y ( psi'(x) Gamma(psi(x)) - Gamma(x) + psi''(x)/psi'(x) ).
 
-    Kept on psi per (Gamma, Gamma.trunc), as psi' is (see `_kept`).
+    Kept on psi per (Gamma, Gamma.trunc), as psi' is (see `_kept`).  The parts are
+    summed as series, so a truncated zero curvature part (Gamma = 0) keeps its order.
     """
-    def compute():
-        dpsi = psi.d()
-        g = dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc) \
-            + dpsi.deriv(0) * dpsi.reciprocal()
-        return FrameFunction.y_times(g)
-    return _kept(psi, (Gamma, Gamma.trunc), compute)
+    return _kept(psi, (Gamma, Gamma.trunc), lambda: FrameFunction.y_times(
+        _curvature_part(psi, Gamma) + _flat_part(psi)))
 
 
 def frame_field(Gamma: CurvatureFn, trunc: int | None = None) -> tuple[FrameFunction, FrameFunction]:
@@ -791,27 +790,18 @@ def delta_from_commutators(t: RootedTree, m: Monomial, Gamma: CurvatureFn) -> Mo
     return delta(decompose(t), m)
 
 
-def _vertex_symbol_order(psi: FormalDiffeo, Gamma: CurvatureFn) -> int | None:
-    """The x-order through which gamma_bullet(psi) is known: psi'' and Gamma bound it.
-
-    A frame function drops a row that is zero through its order, and the
-    order with it, so a vanishing vertex symbol reads as an exact zero.
-    """
-    t = psi.trunc
-    return _min_trunc(None if t is None else t - 2, Gamma.trunc)
-
-
 def cocycle_sides(psi: FormalDiffeo, eta: FormalDiffeo,
                   Gamma: CurvatureFn) -> tuple[FrameFunction, FrameFunction]:
     """Both sides of gamma(eta o psi) = gamma(psi) + gamma(eta) o lift(psi).
 
-    The right side is cut at the order the left side is known to, which
-    its frame function loses when the symbol vanishes through that order.
+    The right side is cut at the order the left side is known to, where
+    psi''/psi' or Gamma ends; a frame function drops a row zero through its
+    order, and the order with it, so a vanishing symbol reads as exact.
     """
     comp = eta.compose(psi)
     lhs = gamma_bullet(comp, Gamma)
     rhs = gamma_bullet(psi, Gamma) + lift_apply(psi, gamma_bullet(eta, Gamma))
-    return lhs, rhs.with_trunc(_vertex_symbol_order(comp, Gamma))
+    return lhs, rhs.with_trunc(_min_trunc(_flat_part(comp).trunc, Gamma.trunc))
 
 
 def check_cocycle(psi: FormalDiffeo, eta: FormalDiffeo, Gamma: CurvatureFn) -> bool:
@@ -821,12 +811,8 @@ def check_cocycle(psi: FormalDiffeo, eta: FormalDiffeo, Gamma: CurvatureFn) -> b
 
 def transferred_base_field(psi: FormalDiffeo, Gamma: CurvatureFn):
     """The flow field seen through the lift: (y psi'(x), y (psi''/psi' - Gamma))."""
-    dpsi = psi.d()
-    log_slope = dpsi.deriv(0) * dpsi.reciprocal()
-    return (
-        FrameFunction.y_times(dpsi),
-        FrameFunction.y_times(log_slope - Gamma.with_trunc(psi.trunc)),
-    )
+    return (FrameFunction.y_times(psi.d()),
+            FrameFunction.y_times(_flat_part(psi) - Gamma.with_trunc(psi.trunc)))
 
 
 def transferred_side(t: RootedTree, psi: FormalDiffeo, Gamma: CurvatureFn,
@@ -917,11 +903,8 @@ def forced_vertex_symbols(psi: FormalDiffeo, Gamma: CurvatureFn):
     the flat cocycle y psi''/psi', which is why the cut-sum coproduct of
     X_t cannot hold for both sizes at once.
     """
-    dpsi = psi.d()
-    curvature_only = FrameFunction.y_times(
-        dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc))
-    flat = FrameFunction.y_times(dpsi.deriv(0) * dpsi.reciprocal())
-    return gamma_bullet(psi, Gamma), curvature_only, flat
+    return (gamma_bullet(psi, Gamma), FrameFunction.y_times(_curvature_part(psi, Gamma)),
+            FrameFunction.y_times(_flat_part(psi)))
 
 
 def parse_frame_function(text: str, trunc: int | None = None) -> FrameFunction:

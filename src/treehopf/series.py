@@ -14,7 +14,8 @@ numerator in several.  The public dict of Fractions, `terms`, is built
 from it on first read; `sorted_terms`, by degree then exponent, is the one
 order of the printed and JSON forms.  Each y^k row of a frame.FrameFunction
 takes the same univariate jet steps from here: `_trim`, `_scaled_sum`,
-`_content` and `_over_lcm`.  Composition g o psi is linear in g, with
+`_content`, `_over_lcm` and the order rule of a derivative, `_deriv_trunc`.
+A negation is the scaling by -1.  Composition g o psi is linear in g, with
 matrix the power table [x^i] psi^k, which the inner series keeps once
 built; the compositional inverse comes from Lagrange inversion,
 [x^n] psi^-1 = (1/n) [x^(n-1)] (x/psi)^n.
@@ -51,11 +52,15 @@ class SeriesParseError(_ParseError):
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    """The lower of two truncation orders, None (exact) counting as infinite."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _deriv_trunc(trunc: int | None) -> int | None:
+    """A derivative's order: one below trunc; TruncationError if no order is left."""
+    if trunc is not None and trunc < 1:
+        raise TruncationError("derivative exhausted the retained orders")
+    return None if trunc is None else trunc - 1
 
 
 def _trim(nums: list) -> list:
@@ -277,9 +282,8 @@ class MultiSeries:
         return MultiSeries._from_nums(self.nvars, out, den, trunc)
 
     def __neg__(self) -> "MultiSeries":
-        a, den = self._jet()
-        a = [-v for v in a] if self.nvars == 1 else {e: -v for e, v in a.items()}
-        return MultiSeries._raw(self.nvars, None, self.trunc, a, den)
+        """-self: the scaling by -1."""
+        return self.scale(-1)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self.__add__(other, -1)
@@ -317,9 +321,8 @@ class MultiSeries:
             self.nvars, {e: v for e, v in out.items() if v}, da * db, trunc)
 
     def deriv(self, i: int) -> "MultiSeries":
-        if self.trunc is not None and self.trunc < 1:
-            raise TruncationError("derivative exhausted the retained orders")
-        trunc = None if self.trunc is None else self.trunc - 1
+        """d/dx_i, one order lower (see `_deriv_trunc`)."""
+        trunc = _deriv_trunc(self.trunc)
         a, den = self._jet()
         if self.nvars == 1:
             out = [k * a[k] for k in range(1, len(a))]
@@ -355,7 +358,8 @@ class MultiSeries:
     # Univariate helpers (nvars == 1) used by the frame-bundle model.
 
     def coeff(self, k: int) -> Fraction:
-        assert self.nvars == 1
+        if self.nvars != 1:
+            raise ValueError(f"coeff needs a series in one variable, not {self.nvars}")
         a, den = self._jet()
         return Fraction(a[k], den) if 0 <= k < len(a) else Fraction(0)
 
@@ -366,7 +370,8 @@ class MultiSeries:
         the weaker truncation is kept.  Sums g_k psi^k over the rows of
         the inner series' power table.
         """
-        assert self.nvars == 1 and inner.nvars == 1
+        if self.nvars != 1 or inner.nvars != 1:
+            raise ValueError("compose1 needs two series in one variable")
         if inner.eval0() != 0:
             raise ValueError("composition requires zero constant term")
         trunc = _min_trunc(self.trunc, inner.trunc)
@@ -376,7 +381,8 @@ class MultiSeries:
 
     def reciprocal(self) -> "MultiSeries":
         """Inverse of a one-variable unit series, to the retained order."""
-        assert self.nvars == 1
+        if self.nvars != 1:
+            raise ValueError(f"reciprocal needs a series in one variable, not {self.nvars}")
         c0 = self.eval0()
         if c0 == 0:
             raise ValueError("series has no reciprocal: zero constant term")
@@ -398,7 +404,8 @@ class MultiSeries:
 
     def reversion(self) -> "MultiSeries":
         """Compositional inverse of a one-variable series with nonzero slope."""
-        assert self.nvars == 1
+        if self.nvars != 1:
+            raise ValueError(f"reversion needs a series in one variable, not {self.nvars}")
         if self.eval0() != 0 or self.coeff(1) == 0:
             raise ValueError("reversion requires zero constant term and nonzero slope")
         trunc = self.trunc
@@ -506,12 +513,9 @@ def series_solve(p: ODEProblem) -> list[list[Fraction]]:
     Returns coefficient vectors c_0 .. c_K with x^i(s) = sum_k c_k[i] s^k;
     the step is c_{k+1} = (s^k coefficient of f(x(s))) / (k+1).
     """
-    n = p.field.nvars
-    K = p.taylor_order
-    coeffs: list[list[Fraction]] = [[Fraction(0)] * n]
-    for k in range(K):
-        rhs = _eval_field_on_jet(p.field, coeffs, k)
-        coeffs.append([c / (k + 1) for c in rhs])
+    coeffs: list[list[Fraction]] = [[Fraction(0)] * p.field.nvars]
+    for k in range(p.taylor_order):
+        coeffs.append([c / (k + 1) for c in _eval_field_on_jet(p.field, coeffs, k)])
     return coeffs
 
 
@@ -521,11 +525,10 @@ def _eval_field_on_jet(field: VectorField, coeffs: list[list[Fraction]], order: 
     x(0) = 0, so a monomial of total degree above `order` is O(s^(order+1))
     and contributes nothing: its powers are never built.
     """
-    n = field.nvars
-    jets = [[coeffs[k][i] for k in range(len(coeffs))] for i in range(n)]
+    jets = list(zip(*coeffs))       # jets[i][k] = coeffs[k][i]
     out = []
     for comp in field.components:
-        acc = [Fraction(0)] * (order + 1)
+        acc = Fraction(0)
         for expo, c in comp.terms.items():
             if sum(expo) > order:
                 continue
@@ -533,9 +536,8 @@ def _eval_field_on_jet(field: VectorField, coeffs: list[list[Fraction]], order: 
             for i, e in enumerate(expo):
                 for _ in range(e):
                     prod = _conv(prod, jets[i], order + 1)
-            for k in range(order + 1):
-                acc[k] += c * prod[k]
-        out.append(acc[order])
+            acc += c * prod[order]
+        out.append(acc)
     return out
 
 

@@ -19,7 +19,9 @@ multiply series in any number of variables as dicts of Fractions, term
 by term.  Frame functions keep one series per power of y, and are
 compared by a walk over those series.  The monomial product is built
 afresh on every call, and the coproduct sides of the frame model take one
-such product per coproduct term or cut.  The grafting contraction
+such product per coproduct term or cut.  The cut of a frame function
+and both negations are kept as the loops they were, and the vertex symbol
+as its two parts written out at each use.  The grafting contraction
 differentiates the target afresh for every index tuple, and the growth
 lemma takes the flow derivative of phi(t) through it; the pushforward
 product formula also differentiates and lifts its target, and builds every
@@ -601,6 +603,86 @@ def reference_first_mismatch(a, b):
             if ca != cb:
                 return (k, o, ca, cb)
     return None
+
+
+# The cut of a frame function and the two negations as they were before
+# they became a product with 1 and a scaling by -1, kept verbatim (as
+# functions of the operand, renamed), and the vertex symbol with its
+# curvature part and its flat part psi''/psi' written out at each use, as
+# `gamma_bullet`, `transferred_base_field`, `forced_vertex_symbols` and
+# `cocycle_sides` wrote them before the two parts were written once.
+
+def reference_frame_with_trunc(self, trunc):
+    """Every row cut at order trunc; a row zero through it is dropped."""
+    from treehopf.frame import FrameFunction, _row
+
+    if trunc is None or all(t is not None and t <= trunc for t, _ in self._rows.values()):
+        return self
+    n = trunc + 1
+    rows = {}
+    for k, (t, nums) in self._rows.items():
+        if t is None or t > trunc:
+            t, nums = trunc, nums[:n] + [0] * (n - len(nums))
+        row = _row(t, nums)
+        if row:
+            rows[k] = row
+    return FrameFunction._reduced(rows, self._den)
+
+
+def reference_frame_neg(self):
+    from treehopf.frame import FrameFunction
+
+    return FrameFunction._raw(
+        {k: (t, [-v for v in nums]) for k, (t, nums) in self._rows.items()}, self._den)
+
+
+def reference_series_neg(self):
+    a, den = self._jet()
+    a = [-v for v in a] if self.nvars == 1 else {e: -v for e, v in a.items()}
+    return MultiSeries._raw(self.nvars, None, self.trunc, a, den)
+
+
+def reference_gamma_bullet(psi, Gamma):
+    """y (psi' Gamma(psi) - Gamma + psi''/psi'), built afresh on every call."""
+    from treehopf.frame import FrameFunction
+
+    dpsi = psi.d()
+    g = dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc) \
+        + dpsi.deriv(0) * dpsi.reciprocal()
+    return FrameFunction.y_times(g)
+
+
+def reference_forced_vertex_symbols(psi, Gamma):
+    from treehopf.frame import FrameFunction
+
+    dpsi = psi.d()
+    curvature_only = FrameFunction.y_times(
+        dpsi * Gamma.compose1(psi.series) - Gamma.with_trunc(psi.trunc))
+    flat = FrameFunction.y_times(dpsi.deriv(0) * dpsi.reciprocal())
+    return reference_gamma_bullet(psi, Gamma), curvature_only, flat
+
+
+def reference_transferred_base_field(psi, Gamma):
+    from treehopf.frame import FrameFunction
+
+    dpsi = psi.d()
+    log_slope = dpsi.deriv(0) * dpsi.reciprocal()
+    return (
+        FrameFunction.y_times(dpsi),
+        FrameFunction.y_times(log_slope - Gamma.with_trunc(psi.trunc)),
+    )
+
+
+def reference_cocycle_sides(psi, eta, Gamma):
+    """Both sides of the cocycle identity, the right side cut where psi'' and Gamma end."""
+    from treehopf.frame import lift_apply
+
+    comp = eta.compose(psi)
+    lhs = reference_gamma_bullet(comp, Gamma)
+    rhs = reference_gamma_bullet(psi, Gamma) + lift_apply(psi, reference_gamma_bullet(eta, Gamma))
+    t = comp.trunc
+    order = _min_trunc(None if t is None else t - 2, Gamma.trunc)
+    return lhs, reference_frame_with_trunc(rhs, order)
 
 
 # The monomial product built afresh on every call, as it was before a
