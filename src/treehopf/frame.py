@@ -292,7 +292,8 @@ class FrameFunction:
 
     def with_trunc(self, trunc: int | None) -> "FrameFunction":
         """Every row cut at order trunc, a row zero through it dropped: the product with 1 cut
-        at trunc, on the left, where `_conv` skips its zeros.  The operand if nothing is cut."""
+        at trunc; `_conv` walks the factor with more zero entries, so the 1 may stand on
+        either side.  The operand if nothing is cut."""
         if trunc is None or all(t is not None and t <= trunc for t, _ in self._rows.values()):
             return self
         return FrameFunction.constant(1, trunc) * self
@@ -428,9 +429,6 @@ class Monomial(_Immutable):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "_ops", None)
-
-    def scale(self, c) -> "Monomial":
-        return Monomial(self.f.scale(c), self.psi)
 
     def eq_retained(self, other: "Monomial") -> bool:
         return self.psi == other.psi and self.f.eq_retained(other.f)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import add
 
 from .trees import (_Immutable, _ParseError, _digits_end, _rational_at, _sign_at, _signed_sum,
@@ -99,12 +99,18 @@ def _over_lcm(rows: dict) -> tuple[dict, int]:
 def _conv(a: list, b: list, n: int | None, out: list | None = None) -> list:
     """Product of two dense jets (int or Fraction entries), cut to n entries (n=None: exact).
 
-    Given `out` (at least n entries), the product is added into it.
+    Given `out` (at least n entries), the product is added into it.  The
+    outer loop runs over the factor with more zero entries and skips them,
+    so a jet with one nonzero entry times a jet of m entries costs at most m
+    products in either order; the sums are exact, so the order of the
+    factors never changes an entry.
     """
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
     if out is None:
         out = [0] * n
+    if a.count(0) < b.count(0):
+        a, b = b, a
     for i in range(min(len(a), n)):
         ai = a[i]
         if ai:
@@ -130,7 +136,8 @@ def _compose(g: list[int], inner: "MultiSeries", trunc: int | None) -> tuple[lis
 
     The composition is out over den times the outer series' own
     denominator.  Sums g_k inner^k over the rows of the power table that
-    `inner` keeps; inner has zero constant term, so inner^k = O(x^k).
+    `inner` keeps; inner has zero constant term, so inner^k = O(x^k) and
+    row k is read from index k on, past its k leading zeros.
     """
     top = len(g) if trunc is None else min(len(g), trunc + 1)
     if not top:
@@ -142,7 +149,7 @@ def _compose(g: list[int], inner: "MultiSeries", trunc: int | None) -> tuple[lis
     for k in range(top - 1, -1, -1):
         c = g[k] * weight
         if c:
-            for i, v in enumerate(rows[k][:width]):
+            for i, v in enumerate(rows[k][k:width], k):
                 if v:
                     out[i] += c * v
         weight *= d
@@ -302,21 +309,31 @@ class MultiSeries:
         return MultiSeries._from_nums(self.nvars, a, den // g * c.denominator, self.trunc)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
+        """The product at the weaker truncation.  In several variables an exact
+        product pairs every two terms; a truncated one walks the right factor's
+        terms by degree and stops at the first pair past trunc."""
         trunc = _min_trunc(self.trunc, other.trunc)
         a, da = self._jet()
         b, db = other._jet()
         if self.nvars == 1:
             return MultiSeries._from_nums(
                 1, _conv(a, b, None if trunc is None else trunc + 1), da * db, trunc)
-        bs = sorted((sum(e), e, v) for e, v in b.items())
         out: dict[tuple[int, ...], int] = {}
-        for e1, v1 in a.items():
-            room = (inf if trunc is None else trunc) - sum(e1)
-            for d2, e2, v2 in bs:
-                if d2 > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + v1 * v2
+        if trunc is None:
+            bs = b.items()
+            for e1, v1 in a.items():
+                for e2, v2 in bs:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + v1 * v2
+        else:
+            bs = sorted((sum(e), e, v) for e, v in b.items())
+            for e1, v1 in a.items():
+                room = trunc - sum(e1)
+                for d2, e2, v2 in bs:
+                    if d2 > room:
+                        break
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + v1 * v2
         return MultiSeries._from_nums(
             self.nvars, {e: v for e, v in out.items() if v}, da * db, trunc)
 

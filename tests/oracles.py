@@ -753,10 +753,11 @@ def reference_phi_vec(t: RootedTree, field: tuple) -> tuple:
 
 def reference_pushforward_rhs(t: RootedTree, psi, Gamma, h):
     """The product formula for phi_t(h o lift(psi)) over the transferred field,
-    as it was before it ran through the grafting contraction (renamed)."""
-    from treehopf.frame import FrameFunction, lift_apply, phi_frame_op, transferred_base_field
+    as it was before it ran through the grafting contraction (renamed), over the
+    reference transferred field."""
+    from treehopf.frame import FrameFunction, lift_apply, phi_frame_op
 
-    star = transferred_base_field(psi, Gamma)
+    star = reference_transferred_base_field(psi, Gamma)
     rhs = FrameFunction.zero()
     m = len(t.children)
     for ks in itertools.product((0, 1), repeat=m):

@@ -842,6 +842,22 @@ def test_tensor_is_the_double_loop():
     assert Tensor2.tensor(LinComb.unit(), LinComb.unit()) == Tensor2.of(EMPTY_FOREST, EMPTY_FOREST)
 
 
+def test_equal_combinations_hash_equal_whatever_their_term_order():
+    forests = [Forest((LEAF,)), Forest((L2,)), Forest((LEAF, CHERRY)), EMPTY_FOREST]
+    coeffs = [Fraction(2, 3), -3, 1, Fraction(-1, 2)]
+    pairs = list(zip(forests, coeffs))
+    tensor_pairs = [((fl, fr), c) for (fl, c), fr in zip(pairs, reversed(forests))]
+    for cls, items in ((LinComb, pairs), (Tensor2, tensor_pairs)):
+        forward, backward = cls(dict(items)), cls(dict(reversed(items)))
+        summed = cls.zero()
+        for item in items[1::2] + items[::2]:
+            summed = summed + cls([item])
+        assert list(forward.terms) != list(backward.terms)
+        assert forward == backward == summed
+        assert hash(forward) == hash(backward) == hash(summed)
+        assert len({forward, backward, summed}) == 1
+
+
 @given(lincombs(3), lincombs(3), st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]))
 @settings(max_examples=30)
 def test_tensor_matches_the_double_loop(a, b, c):

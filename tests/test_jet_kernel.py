@@ -3,7 +3,8 @@
 Products, compositions, reciprocals and reversions of one-variable
 series must give the same terms and the same truncation order as the
 term-by-term arithmetic in `oracles.py`, whatever power tables the
-series already hold.
+series already hold.  The convolution `_conv` matches a schoolbook double
+sum wherever the zeros of its factors lie, and walks the sparser factor.
 """
 
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import series_compose1, series_mul, series_power, series_reciprocal, series_reversion
 from treehopf import FormalDiffeo, FrameFunction, MultiSeries, TruncationError, lift_apply
+from treehopf.series import _conv
 
 ORDERS = (8, 16)
 
@@ -153,6 +155,131 @@ def test_cold_and_warm_series_agree():
     for a, b in zip(cold[:-1], warm[:-1]):
         same(a, b)
     assert cold[-1] == warm[-1] and cold[-1].trunc == warm[-1].trunc
+
+
+# -- the convolution kernel -----------------------------------------------------
+
+def schoolbook(a, b, n):
+    """sum_{i+j=k} a[i] b[j] for k < n, over every pair of entries, zeros included."""
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def sparse_list(rng, length, density, fraction=False):
+    """Seeded entries, each nonzero with probability `density`."""
+    def entry():
+        v = rng.choice((-7, -3, -1, 1, 2, 5, 11))
+        return Fraction(v, rng.choice((1, 2, 3, 12))) if fraction else v
+    return [entry() if rng.random() < density else 0 for _ in range(length)]
+
+
+def conv_factors(rng, fraction=False):
+    """(a, b): zeros on the left only, on the right only, on both sides, an all-zero
+    factor, a single nonzero entry, empty and one-entry jets."""
+    la, lb = rng.randint(1, 14), rng.randint(1, 14)
+    dense = lambda length: sparse_list(rng, length, 1.0, fraction)
+    sparse = lambda length: sparse_list(rng, length, 0.3, fraction)
+    yield sparse(la), dense(lb)
+    yield dense(la), sparse(lb)
+    yield sparse(la), sparse(lb)
+    yield [0] * la, dense(lb)
+    yield dense(la), [0] * lb
+    one = [0] * la
+    one[rng.randrange(la)] = dense(1)[0]
+    yield one, dense(lb)
+    yield dense(lb), one
+    yield [], dense(lb)
+    yield dense(1), dense(lb)
+
+
+@pytest.mark.parametrize("fraction", (False, True))
+def test_conv_matches_a_schoolbook_double_sum(fraction):
+    rng = random.Random(17 + fraction)
+    for _ in range(60):
+        for a, b in conv_factors(rng, fraction):
+            a0, b0 = list(a), list(b)
+            full = len(a) + len(b) - 1 if a and b else 0
+            for n in (None, full, full + 3, min(len(a), len(b)) - 1, 1, 0):
+                if n is not None and n < 0:
+                    continue
+                assert _conv(a, b, n) == schoolbook(a, b, n)
+                assert _conv(b, a, n) == schoolbook(a, b, n)
+            assert (a, b) == (a0, b0)         # the factors are read, never written
+
+
+@pytest.mark.parametrize("fraction", (False, True))
+def test_conv_adds_into_a_padded_output(fraction):
+    """The accumulating mode of a frame product: a short row padded to n, then added into."""
+    rng = random.Random(29 + fraction)
+    for _ in range(60):
+        for a, b in conv_factors(rng, fraction):
+            n = rng.randint(1, len(a) + len(b) + 2)
+            prior = sparse_list(rng, rng.randint(0, n), 0.6, fraction)
+            padded = prior + [0] * (n - len(prior))
+            want = [p + q for p, q in zip(padded, schoolbook(a, b, n))]
+            for x, y in ((a, b), (b, a)):
+                out = list(padded)
+                assert _conv(x, y, n, out) is out and out == want
+
+
+class Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def test_conv_walks_the_sparser_factor():
+    """A jet with one nonzero entry times a 513-entry jet costs at most 513 products,
+    in either order."""
+    rng = random.Random(513)
+    dense = [Counted(rng.choice((-5, -1, 2, 7))) for _ in range(513)]
+    for position in (0, 1, 8):
+        one = [Counted(0)] * 9
+        one[position] = Counted(-3)
+        for n in (None, 513, 9):
+            want = schoolbook(one, dense, n)
+            for x, y in ((one, dense), (dense, one)):
+                Counted.products = 0
+                assert _conv(x, y, n) == want
+                assert Counted.products <= 513
+
+
+@pytest.mark.parametrize("order", range(1, 18))
+def test_composition_matches_oracle_with_the_table_cold_and_warm(order):
+    """compose1 at every order up to 17, exact and truncated, on inner series with
+    and without a slope, each read first from a fresh table and then from a kept one."""
+    rng = random.Random(1700 + order)
+    for _ in range(4):
+        pairs = (
+            (random_jet(rng, order), random_inner(rng, order)),
+            (random_jet(rng, order), random_jet(rng, order, min_degree=2)),
+            (random_jet(rng, None, degree=order), random_inner(rng, None, degree=3)),
+            (random_jet(rng, None, degree=order), random_jet(rng, None, degree=4, min_degree=2)),
+            (random_jet(rng, order), random_inner(rng, None, degree=2)),
+        )
+        for outer, inner in pairs:
+            want = series_compose1(outer, inner)
+            cold = s1(inner.terms, inner.trunc)
+            same(outer.compose1(cold), want)                    # the table is built here
+            same(outer.compose1(cold), want)                    # and read here
+            deep = s1(inner.terms, inner.trunc)
+            s1({(k,): 1 for k in range(20)}).compose1(deep)     # a table kept from a deeper outer
+            same(outer.compose1(deep), want)
+            shallow = s1(inner.terms, inner.trunc)
+            s1({(1,): 1}).compose1(shallow)                     # two rows, grown on demand
+            same(outer.compose1(shallow), want)
 
 
 def test_lift_matches_oracle_lift():

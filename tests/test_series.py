@@ -109,6 +109,18 @@ def test_parse_vector_field():
         parse_vector_field("f1 = x1\nf3 = x2")
 
 
+def test_vector_fields_are_equal_when_their_components_are():
+    f = parse_vector_field("f1 = x2 + 1/2 x1^2\nf2 = x1")
+    built = VectorField([MultiSeries(2, {(2, 0): Fraction(1, 2), (0, 1): 1}),
+                         MultiSeries(2, {(1, 0): 1})])
+    assert f == built and built == f
+    assert f.with_trunc(5) == f                 # series equality ignores the truncation order
+    assert f != VectorField([built.components[1], built.components[0]])
+    assert f != VectorField([built.components[0], MultiSeries(2, {(1, 0): 2})])
+    assert f != VectorField([MultiSeries(1, {(1,): 1})])
+    assert f != built.components
+
+
 def test_series_solve_zero_field():
     f = VectorField([MultiSeries(2, {}), MultiSeries(2, {})])
     sol = series_solve(ODEProblem(f, 5))

@@ -110,6 +110,31 @@ def test_sums_products_and_comparisons_match_oracles(nvars):
                     assert (x + y).is_zero() == (not series_add(x, y).terms)
 
 
+def reordered(s, rng):
+    """The same series with its terms inserted from the highest degree down, and shuffled."""
+    items = list(s.terms.items())
+    down = sorted(items, key=lambda ec: -sum(ec[0]))
+    rng.shuffle(items)
+    return [MultiSeries(s.nvars, dict(order), s.trunc) for order in (down, items)]
+
+
+@pytest.mark.parametrize("nvars", (2, 3))
+def test_exact_and_truncated_products_ignore_the_term_order(nvars):
+    """An exact product pairs every two terms, a truncated one stops by degree;
+    neither may depend on the order in which a factor's terms were inserted."""
+    rng = random.Random(40 + nvars)
+    for ta, tb in ((None, None), (None, 3), (4, None), (2, 5), (6, 6), (0, None)):
+        for _ in range(8):
+            a = random_series(rng, nvars, ta, degree=None if ta is None else ta + 2)
+            b = random_series(rng, nvars, tb, degree=None if tb is None else tb + 2)
+            want = series_mul_sparse(a, b)
+            for x in (a, *reordered(a, rng)):
+                for y in (b, *reordered(b, rng)):
+                    same(x * y, want)
+                    same(working(x) * y, want)
+                    same(y * x, series_mul_sparse(b, a))
+
+
 @pytest.mark.parametrize("nvars", NVARS)
 def test_scalings_negations_and_derivatives_match_oracles(nvars):
     rng = random.Random(10 + nvars)
