@@ -292,8 +292,9 @@ class FrameFunction:
 
     def with_trunc(self, trunc: int | None) -> "FrameFunction":
         """Every row cut at order trunc, a row zero through it dropped: the product with 1 cut
-        at trunc; `_conv` walks the factor with more zero entries, so the 1 may stand on
-        either side.  The operand if nothing is cut."""
+        at trunc, which costs at most the row's length with the 1 on either side, since
+        `_conv` loops over the factor whose nonzero entries times the other's length is the
+        smaller.  The operand if nothing is cut."""
         if trunc is None or all(t is not None and t <= trunc for t, _ in self._rows.values()):
             return self
         return FrameFunction.constant(1, trunc) * self

@@ -100,16 +100,18 @@ def _conv(a: list, b: list, n: int | None, out: list | None = None) -> list:
     """Product of two dense jets (int or Fraction entries), cut to n entries (n=None: exact).
 
     Given `out` (at least n entries), the product is added into it.  The
-    outer loop runs over the factor with more zero entries and skips them,
-    so a jet with one nonzero entry times a jet of m entries costs at most m
-    products in either order; the sums are exact, so the order of the
-    factors never changes an entry.
+    outer loop skips its zero entries and runs over the factor whose
+    nonzero entries times the other's length is the smaller, so a product
+    costs at most min(nz(a)*len(b), nz(b)*len(a)) multiplications: a jet
+    with one nonzero entry times a jet of m entries costs at most m in
+    either order.  The sums are exact, so the order of the factors never
+    changes an entry.
     """
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
     if out is None:
         out = [0] * n
-    if a.count(0) < b.count(0):
+    if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
         a, b = b, a
     for i in range(min(len(a), n)):
         ai = a[i]
@@ -309,9 +311,8 @@ class MultiSeries:
         return MultiSeries._from_nums(self.nvars, a, den // g * c.denominator, self.trunc)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        """The product at the weaker truncation.  In several variables an exact
-        product pairs every two terms; a truncated one walks the right factor's
-        terms by degree and stops at the first pair past trunc."""
+        """The product at the weaker truncation.  In several variables every two
+        terms are paired, with no degree sort, and the pairs past trunc are dropped."""
         trunc = _min_trunc(self.trunc, other.trunc)
         a, da = self._jet()
         b, db = other._jet()
@@ -319,23 +320,14 @@ class MultiSeries:
             return MultiSeries._from_nums(
                 1, _conv(a, b, None if trunc is None else trunc + 1), da * db, trunc)
         out: dict[tuple[int, ...], int] = {}
-        if trunc is None:
-            bs = b.items()
-            for e1, v1 in a.items():
-                for e2, v2 in bs:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + v1 * v2
-        else:
-            bs = sorted((sum(e), e, v) for e, v in b.items())
-            for e1, v1 in a.items():
-                room = trunc - sum(e1)
-                for d2, e2, v2 in bs:
-                    if d2 > room:
-                        break
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + v1 * v2
+        bs = b.items()
+        for e1, v1 in a.items():
+            for e2, v2 in bs:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + v1 * v2
         return MultiSeries._from_nums(
-            self.nvars, {e: v for e, v in out.items() if v}, da * db, trunc)
+            self.nvars, {e: v for e, v in out.items() if v and (trunc is None or sum(e) <= trunc)},
+            da * db, trunc)
 
     def deriv(self, i: int) -> "MultiSeries":
         """d/dx_i, one order lower (see `_deriv_trunc`)."""

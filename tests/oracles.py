@@ -9,7 +9,8 @@ respect at every size.  The
 products of `LinComb` and `Tensor2` build each product forest from the
 concatenated trees and sum in Fraction.  `in_span` (one `Span` over the
 rows) and `series_power` (a row of a series' power table) are wrappers
-that only the tests use.
+that only the tests use, and `Counted` is an int that counts the products
+it takes part in, to bound the cost of a kernel.
 Span tests rerun a Fraction row reduction for every candidate row, and
 the closure check re-solves span (x) span by it for every coproduct
 component.  The univariate jet oracles multiply dicts of Fractions term
@@ -332,6 +333,18 @@ def series_power(s: MultiSeries, k: int) -> MultiSeries:
     """s^k of a one-variable series, read from its power table."""
     rows, d = s._power_rows(k)
     return MultiSeries._from_nums(1, rows[k], d ** k, s.trunc)
+
+
+class Counted(int):
+    """An int that counts the products it takes part in (a product is a plain int)."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
 
 
 # Univariate jets: the sparse Fraction arithmetic that MultiSeries ran

@@ -22,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    Counted,
     reference_cocycle_sides,
     reference_forced_vertex_symbols,
     reference_frame_neg,
@@ -107,20 +108,27 @@ def test_a_cut_in_each_case_of_the_loop():
 
 
 def test_a_cut_is_linear_in_the_row_length(monkeypatch):
+    """One convolution of trunc + 1 products, for a dense row and for a long sparse
+    exact row; the products are counted on the entries, whichever factor `_conv` walks."""
     from treehopf import frame
 
     work = []
     conv = frame._conv
 
     def counting(a, b, n, out=None):
-        work.append(sum(len(b[:n - i]) for i in range(min(len(a), n)) if a[i]))
-        return conv(a, b, n, out)
+        Counted.products = 0
+        got = conv([Counted(v) for v in a], [Counted(v) for v in b], n, out)
+        work.append(Counted.products)
+        return got
 
     monkeypatch.setattr(frame, "_conv", counting)
     rng = random.Random(41)
     for trunc in (64, 128, 256, 512):
         terms = {(k,): Fraction(rng.randint(1, 9), rng.randint(1, 4)) for k in range(2 * trunc)}
-        for f in (FrameFunction([(1, s1(terms))]), FrameFunction([(1, s1(terms, 2 * trunc))])):
+        sparse = {(k,): Fraction(rng.randint(1, 9), rng.randint(1, 4)) for k in range(0, trunc, 2)}
+        sparse[(3 * trunc,)] = Fraction(1)             # an exact row far past the cut
+        for f in (FrameFunction([(1, s1(terms))]), FrameFunction([(1, s1(terms, 2 * trunc))]),
+                  FrameFunction([(1, s1(sparse))])):
             work.clear()
             cut = f.with_trunc(trunc)
             assert work == [trunc + 1]          # one convolution, one pass over the row
